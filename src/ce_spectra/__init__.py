@@ -28,7 +28,6 @@ from .gauss_core import (
     log_density,
     log_likelihood_ratio,
     proj_r,
-    rayleigh_from_sample,
     sample,
 )
 from .targets import (
@@ -119,7 +118,6 @@ __all__ = [
     "prop_range_width",
     "quadratic_target",
     "quantile_threshold",
-    "rayleigh_from_sample",
     "run_scheme",
     "sample",
     "select_direction",

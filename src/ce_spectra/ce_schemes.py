@@ -20,13 +20,14 @@ discarded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import numerics
 from .estimators import (
     DegenerateSampleError,
+    check_rho,
     indicator_delta,
     ice_delta,
     is_probability,
@@ -77,11 +78,13 @@ class SchemeConfig:
             raise ValueError(f"scheme {self.scheme!r} needs a direction strategy")
         if not projected and self.strategy != "none":
             raise ValueError(f"scheme {self.scheme!r} does not take a direction strategy")
-        if not 0.0 < self.rho < 1.0:
-            raise ValueError(f"rho must lie in (0, 1), got {self.rho}")
+        check_rho(self.rho)
         if self.delta_target < 1.0:
             raise ValueError("delta_target below 1 is unreachable for the spread statistic")
-        for name in ("m", "n", "n_p", "t_max"):
+        for name in ("m", "n"):
+            if getattr(self, name) < 2:
+                raise ValueError(f"{name} must be at least 2")
+        for name in ("n_p", "t_max"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         if self.divergence_lambda_cap <= 0.0:
@@ -155,12 +158,13 @@ def _next_law(est, cfg: SchemeConfig, extremes: numerics.EigenExtremes) -> Gauss
 
 def ce_iteration(law: GaussianLaw, target: LimitState, cfg: SchemeConfig,
                  rng_quantile: np.random.Generator,
-                 rng_learn: np.random.Generator) -> tuple[GaussianLaw, IterationTrace, int]:
+                 rng_learn: np.random.Generator) -> tuple[GaussianLaw, IterationTrace]:
     """One level-update iteration (plain or projected).
 
-    Returns (next law, trace, t placeholder 0); on divergence the law comes
-    back unchanged and the trace carries the flag. The recorded threshold is
-    the one actually used for conditioning (capped at 0 when configured).
+    Returns (next law, trace), the trace with t = 0 for the caller to set;
+    on divergence the law comes back unchanged and the trace carries the
+    flag. The recorded threshold is the one actually used for conditioning
+    (capped at 0 when configured).
     """
     lam_min_in = law.covariance_extremes()[0]
 
@@ -173,7 +177,7 @@ def ce_iteration(law: GaussianLaw, target: LimitState, cfg: SchemeConfig,
     try:
         est = weighted_mean_cov(ws, threshold, self_normalize=True)
     except DegenerateSampleError:
-        return law, _diverged_trace(0, threshold, 0.0, lam_min_in, math.nan, 0), 0
+        return law, _diverged_trace(0, threshold, 0.0, lam_min_in, math.nan, 0)
 
     return _finish_update(law, est, cfg, threshold, lam_min_in)
 
@@ -181,7 +185,7 @@ def ce_iteration(law: GaussianLaw, target: LimitState, cfg: SchemeConfig,
 def _finish_update(law, est, cfg, level_stat, lam_min_in):
     """Shared tail of an iteration: spectral checks, cap, next-law build."""
     if not (np.all(np.isfinite(est.mu_hat)) and np.all(np.isfinite(est.sigma_hat))):
-        return law, _diverged_trace(0, level_stat, est.p_hat, lam_min_in, math.nan, est.n_hits), 0
+        return law, _diverged_trace(0, level_stat, est.p_hat, lam_min_in, math.nan, est.n_hits)
     extremes = numerics.sym_eigen_extremes(est.sigma_hat)
     trace_ok = IterationTrace(t=0, q_or_sigma=level_stat, p_hat_t=est.p_hat,
                               lambda_min_proj=lam_min_in,
@@ -189,17 +193,17 @@ def _finish_update(law, est, cfg, level_stat, lam_min_in):
                               diverged=False, n_hits=est.n_hits)
     if not math.isfinite(est.p_hat):
         return law, _diverged_trace(0, level_stat, est.p_hat, lam_min_in,
-                                    extremes.lambda_max, est.n_hits), 0
+                                    extremes.lambda_max, est.n_hits)
     if extremes.lambda_max > cfg.divergence_lambda_cap:
         return law, _diverged_trace(0, level_stat, est.p_hat, lam_min_in,
-                                    extremes.lambda_max, est.n_hits), 0
+                                    extremes.lambda_max, est.n_hits)
     try:
         nxt = _next_law(est, cfg, extremes)
     except (numerics.NotPositiveDefiniteError, numerics.NotSymmetricError,
             CollapsedEstimateError):
         return law, _diverged_trace(0, level_stat, est.p_hat, lam_min_in,
-                                    extremes.lambda_max, est.n_hits), 0
-    return nxt, trace_ok, 0
+                                    extremes.lambda_max, est.n_hits)
+    return nxt, trace_ok
 
 
 def bandwidth_objective(sample_: WeightedSample, bandwidth: float, delta_target: float) -> float:
@@ -285,7 +289,7 @@ def ice_iteration(law: GaussianLaw, bandwidth_prev: float | None, target: LimitS
         return law, bandwidth, _diverged_trace(0, bandwidth, 0.0, lam_min_in,
                                                math.nan, 0), False
 
-    nxt, trace, _ = _finish_update(law, est, cfg, bandwidth, lam_min_in)
+    nxt, trace = _finish_update(law, est, cfg, bandwidth, lam_min_in)
     return nxt, bandwidth, trace, False
 
 
@@ -312,11 +316,8 @@ def run_scheme(cfg: SchemeConfig, target: LimitState,
                 converged = True
                 break
         else:
-            nxt, trace, _ = ce_iteration(law, target, cfg, rng_y, rng_x)
-        trace = IterationTrace(t=t, q_or_sigma=trace.q_or_sigma, p_hat_t=trace.p_hat_t,
-                               lambda_min_proj=trace.lambda_min_proj,
-                               lambda_max_raw=trace.lambda_max_raw,
-                               diverged=trace.diverged, n_hits=trace.n_hits)
+            nxt, trace = ce_iteration(law, target, cfg, rng_y, rng_x)
+        trace = replace(trace, t=t)
         traces.append(trace)
         if trace.diverged:
             diverged = True

@@ -5,10 +5,12 @@ phase (dimension sweep of the known-truth covariance estimate), gamma
 (max-weight growth regression), table1 (the full benchmark grid). Output is
 CSV plus JSON summaries plus standalone SVG figures.
 
-Repetitions fan out over a process pool. Every cell draws from a random
-stream keyed by (seed, kind, cell, rep), and results are merged in job
-order, so output files are byte-identical for any worker count. Partial
-results are flushed if a run dies midway.
+Configs are parsed, validated and translated into library objects by
+``config``. Cells run through ``seeding.map_cells``, over a process pool
+when there is more than one worker. Every cell draws from a random stream
+keyed by (seed, kind, cell, rep), and results are merged in cell order, so
+output files are byte-identical for any worker count. Partial results are
+flushed if a run dies midway.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error.
 """
@@ -18,52 +20,40 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from .ce_schemes import RunResult, SchemeConfig, run_scheme
-from .config import ConfigError, ExperimentConfig, benchmark_sizes, load_config
-from .gauss_core import SpikedCovariance
+from .config import (
+    GAMMA_N_GRID,
+    ConfigError,
+    ExperimentConfig,
+    gamma_cell_args,
+    load_config,
+    scheme_cells,
+    sweep_configs,
+)
 from .phase_lab import (
     GammaEstimate,
-    SweepConfig,
-    build_alignment,
+    SweepResult,
     gamma_cell,
     gamma_fit,
     kappa_conjecture_report,
     sweep_cell,
+    sweep_cells,
 )
-from .targets import TABLE_DIMS, benchmark_target, prop_range_width
+from .seeding import map_cells
+from .targets import LimitState
 from . import svg
 
-GAMMA_N_GRID = (1000, 10000, 100000, 1000000)
-GAMMA_DEFAULT_DIM = 2
-
-TABLE1_CELLS = (
-    ("ce", "none"),
-    ("ce_proj", "eig_min"),
-    ("ce_proj", "mean"),
-    ("ice", "none"),
-    ("ice_proj", "eig_min"),
-    ("ice_proj", "mean"),
-)
+# The set-up step of bench/setup_probe.py reaches these through this module.
+from .config import GAMMA_DEFAULT_DIM  # noqa: F401
+from .phase_lab import build_alignment  # noqa: F401
+from .targets import benchmark_target, prop_range_width  # noqa: F401
 
 
 # ---------------------------------------------------------------- plumbing
-
-
-def _iter_parallel(fn, payloads, workers):
-    """Order-preserving map over a process pool, in-process when a pool
-    would not help. Yields results as they arrive so a caller can flush
-    partial output if a later job dies."""
-    if workers <= 1 or len(payloads) <= 1:
-        for p in payloads:
-            yield fn(p)
-        return
-    with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
-        yield from pool.map(fn, payloads)
 
 
 def _num(v) -> str:
@@ -95,31 +85,26 @@ def _quartiles(values: list[float]) -> dict:
 # ---------------------------------------------------------------- benchmark
 
 
-def _bench_worker(args) -> RunResult:
-    scheme_cfg, target_name, d, seed_key = args
-    return run_scheme(scheme_cfg, benchmark_target(target_name, d), seed_key=seed_key)
-
-
-def run_benchmark_cell(target_name: str, scheme_cfg: SchemeConfig, d: int, reps: int,
-                       seed: int, workers: int, out_dir: Path) -> dict:
+def run_benchmark_cell(target: LimitState, scheme_cfg: SchemeConfig, reps: int,
+                       workers: int, out_dir: Path) -> dict:
     """Run one (target, scheme) cell and write its output files."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    payloads = [
-        (scheme_cfg, target_name, d,
-         (seed, "benchmark", target_name, scheme_cfg.scheme, scheme_cfg.strategy, rep))
+    cells = [
+        (scheme_cfg, target, (scheme_cfg.seed, "benchmark", target.name,
+                              scheme_cfg.scheme, scheme_cfg.strategy, rep))
         for rep in range(reps)
     ]
     results: list[RunResult] = []
     try:
-        for res in _iter_parallel(_bench_worker, payloads, workers):
+        for res in map_cells(run_scheme, cells, workers):
             results.append(res)
     finally:
-        summary = _write_benchmark_outputs(out_dir, results, target_name, scheme_cfg, d)
+        summary = _write_benchmark_outputs(out_dir, results, target, scheme_cfg)
     return summary
 
 
-def _write_benchmark_outputs(out: Path, results: list[RunResult], target_name: str,
-                             scheme_cfg: SchemeConfig, d: int) -> dict:
+def _write_benchmark_outputs(out: Path, results: list[RunResult], target: LimitState,
+                             scheme_cfg: SchemeConfig) -> dict:
     run_rows = []
     trace_rows = []
     for rep, res in enumerate(results):
@@ -143,10 +128,10 @@ def _write_benchmark_outputs(out: Path, results: list[RunResult], target_name: s
             pass
     n = len(results)
     summary = {
-        "target": target_name,
+        "target": target.name,
         "scheme": scheme_cfg.scheme,
         "strategy": scheme_cfg.strategy,
-        "d": d,
+        "d": target.dim,
         "m": scheme_cfg.m,
         "n": scheme_cfg.n,
         "n_p": scheme_cfg.n_p,
@@ -198,15 +183,8 @@ def _write_benchmark_figures(out: Path, results: list[RunResult]) -> None:
 
 
 def run_benchmark(cfg: ExperimentConfig) -> dict:
-    d, m, n = benchmark_sizes(cfg)
-    scheme_cfg = SchemeConfig(
-        scheme=cfg.scheme, strategy=cfg.strategy, rho=cfg.rho,
-        delta_target=cfg.delta_target, m=m, n=n, n_p=cfg.n_p, t_max=cfg.t_max,
-        seed=cfg.seed, divergence_lambda_cap=cfg.divergence_lambda_cap,
-        cap_quantile_at_zero=cfg.cap_quantile_at_zero,
-    )
-    return run_benchmark_cell(cfg.target, scheme_cfg, d, cfg.N, cfg.seed,
-                              cfg.workers, Path(cfg.output_dir))
+    [(target, scheme_cfg)] = scheme_cells(cfg)
+    return run_benchmark_cell(target, scheme_cfg, cfg.N, cfg.workers, Path(cfg.output_dir))
 
 
 # ---------------------------------------------------------------- table1
@@ -217,21 +195,12 @@ def run_table1(cfg: ExperimentConfig) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     summaries = {}
     try:
-        for target_name in ("lin", "quad", "fin"):
-            d = cfg.dims[0] if cfg.dims else TABLE_DIMS[target_name]
-            n = cfg.n if cfg.n is not None else (10000 if target_name == "lin" else 5000)
-            m = cfg.m if cfg.m is not None else n
-            for scheme, strategy in TABLE1_CELLS:
-                scheme_cfg = SchemeConfig(
-                    scheme=scheme, strategy=strategy, rho=cfg.rho,
-                    delta_target=cfg.delta_target, m=m, n=n, n_p=cfg.n_p,
-                    t_max=cfg.t_max, seed=cfg.seed,
-                    divergence_lambda_cap=cfg.divergence_lambda_cap,
-                    cap_quantile_at_zero=cfg.cap_quantile_at_zero,
-                )
-                cell = f"{target_name}_{scheme}" + ("" if strategy == "none" else f"_{strategy}")
-                summaries[cell] = run_benchmark_cell(
-                    target_name, scheme_cfg, d, cfg.N, cfg.seed, cfg.workers, out / cell)
+        for target, scheme_cfg in scheme_cells(cfg):
+            cell = f"{target.name}_{scheme_cfg.scheme}"
+            if scheme_cfg.strategy != "none":
+                cell += f"_{scheme_cfg.strategy}"
+            summaries[cell] = run_benchmark_cell(target, scheme_cfg, cfg.N, cfg.workers,
+                                                 out / cell)
     finally:
         write_json(out / "summary.json", summaries)
     return summaries
@@ -240,32 +209,22 @@ def run_table1(cfg: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------- phase
 
 
-def _phase_worker(args):
-    sweep_cfg, d, rep = args
-    return sweep_cell(sweep_cfg, d, rep)
-
-
 def run_phase(cfg: ExperimentConfig) -> dict:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    sweeps: list[tuple[float, SweepConfig, list]] = []
-    for kappa in cfg.kappa:
-        sweep_cfg = SweepConfig(target=cfg.target, alignment=cfg.alignment,
-                                lambda1=cfg.lambda1, kappa=kappa, dims=cfg.dims,
-                                reps=cfg.N, alpha=cfg.alpha, seed=cfg.seed)
-        sweeps.append((kappa, sweep_cfg, []))
+    sweeps = [(sweep_cfg, []) for sweep_cfg in sweep_configs(cfg)]
     try:
-        for kappa, sweep_cfg, rows in sweeps:
-            payloads = [(sweep_cfg, d, rep) for d in sweep_cfg.dims
-                        for rep in range(sweep_cfg.reps)]
-            for row in _iter_parallel(_phase_worker, payloads, cfg.workers):
+        for sweep_cfg, rows in sweeps:
+            for row in map_cells(sweep_cell, sweep_cells(sweep_cfg), cfg.workers):
                 rows.append(row)
     finally:
-        summary = _write_phase_outputs(out, cfg, sweeps)
+        summary = _write_phase_outputs(
+            out, cfg, [SweepResult(config=c, rows=tuple(rows)) for c, rows in sweeps])
     return summary
 
 
-def _write_phase_outputs(out: Path, cfg: ExperimentConfig, sweeps) -> dict:
+def _write_phase_outputs(out: Path, cfg: ExperimentConfig,
+                         sweeps: list[SweepResult]) -> dict:
     header = ["d", "rep", "n", "op_error", "lambda_max_hat", "max_weight", "q_hat"]
     single = len(sweeps) == 1
     summary: dict = {"kind": "phase", "target": cfg.target, "alignment": cfg.alignment,
@@ -275,17 +234,16 @@ def _write_phase_outputs(out: Path, cfg: ExperimentConfig, sweeps) -> dict:
     lam_panel = svg.Panel(title="median top eigenvalue of the estimate",
                           xlabel="dimension d", ylabel="lambda_max", ylog=True)
     mc_note = " (Monte Carlo)" if cfg.lambda1 == 1.0 else ""
-    for idx, (kappa, sweep_cfg, rows) in enumerate(sweeps, start=1):
+    for idx, sweep in enumerate(sweeps, start=1):
+        kappa = sweep.config.kappa
         name = "sweep.csv" if single else f"sweep_{idx}.csv"
         write_csv(out / name, header,
                   [(r.d, r.rep, r.n, r.op_error, r.lambda_max_hat, r.max_weight, r.q_hat)
-                   for r in rows])
-        by_d: dict[int, list] = {}
-        for r in rows:
-            by_d.setdefault(r.d, []).append(r)
-        dims = sorted(by_d)
-        med_err = [float(np.median([r.op_error for r in by_d[d]])) for d in dims]
-        med_lam = [float(np.median([r.lambda_max_hat for r in by_d[d]])) for d in dims]
+                   for r in sweep.rows])
+        errs = sweep.medians("op_error")
+        dims = list(errs)
+        med_err = list(errs.values())
+        med_lam = list(sweep.medians("lambda_max_hat").values())
         label = f"kappa={kappa:g}{mc_note}"
         err_panel.line(dims, med_err, label=label)
         err_panel.scatter(dims, med_err)
@@ -303,41 +261,26 @@ def _write_phase_outputs(out: Path, cfg: ExperimentConfig, sweeps) -> dict:
 # ---------------------------------------------------------------- gamma
 
 
-def _gamma_worker(args):
-    target_kind, alignment, lambda1, alpha, d, seed, i, n, rep = args
-    width = None
-    if target_kind == "slab" and alpha is not None:
-        width = prop_range_width(alpha, lambda1, n)
-    state, cov = build_alignment(target_kind, alignment, lambda1, d, width)
-    return gamma_cell(state, cov, seed, i, n, rep)
-
-
 def run_gamma(cfg: ExperimentConfig) -> dict:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    d = cfg.dims[0] if cfg.dims else GAMMA_DEFAULT_DIM
-    reps = cfg.N
-    payloads = [
-        (cfg.target, cfg.alignment, cfg.lambda1, cfg.alpha, d, cfg.seed, i, n, rep)
-        for i, n in enumerate(GAMMA_N_GRID) for rep in range(reps)
-    ]
+    cells = gamma_cell_args(cfg)
     values: list[float] = []
-    summary: dict = {}
     try:
-        for v in _iter_parallel(_gamma_worker, payloads, cfg.workers):
+        for v in map_cells(gamma_cell, cells, cfg.workers):
             values.append(v)
     finally:
-        summary = _finish_gamma(out, cfg, payloads, values)
+        summary = _finish_gamma(out, cfg, cells, values)
     return summary
 
 
-def _finish_gamma(out: Path, cfg: ExperimentConfig, payloads, values) -> dict:
-    rows = [(p[7], p[8], math.exp(v) if math.isfinite(v) else 0.0)
-            for p, v in zip(payloads, values)]
+def _finish_gamma(out: Path, cfg: ExperimentConfig, cells, values) -> dict:
+    rows = [(c[4], c[5], math.exp(v) if math.isfinite(v) else 0.0)
+            for c, v in zip(cells, values)]
     write_csv(out / "gamma.csv", ["n", "rep", "max_weight"], rows)
 
     reps = cfg.N
-    complete = len(values) == len(payloads)
+    complete = len(values) == len(cells)
     summary: dict = {"kind": "gamma", "target": cfg.target, "alignment": cfg.alignment,
                      "lambda1": cfg.lambda1, "alpha": cfg.alpha, "complete": complete}
     if complete:

@@ -4,14 +4,22 @@ The key set is closed: an unknown key is an error, not a warning, so a
 typoed parameter cannot silently fall back to a default. Values are typed
 per key; lists are comma separated. Lines starting with # and inline
 #-comments are ignored.
+
+This module also translates a configuration into the library objects each
+experiment runs on (scheme configs and targets, sweep configs, gamma
+cells). Range and membership rules live in those objects; building them
+in load_config is the validation, and their ValueError becomes a
+ConfigError.
 """
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .targets import TABLE_DIMS
+from .ce_schemes import SchemeConfig
+from .phase_lab import SweepConfig, build_alignment, gamma_cells, widened_alignment
+from .targets import TABLE_DIMS, LimitState, benchmark_target
 
 
 class ConfigError(ValueError):
@@ -19,8 +27,25 @@ class ConfigError(ValueError):
 
 
 KINDS = ("benchmark", "phase", "gamma", "table1")
-BENCH_TARGETS = ("lin", "quad", "fin")
-SWEEP_TARGETS = ("slab", "halfspace")
+_REQUIRED = {
+    "benchmark": ("target", "scheme"),
+    "phase": ("target", "alignment", "lambda1", "kappa", "dims"),
+    "gamma": ("target", "alignment", "lambda1"),
+    "table1": (),
+}
+
+TABLE1_TARGETS = ("lin", "quad", "fin")
+TABLE1_CELLS = (
+    ("ce", "none"),
+    ("ce_proj", "eig_min"),
+    ("ce_proj", "mean"),
+    ("ice", "none"),
+    ("ice_proj", "eig_min"),
+    ("ice_proj", "mean"),
+)
+
+GAMMA_N_GRID = (1000, 10000, 100000, 1000000)
+GAMMA_DEFAULT_DIM = 2
 
 # key -> parser
 _BOOL_WORDS = {"true": True, "yes": True, "1": True,
@@ -102,14 +127,10 @@ class ExperimentConfig:
     output_dir: str = "."
     divergence_lambda_cap: float = 1e6
     cap_quantile_at_zero: bool = True
-    raw_keys: set = field(default_factory=set, repr=False)
 
     def __post_init__(self):
         if self.workers <= 0:
             self.workers = os.cpu_count() or 1
-
-    def has(self, key: str) -> bool:
-        return key in self.raw_keys
 
 
 def parse_file(path: str | Path) -> dict:
@@ -158,101 +179,85 @@ def load_config(path: str | Path, overrides: dict | None = None,
         values["kind"] = expected_kind
     if "kind" not in values:
         raise ConfigError("missing required key 'kind'")
-    cfg = ExperimentConfig(raw_keys=set(values), **values)
+    cfg = ExperimentConfig(**values)
     _validate(cfg)
     return cfg
 
 
-def _require(cfg: ExperimentConfig, *keys: str) -> None:
-    missing = [k for k in keys if getattr(cfg, k) in (None, ())]
-    if missing:
-        raise ConfigError(f"kind={cfg.kind} requires keys: {', '.join(missing)}")
-
-
 def _validate(cfg: ExperimentConfig) -> None:
+    """Rules no library type knows, then the library objects themselves."""
     if cfg.kind not in KINDS:
         raise ConfigError(f"unknown kind {cfg.kind!r}; expected one of {KINDS}")
-    if not 0.0 < cfg.rho < 1.0:
-        raise ConfigError(f"rho must lie in (0, 1), got {cfg.rho}")
-    if cfg.delta_target < 1.0:
-        raise ConfigError(f"delta_target must be >= 1, got {cfg.delta_target}")
-    for key in ("n_p", "t_max"):
-        if getattr(cfg, key) < 1:
-            raise ConfigError(f"{key} must be positive")
-    if cfg.divergence_lambda_cap <= 0.0:
-        raise ConfigError("divergence_lambda_cap must be positive")
-    if cfg.N is not None and cfg.N < 1:
-        raise ConfigError(f"N must be positive, got {cfg.N}")
-
-    if cfg.kind in ("benchmark",):
-        _require(cfg, "target", "scheme")
-        if cfg.target not in BENCH_TARGETS:
-            raise ConfigError(f"benchmark target must be one of {BENCH_TARGETS}, got {cfg.target!r}")
-        _validate_scheme_fields(cfg)
-        if len(cfg.dims) > 1:
-            raise ConfigError("benchmark takes a single dimension in 'dims'")
-    elif cfg.kind == "table1":
-        if cfg.target is not None or cfg.scheme is not None:
-            raise ConfigError("table1 fixes its own targets and schemes")
-        if len(cfg.dims) > 1:
-            raise ConfigError("table1 takes at most a single dimension override in 'dims'")
-    elif cfg.kind == "phase":
-        _require(cfg, "target", "alignment", "lambda1", "kappa", "dims")
-        _validate_sweep_fields(cfg)
+    missing = [k for k in _REQUIRED[cfg.kind] if getattr(cfg, k) in (None, ())]
+    if missing:
+        raise ConfigError(f"kind={cfg.kind} requires keys: {', '.join(missing)}")
+    if cfg.kind == "table1" and (cfg.target is not None or cfg.scheme is not None):
+        raise ConfigError("table1 fixes its own targets and schemes")
+    if cfg.kind == "phase":
         if len(cfg.dims) < 2:
             raise ConfigError("phase needs an ascending dims grid with >= 2 entries")
-    elif cfg.kind == "gamma":
-        _require(cfg, "target", "alignment", "lambda1")
-        _validate_sweep_fields(cfg)
-        if cfg.dims and len(cfg.dims) != 1:
-            raise ConfigError("gamma takes at most a single dimension in 'dims'")
-
+    elif len(cfg.dims) > 1:
+        raise ConfigError(f"{cfg.kind} takes at most one dimension in 'dims'")
+    if cfg.kind in ("phase", "gamma") and cfg.alpha is not None and cfg.target != "slab":
+        raise ConfigError("alpha applies to the slab target only")
     if cfg.N is None:
         cfg.N = 200 if cfg.kind in ("benchmark", "table1") else 30
-
-
-def _validate_scheme_fields(cfg: ExperimentConfig) -> None:
-    from .ce_schemes import SCHEMES, STRATEGIES
-
-    if cfg.scheme not in SCHEMES:
-        raise ConfigError(f"scheme must be one of {SCHEMES}, got {cfg.scheme!r}")
-    if cfg.strategy not in STRATEGIES:
-        raise ConfigError(f"strategy must be one of {STRATEGIES}, got {cfg.strategy!r}")
-    projected = cfg.scheme.endswith("_proj")
-    if projected and cfg.strategy == "none":
-        raise ConfigError(f"scheme {cfg.scheme} requires strategy eig_min or mean")
-    if not projected and cfg.strategy != "none":
-        raise ConfigError(f"scheme {cfg.scheme} does not take a strategy")
-    for key in ("m", "n"):
-        val = getattr(cfg, key)
-        if val is not None and val < 2:
-            raise ConfigError(f"{key} must be at least 2")
-
-
-def _validate_sweep_fields(cfg: ExperimentConfig) -> None:
-    if cfg.target not in SWEEP_TARGETS:
-        raise ConfigError(f"sweep target must be one of {SWEEP_TARGETS}, got {cfg.target!r}")
-    if cfg.alignment not in ("v_in_u", "v_in_u_perp"):
-        raise ConfigError(f"alignment must be v_in_u or v_in_u_perp, got {cfg.alignment!r}")
-    if not 0.0 < cfg.lambda1 <= 1.0:
-        raise ConfigError(f"lambda1 must lie in (0, 1], got {cfg.lambda1}")
-    if cfg.alpha is not None:
-        if cfg.target != "slab":
-            raise ConfigError("alpha applies to the slab target only")
-        if not 0.0 <= cfg.alpha <= 1.0:
-            raise ConfigError(f"alpha must lie in [0, 1], got {cfg.alpha}")
-    for k in cfg.kappa:
-        if k <= 0.0:
-            raise ConfigError(f"kappa values must be positive, got {k}")
-    if cfg.dims and any(b <= a for a, b in zip(cfg.dims, cfg.dims[1:])):
-        raise ConfigError("dims must be strictly ascending")
-    if cfg.dims and any(d < 2 for d in cfg.dims):
-        raise ConfigError("dims entries must be >= 2")
+    if cfg.N < 1:
+        raise ConfigError(f"N must be positive, got {cfg.N}")
+    try:
+        _TRANSLATIONS[cfg.kind](cfg)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def benchmark_sizes(cfg: ExperimentConfig) -> tuple[int, int, int]:
-    """(d, m, n) for a benchmark cell, falling back to the published sizes."""
-    d = cfg.dims[0] if cfg.dims else TABLE_DIMS[cfg.target]
+    """(d, m, n) for a benchmark cell, falling back to the published sizes.
+
+    d is None for an unknown target, which benchmark_target rejects.
+    """
+    d = cfg.dims[0] if cfg.dims else TABLE_DIMS.get(cfg.target)
     n = cfg.n if cfg.n is not None else (10000 if cfg.target == "lin" else 5000)
     m = cfg.m if cfg.m is not None else n
     return d, m, n
+
+
+def scheme_cells(cfg: ExperimentConfig) -> list[tuple[LimitState, SchemeConfig]]:
+    """(target, scheme config) for each benchmark or table1 cell, in run order."""
+    if cfg.kind == "table1":
+        grid = [(t, s, st) for t in TABLE1_TARGETS for s, st in TABLE1_CELLS]
+    else:
+        grid = [(cfg.target, cfg.scheme, cfg.strategy)]
+    cells = []
+    for name, scheme, strategy in grid:
+        d, m, n = benchmark_sizes(replace(cfg, target=name))
+        scheme_cfg = SchemeConfig(
+            scheme=scheme, strategy=strategy, rho=cfg.rho, delta_target=cfg.delta_target,
+            m=m, n=n, n_p=cfg.n_p, t_max=cfg.t_max, seed=cfg.seed,
+            divergence_lambda_cap=cfg.divergence_lambda_cap,
+            cap_quantile_at_zero=cfg.cap_quantile_at_zero,
+        )
+        cells.append((benchmark_target(name, d), scheme_cfg))
+    return cells
+
+
+def sweep_configs(cfg: ExperimentConfig) -> list[SweepConfig]:
+    """One sweep per kappa of a phase config."""
+    return [SweepConfig(target=cfg.target, alignment=cfg.alignment, lambda1=cfg.lambda1,
+                        kappa=kappa, dims=cfg.dims, reps=cfg.N, alpha=cfg.alpha,
+                        seed=cfg.seed)
+            for kappa in cfg.kappa]
+
+
+def gamma_cell_args(cfg: ExperimentConfig) -> list[tuple]:
+    """gamma_cell arguments of a gamma config over GAMMA_N_GRID x N."""
+    d = cfg.dims[0] if cfg.dims else GAMMA_DEFAULT_DIM
+    _, cov = build_alignment(cfg.target, cfg.alignment, cfg.lambda1, d)
+
+    def state_at(n: int) -> LimitState:
+        return widened_alignment(cfg.target, cfg.alignment, cfg.lambda1, d, n, cfg.alpha)[0]
+
+    return gamma_cells(state_at, cov, GAMMA_N_GRID, cfg.N, cfg.seed)
+
+
+_TRANSLATIONS = {"benchmark": scheme_cells, "table1": scheme_cells,
+                 "phase": sweep_configs, "gamma": gamma_cell_args}

@@ -31,7 +31,6 @@ class EstimationResult:
     p_hat: float
     mu_hat: np.ndarray
     sigma_hat: np.ndarray
-    effective_weight_max: float
     n_hits: int
 
 
@@ -46,6 +45,12 @@ def is_probability(sample: WeightedSample) -> float:
     return numerics.exp_saturated(peak) * float(np.sum(np.exp(lw - peak))) / sample.size
 
 
+def check_rho(rho: float) -> None:
+    """The level fraction rho lies strictly inside (0, 1)."""
+    if not 0.0 < rho < 1.0:
+        raise ValueError(f"rho must lie strictly inside (0, 1), got {rho}")
+
+
 def quantile_threshold(scores: np.ndarray, rho: float) -> float:
     """Level threshold: the floor((1-rho) m)-th ascending order statistic.
 
@@ -56,8 +61,7 @@ def quantile_threshold(scores: np.ndarray, rho: float) -> float:
     m = scores.shape[0]
     if m == 0:
         raise DegenerateSampleError("empty score batch")
-    if not 0.0 < rho < 1.0:
-        raise ValueError(f"rho must lie strictly inside (0, 1), got {rho}")
+    check_rho(rho)
     k = max(int(math.floor((1.0 - rho) * m)), 1)
     return float(np.partition(scores, k - 1)[k - 1])
 
@@ -100,10 +104,8 @@ def weighted_mean_cov(sample: WeightedSample, threshold: float, self_normalize: 
     if n_hits == 0:
         raise DegenerateSampleError(f"no scores reached threshold {threshold:.6g}")
     n = sample.size
-    d = sample.dim
     log_w = np.where(ind, sample.log_ratios, -np.inf)
     peak = float(np.max(log_w))
-    eff_max = (d / n) * numerics.exp_saturated(peak)
 
     if self_normalize:
         mu, sigma, p_hat = _log_weight_moments(sample.points, log_w)
@@ -116,8 +118,7 @@ def weighted_mean_cov(sample: WeightedSample, threshold: float, self_normalize: 
         sigma = second - np.outer(mu, mu)
         sigma = 0.5 * (sigma + sigma.T)
 
-    return EstimationResult(p_hat=float(p_hat), mu_hat=mu, sigma_hat=sigma,
-                            effective_weight_max=eff_max, n_hits=n_hits)
+    return EstimationResult(p_hat=float(p_hat), mu_hat=mu, sigma_hat=sigma, n_hits=n_hits)
 
 
 def smooth_weighted_mean_cov(sample: WeightedSample, bandwidth: float) -> EstimationResult:
@@ -133,9 +134,7 @@ def smooth_weighted_mean_cov(sample: WeightedSample, bandwidth: float) -> Estima
         raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
     log_w = sample.log_ratios + numerics.log_std_normal_cdf(sample.scores / bandwidth)
     mu, sigma, norm = _log_weight_moments(sample.points, log_w)
-    peak = float(np.max(log_w))
     return EstimationResult(p_hat=float(norm), mu_hat=mu, sigma_hat=sigma,
-                            effective_weight_max=(sample.dim / sample.size) * numerics.exp_saturated(peak),
                             n_hits=int(np.sum(sample.scores >= 0.0)))
 
 

@@ -33,19 +33,6 @@ class CollapsedEstimateError(ValueError):
     """Every projected variance fell below the floor; the estimate is gone."""
 
 
-class FloorCounter:
-    """Counts spike variances clamped at the floor (diagnostic only)."""
-
-    def __init__(self):
-        self.count = 0
-
-    def reset(self):
-        self.count = 0
-
-
-floor_events = FloorCounter()
-
-
 @dataclass(frozen=True)
 class SpikedCovariance:
     """I + sum_k (lambda_k - 1) v_k v_k^T with orthonormal rows in directions.
@@ -276,10 +263,10 @@ def proj_r(sigma_hat: np.ndarray, directions: np.ndarray, floor: float = LAMBDA_
 
     Returns I + sum_k (lambda_k - 1) v_k v_k^T with lambda_k the quadratic
     form v_k^T sigma_hat v_k, identity on the orthogonal complement.
-    Variances below the floor are clamped (counted in floor_events) so a
-    degenerating run keeps sampling long enough to record its blow-up;
-    when every variance is below floor the estimate is unusable and
-    CollapsedEstimateError is raised.
+    Variances below the floor are clamped to it so a degenerating run
+    keeps sampling long enough to record its blow-up; when every variance
+    is below floor the estimate is unusable and CollapsedEstimateError is
+    raised.
     """
     sigma_hat = numerics.require_symmetric(sigma_hat)
     vecs = np.atleast_2d(np.asarray(directions, dtype=float))
@@ -291,31 +278,7 @@ def proj_r(sigma_hat: np.ndarray, directions: np.ndarray, floor: float = LAMBDA_
         raise CollapsedEstimateError(
             f"all projected variances below floor {floor:.1e}: {lam}"
         )
-    clipped = int(np.sum(lam < floor))
-    if clipped:
-        floor_events.count += clipped
-        lam = np.maximum(lam, floor)
+    lam = np.maximum(lam, floor)
     order = np.argsort(lam, kind="stable")
     return SpikedCovariance(dim=sigma_hat.shape[0], lambdas=lam[order], directions=vecs[order])
 
-
-def rayleigh_from_sample(sample: WeightedSample, mean: np.ndarray, v: np.ndarray, p_hat: float) -> float:
-    """Quadratic form v^T Sigma-hat v of the self-normalized weighted covariance.
-
-    Matrix free: uses only the projections <v, X_i>, so it stays O(n d)
-    where forming Sigma-hat would cost O(n d^2).
-    """
-    if p_hat <= 0.0 or not np.isfinite(p_hat):
-        raise ValueError(f"p_hat must be positive and finite, got {p_hat}")
-    v = np.asarray(v, dtype=float)
-    mean = np.asarray(mean, dtype=float)
-    proj = sample.points @ v
-    lw = np.where(sample.indicators, sample.log_ratios, -np.inf)
-    if not np.any(sample.indicators):
-        return -float(np.dot(mean, v)) ** 2
-    peak = np.max(lw)
-    w = np.exp(lw - peak) * sample.indicators
-    # (1/n) sum l-hat <X, v>^2 with l-hat = exp(lw)/p_hat
-    scale = numerics.exp_saturated(float(peak)) / (p_hat * sample.size)
-    second = scale * float(w @ (proj * proj))
-    return second - float(np.dot(mean, v)) ** 2

@@ -27,8 +27,8 @@ from .gauss_core import (
     log_likelihood_ratio,
     sample,
 )
-from .seeding import stream
-from .targets import LimitState, halfspace_target, prop_range_width, slab_target
+from .seeding import map_cells, stream
+from .targets import LimitState, check_lambda1, halfspace_target, prop_range_width, slab_target
 
 ALIGNMENTS = ("v_in_u", "v_in_u_perp")
 TARGET_KINDS = ("slab", "halfspace")
@@ -47,24 +47,20 @@ class SweepConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.target not in TARGET_KINDS:
-            raise ValueError(f"unknown target kind {self.target!r}")
-        if self.alignment not in ALIGNMENTS:
-            raise ValueError(f"unknown alignment {self.alignment!r}")
-        if not 0.0 < self.lambda1 <= 1.0:
-            raise ValueError(f"lambda1 must lie in (0, 1], got {self.lambda1}")
         if self.kappa <= 0.0:
             raise ValueError(f"kappa must be positive, got {self.kappa}")
         dims = tuple(int(d) for d in self.dims)
         object.__setattr__(self, "dims", dims)
-        if not dims or any(d < 2 for d in dims):
-            raise ValueError("dims must be non-empty with every d >= 2")
+        if not dims:
+            raise ValueError("dims must be non-empty")
         if any(b <= a for a, b in zip(dims, dims[1:])):
             raise ValueError("dims must be strictly ascending")
         if self.reps < 10:
             raise ValueError(f"at least 10 repetitions required, got {self.reps}")
-        if self.alpha is not None and not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
+        # Target, alignment, lambda1, alpha and d >= 2 are checked where they
+        # are used, by building the smallest cell's geometry.
+        widened_alignment(self.target, self.alignment, self.lambda1, dims[0],
+                          sample_size(dims[0], self.kappa), self.alpha)
 
 
 @dataclass(frozen=True)
@@ -84,12 +80,12 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
 
     def medians(self, attr: str) -> dict[int, float]:
-        """Per-dimension median of one row attribute."""
-        out: dict[int, float] = {}
-        for d in self.config.dims:
-            vals = [getattr(r, attr) for r in self.rows if r.d == d]
-            out[d] = float(np.median(vals))
-        return out
+        """Per-dimension median of one row attribute, over the dimensions
+        that have rows."""
+        by_d: dict[int, list[float]] = {}
+        for r in self.rows:
+            by_d.setdefault(r.d, []).append(getattr(r, attr))
+        return {d: float(np.median(vals)) for d, vals in by_d.items()}
 
 
 def build_alignment(target: str, alignment: str, lambda1: float, d: int,
@@ -104,8 +100,7 @@ def build_alignment(target: str, alignment: str, lambda1: float, d: int,
         raise ValueError(f"unknown target kind {target!r}")
     if alignment not in ALIGNMENTS:
         raise ValueError(f"unknown alignment {alignment!r}")
-    if not 0.0 < lambda1 <= 1.0:
-        raise ValueError(f"lambda1 must lie in (0, 1], got {lambda1}")
+    check_lambda1(lambda1)
     if d < 2:
         raise ValueError("alignment layouts need d >= 2")
     if width is None:
@@ -120,17 +115,32 @@ def build_alignment(target: str, alignment: str, lambda1: float, d: int,
     return state, cov
 
 
+def widened_alignment(target: str, alignment: str, lambda1: float, d: int, n: int,
+                      alpha: float | None = None) -> tuple[LimitState, SpikedCovariance]:
+    """build_alignment for a cell of n samples.
+
+    With alpha the slab half-width grows with n as prop_range_width; alpha
+    is ignored for the halfspace.
+    """
+    width = None
+    if target == "slab" and alpha is not None:
+        width = prop_range_width(alpha, lambda1, n)
+    return build_alignment(target, alignment, lambda1, d, width)
+
+
 def sample_size(d: int, kappa: float) -> int:
     return int(math.ceil(d ** kappa))
+
+
+def sweep_cells(cfg: SweepConfig) -> list[tuple[SweepConfig, int, int]]:
+    """sweep_cell arguments over dims x reps, dimension major."""
+    return [(cfg, d, rep) for d in cfg.dims for rep in range(cfg.reps)]
 
 
 def sweep_cell(cfg: SweepConfig, d: int, rep: int) -> SweepRow:
     """One (dimension, repetition) cell; pure function of (cfg.seed, d, rep)."""
     n = sample_size(d, cfg.kappa)
-    width = None
-    if cfg.target == "slab" and cfg.alpha is not None:
-        width = prop_range_width(cfg.alpha, cfg.lambda1, n)
-    state, cov = build_alignment(cfg.target, cfg.alignment, cfg.lambda1, d, width)
+    state, cov = widened_alignment(cfg.target, cfg.alignment, cfg.lambda1, d, n, cfg.alpha)
     rng = stream(cfg.seed, "phase", cfg.target, cfg.alignment, d, rep)
 
     law = GaussianLaw.with_spiked(cov)
@@ -153,9 +163,9 @@ def sweep_cell(cfg: SweepConfig, d: int, rep: int) -> SweepRow:
 
 
 def phase_sweep(cfg: SweepConfig) -> SweepResult:
-    """Full sweep over dims x reps, serial; cells are independently seeded."""
-    rows = [sweep_cell(cfg, d, rep) for d in cfg.dims for rep in range(cfg.reps)]
-    return SweepResult(config=cfg, rows=tuple(rows))
+    """Full sweep over dims x reps, in this process; cells are independently
+    seeded, so the rows equal the phase command's at any worker count."""
+    return SweepResult(config=cfg, rows=tuple(map_cells(sweep_cell, sweep_cells(cfg), 1)))
 
 
 @dataclass(frozen=True)
@@ -175,9 +185,8 @@ def gamma_cell(state: LimitState, g: SpikedCovariance, seed: int,
                grid_index: int, n: int, rep: int) -> float:
     """log max_i xi_i l_i for one (grid point, repetition) cell.
 
-    Pure function of (seed, grid_index, rep) given the geometry, shared by
-    the serial estimator and the parallel runner so both produce identical
-    numbers.
+    Pure function of (seed, grid_index, rep) given the geometry, so
+    estimate_gamma_star and the gamma command produce identical numbers.
     """
     rng = stream(seed, "gamma", grid_index, rep)
     law = GaussianLaw.with_spiked(g)
@@ -226,26 +235,36 @@ def gamma_fit(n_grid: Sequence[int], log_max: Sequence[Sequence[float]],
                          dropped=dropped)
 
 
-def estimate_gamma_star(target: LimitState | Callable[[int], LimitState],
-                        g: SpikedCovariance, n_grid: Sequence[int], reps: int,
-                        seed: int = 0, bootstrap: int = 200) -> GammaEstimate:
-    """Weight-growth exponent from the max-weight regression.
+def gamma_cells(target: LimitState | Callable[[int], LimitState], g: SpikedCovariance,
+                n_grid: Sequence[int], reps: int, seed: int = 0) -> list[tuple]:
+    """gamma_cell arguments over n_grid x reps, grid-point major.
 
     ``target`` is either a fixed limit state or a callable n -> limit state
-    for families whose geometry widens with the sample size. The band is a
-    95% bootstrap interval from resampling repetitions within each grid
-    point.
+    for families whose geometry widens with the sample size.
     """
     n_grid = tuple(int(n) for n in n_grid)
     if len(n_grid) < 2 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError("n_grid must be ascending with at least two points")
     if reps < 10:
         raise ValueError(f"at least 10 repetitions required, got {reps}")
-
-    log_max = []
+    cells = []
     for i, n in enumerate(n_grid):
         state = target if isinstance(target, LimitState) else target(n)
-        log_max.append(tuple(gamma_cell(state, g, seed, i, n, rep) for rep in range(reps)))
+        cells += [(state, g, seed, i, n, rep) for rep in range(reps)]
+    return cells
+
+
+def estimate_gamma_star(target: LimitState | Callable[[int], LimitState],
+                        g: SpikedCovariance, n_grid: Sequence[int], reps: int,
+                        seed: int = 0, bootstrap: int = 200) -> GammaEstimate:
+    """Weight-growth exponent from the max-weight regression.
+
+    ``target`` is as in gamma_cells. The band is a 95% bootstrap interval
+    from resampling repetitions within each grid point.
+    """
+    cells = gamma_cells(target, g, n_grid, reps, seed)
+    values = list(map_cells(gamma_cell, cells, 1))
+    log_max = [values[i:i + reps] for i in range(0, len(values), reps)]
     return gamma_fit(n_grid, log_max, seed=seed, bootstrap=bootstrap)
 
 

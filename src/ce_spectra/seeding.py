@@ -4,12 +4,14 @@ Every stochastic routine in this package draws from a stream obtained here.
 A stream is identified by a tuple of integers and short strings (for example
 ``(seed, "benchmark", cell, rep, "x", t)``), so the sequence of draws for any
 cell of an experiment is a pure function of the master seed and the cell key.
-Worker processes reconstructing the same key get byte-identical draws, which
-is what makes parallel output independent of the worker count.
+Worker processes reconstructing the same key get byte-identical draws, and
+``map_cells`` returns cell results in submission order, which together make
+output independent of the worker count.
 """
 from __future__ import annotations
 
 import zlib
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -33,3 +35,19 @@ def stream(*key: int | str) -> np.random.Generator:
         raise ValueError("stream key must have at least one component")
     entropy = [key_word(part) for part in key]
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+
+
+def map_cells(fn, args, workers: int):
+    """Yield fn(*a) for each argument tuple in args, in order.
+
+    Runs in this process when workers <= 1 or there is a single cell, else
+    over a pool of at most ``workers`` processes. Results are yielded as they
+    arrive, so a caller can flush partial output if a later cell fails.
+    """
+    args = list(args)
+    if workers <= 1 or len(args) <= 1:
+        for a in args:
+            yield fn(*a)
+        return
+    with ProcessPoolExecutor(max_workers=min(workers, len(args))) as pool:
+        yield from pool.map(fn, *zip(*args))

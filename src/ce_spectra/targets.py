@@ -8,11 +8,15 @@ A, which the estimation lab uses as ground truth.
 
 Scores here depend on a fixed low-dimensional intrinsic subspace U (the
 span of u), so phi(x) = phi(P_U x) for slab and halfspace by construction.
+Score and hit-probability functions are module-level functions bound with
+functools.partial, so limit states pickle and can be sent to worker
+processes.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -71,28 +75,38 @@ def _unit_ones(d: int) -> np.ndarray:
     return np.full(d, 1.0 / math.sqrt(d))
 
 
+def _affine_score(u: np.ndarray, offset: float, x: np.ndarray) -> np.ndarray:
+    return x @ u - offset
+
+
 def linear_target(d: int = 100) -> LimitState:
     """phi(x) = <x, 1>/sqrt(d) - 5; exact tail 1 - Phi(5) under f."""
-    u = _unit_ones(d)
-
-    def evaluator(x: np.ndarray) -> np.ndarray:
-        return x @ u - 5.0
-
     p = float(1.0 - numerics.std_normal_cdf(5.0))
-    return LimitState(name="lin", dim=d, evaluator=evaluator, reference_p=p)
+    return LimitState(name="lin", dim=d, evaluator=partial(_affine_score, _unit_ones(d), 5.0),
+                      reference_p=p)
+
+
+def _quadratic_score(u: np.ndarray, x: np.ndarray) -> np.ndarray:
+    diff = x[:, 0] - x[:, 1]
+    return x @ u - 4.0 - 1.25 * diff * diff
 
 
 def quadratic_target(d: int = 334, reference_p: float = 6.6e-6) -> LimitState:
     """phi(x) = <x, 1>/sqrt(d) - 4 - 1.25 (x_1 - x_2)^2."""
     if d < 2:
         raise ValueError("quadratic target needs d >= 2")
-    u = _unit_ones(d)
+    return LimitState(name="quad", dim=d, evaluator=partial(_quadratic_score, _unit_ones(d)),
+                      reference_p=reference_p)
 
-    def evaluator(x: np.ndarray) -> np.ndarray:
-        diff = x[:, 0] - x[:, 1]
-        return x @ u - 4.0 - 1.25 * diff * diff
 
-    return LimitState(name="quad", dim=d, evaluator=evaluator, reference_p=reference_p)
+def _count_score(x: np.ndarray) -> np.ndarray:
+    d = x.shape[1]
+    # Clip the normal CDF away from {0, 1}: the gamma quantile is
+    # infinite at 1 and 0 * inf would poison the count.
+    u2 = np.clip(numerics.std_normal_cdf(x[:, 1]), 1e-300, 1.0 - 1e-16)
+    s = np.sqrt(numerics.gamma_inverse_cdf(u2, 6.0, 6.0))
+    inner = (0.25 * x[:, :1] + 3.0 * math.sqrt(1.0 - 0.25 ** 2) * x[:, 2:]) * s[:, None]
+    return np.sum(inner >= 0.5 * math.sqrt(d), axis=1) - (0.25 * d + 0.1)
 
 
 def count_target(d: int = 334, reference_p: float = 1.8e-6) -> LimitState:
@@ -104,24 +118,30 @@ def count_target(d: int = 334, reference_p: float = 1.8e-6) -> LimitState:
     """
     if d < 3:
         raise ValueError("count target needs d >= 3")
-    thresh = 0.5 * math.sqrt(d)
-    slope = 3.0 * math.sqrt(1.0 - 0.25 ** 2)
-
-    def evaluator(x: np.ndarray) -> np.ndarray:
-        # Clip the normal CDF away from {0, 1}: the gamma quantile is
-        # infinite at 1 and 0 * inf would poison the count.
-        u2 = np.clip(numerics.std_normal_cdf(x[:, 1]), 1e-300, 1.0 - 1e-16)
-        s = np.sqrt(numerics.gamma_inverse_cdf(u2, 6.0, 6.0))
-        inner = (0.25 * x[:, :1] + slope * x[:, 2:]) * s[:, None]
-        return np.sum(inner >= thresh, axis=1) - (0.25 * d + 0.1)
-
-    return LimitState(name="fin", dim=d, evaluator=evaluator, reference_p=reference_p)
+    return LimitState(name="fin", dim=d, evaluator=_count_score, reference_p=reference_p)
 
 
 def _basis_vector(d: int, index: int) -> np.ndarray:
     e = np.zeros(d)
     e[index] = 1.0
     return e
+
+
+def _variance_along(g: SpikedCovariance, u: np.ndarray) -> float:
+    coords = g.quad_coords(u)
+    return 1.0 + float((g.lambdas - 1.0) @ (coords * coords))
+
+
+def _slab_score(u: np.ndarray, width: float, x: np.ndarray) -> np.ndarray:
+    return width - np.abs(x @ u)
+
+
+def _slab_q(u: np.ndarray, width: float, g: SpikedCovariance) -> float:
+    return float(2.0 * numerics.std_normal_cdf(width / math.sqrt(_variance_along(g, u))) - 1.0)
+
+
+def _halfspace_q(u: np.ndarray, offset: float, g: SpikedCovariance) -> float:
+    return float(numerics.std_normal_cdf(-offset / math.sqrt(_variance_along(g, u))))
 
 
 def slab_target(d: int, width: float, u: np.ndarray | None = None) -> LimitState:
@@ -143,22 +163,15 @@ def slab_target(d: int, width: float, u: np.ndarray | None = None) -> LimitState
     pdf = math.exp(-0.5 * width * width) / _SQRT_2PI
     var_u = 1.0 - 2.0 * width * pdf / p
 
-    def evaluator(x: np.ndarray) -> np.ndarray:
-        return width - np.abs(x @ u)
-
-    def q_of(g: SpikedCovariance) -> float:
-        coords = g.quad_coords(u)
-        var = 1.0 + float((g.lambdas - 1.0) @ (coords * coords))
-        return float(2.0 * numerics.std_normal_cdf(width / math.sqrt(var)) - 1.0)
-
     analytic = AnalyticConditional(
         p=p,
         mu=np.zeros(d),
         sigma=SpikedCovariance(dim=d, lambdas=np.array([var_u]), directions=u[None, :]),
-        q_of=q_of,
+        q_of=partial(_slab_q, u, width),
         directions=u[None, :],
     )
-    return LimitState(name="slab", dim=d, evaluator=evaluator, reference_p=p, analytic=analytic)
+    return LimitState(name="slab", dim=d, evaluator=partial(_slab_score, u, width),
+                      reference_p=p, analytic=analytic)
 
 
 def halfspace_target(d: int, offset: float, u: np.ndarray | None = None) -> LimitState:
@@ -180,22 +193,21 @@ def halfspace_target(d: int, offset: float, u: np.ndarray | None = None) -> Limi
     hazard = pdf / p
     var_u = 1.0 - hazard * (hazard - offset)
 
-    def evaluator(x: np.ndarray) -> np.ndarray:
-        return x @ u - offset
-
-    def q_of(g: SpikedCovariance) -> float:
-        coords = g.quad_coords(u)
-        var = 1.0 + float((g.lambdas - 1.0) @ (coords * coords))
-        return float(numerics.std_normal_cdf(-offset / math.sqrt(var)))
-
     analytic = AnalyticConditional(
         p=p,
         mu=hazard * u,
         sigma=SpikedCovariance(dim=d, lambdas=np.array([var_u]), directions=u[None, :]),
-        q_of=q_of,
+        q_of=partial(_halfspace_q, u, offset),
         directions=u[None, :],
     )
-    return LimitState(name="halfspace", dim=d, evaluator=evaluator, reference_p=p, analytic=analytic)
+    return LimitState(name="halfspace", dim=d, evaluator=partial(_affine_score, u, offset),
+                      reference_p=p, analytic=analytic)
+
+
+def check_lambda1(lambda1: float) -> None:
+    """The spike variance of the phase-lab sampling laws lies in (0, 1]."""
+    if not 0.0 < lambda1 <= 1.0:
+        raise ValueError(f"lambda1 must lie in (0, 1], got {lambda1}")
 
 
 def prop_range_width(alpha: float, lambda1: float, n: int) -> float:
@@ -205,8 +217,7 @@ def prop_range_width(alpha: float, lambda1: float, n: int) -> float:
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    if not 0.0 < lambda1 <= 1.0:
-        raise ValueError(f"lambda1 must lie in (0, 1], got {lambda1}")
+    check_lambda1(lambda1)
     if n < 2:
         raise ValueError(f"sample size must be at least 2, got {n}")
     return 1.0 + math.sqrt(2.0 * alpha * lambda1 * math.log(n))

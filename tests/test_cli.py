@@ -6,13 +6,19 @@ from pathlib import Path
 
 import pytest
 
+from ce_spectra import cli
 from ce_spectra.cli import main
 from ce_spectra.config import ConfigError, benchmark_sizes, load_config
+from ce_spectra.phase_lab import SweepConfig, phase_sweep
 
 
 def write_cfg(path: Path, text: str) -> str:
     path.write_text(text)
     return str(path)
+
+
+PHASE_BASE = "kind = phase\ntarget = halfspace\nalignment = v_in_u_perp\ndims = 4, 8\n"
+GAMMA_BASE = "kind = gamma\ntarget = slab\nalignment = v_in_u\n"
 
 
 # ---------------------------------------------------------------- parsing
@@ -36,7 +42,6 @@ cap_quantile_at_zero = false
     assert cfg.dims == (10, 20, 40)
     assert cfg.N == 12
     assert cfg.cap_quantile_at_zero is False
-    assert cfg.has("kappa") and not cfg.has("alpha")
 
 
 @pytest.mark.parametrize("line,fragment", [
@@ -66,6 +71,26 @@ def test_validation_per_kind(tmp_path):
         load_config(write_cfg(
             tmp_path / "d.cfg",
             "kind = benchmark\ntarget = lin\nscheme = ce_proj\n"))
+
+    # Range and membership rules come from the library objects that
+    # load_config builds, re-raised as ConfigError.
+    phase = PHASE_BASE + "lambda1 = 0.5\n"
+    gamma = GAMMA_BASE + "lambda1 = 0.5\n"
+    for text, fragment in (
+        (phase + "kappa = 2.0\nN = 5\n", "at least 10 repetitions"),
+        (phase + "kappa = 1.0, 0.0\n", "kappa must be positive"),
+        (phase.replace("halfspace", "lin") + "kappa = 2.0\n", "unknown target kind"),
+        (gamma + "N = 3\n", "at least 10 repetitions"),
+        (gamma + "alpha = 2.0\n", "alpha must lie"),
+        (GAMMA_BASE + "lambda1 = 1.5\n", "lambda1 must lie"),
+        ("kind = benchmark\ntarget = quad\nscheme = ce\ndims = 1\n", "needs d >= 2"),
+        ("kind = benchmark\ntarget = fin\nscheme = ce\ndims = 2\n", "needs d >= 3"),
+        ("kind = benchmark\ntarget = slab\nscheme = ce\n", "unknown benchmark target"),
+        ("kind = benchmark\ntarget = lin\nscheme = ce\nm = 1\n", "m must be at least 2"),
+        ("kind = table1\ndims = 2\n", "needs d >= 3"),
+    ):
+        with pytest.raises(ConfigError, match=fragment):
+            load_config(write_cfg(tmp_path / "lib.cfg", text))
 
 
 def test_default_repetitions(tmp_path):
@@ -142,16 +167,82 @@ def test_cli_benchmark_outputs(tmp_path):
     assert (out / "error_violin.svg").read_text().startswith("<svg")
 
 
-def test_cli_worker_count_does_not_change_bytes(tmp_path):
+PHASE_TEMPLATE = """
+kind = phase
+target = halfspace
+alignment = v_in_u_perp
+lambda1 = 0.5
+kappa = 1.5, 2.5
+dims = 4, 8
+N = 10
+seed = 3
+workers = {workers}
+output_dir = {out}
+"""
+
+GAMMA_TEMPLATE = """
+kind = gamma
+target = slab
+alignment = v_in_u
+lambda1 = 0.5
+alpha = 1.0
+N = 10
+seed = 11
+workers = {workers}
+output_dir = {out}
+"""
+
+
+TEMPLATES = {"benchmark": BENCH_TEMPLATE, "phase": PHASE_TEMPLATE, "gamma": GAMMA_TEMPLATE}
+
+
+@pytest.mark.parametrize("kind", ["benchmark", "phase", "gamma"])
+def test_cli_worker_count_does_not_change_bytes(tmp_path, kind):
     outs = []
     for workers in (1, 4):
         out = tmp_path / f"w{workers}"
         cfg = write_cfg(tmp_path / f"w{workers}.cfg",
-                        BENCH_TEMPLATE.format(workers=workers, out=out))
-        assert run_cli(["benchmark", "--config", cfg]) == 0
+                        TEMPLATES[kind].format(workers=workers, out=out))
+        assert run_cli([kind, "--config", cfg]) == 0
         outs.append(out)
-    for name in ("runs.csv", "traces.csv", "summary.json"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    names = sorted(f.name for f in outs[0].iterdir())
+    assert names == sorted(f.name for f in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_cli_phase_rows_match_library_sweep(tmp_path):
+    out = tmp_path / "phase"
+    cfg = write_cfg(tmp_path / "p.cfg", PHASE_TEMPLATE.format(workers=2, out=out))
+    assert run_cli(["phase", "--config", cfg]) == 0
+    lines = (out / "sweep_1.csv").read_text().splitlines()[1:]
+    got = [tuple(float(v) for v in line.split(",")) for line in lines]
+    res = phase_sweep(SweepConfig(target="halfspace", alignment="v_in_u_perp", lambda1=0.5,
+                                  kappa=1.5, dims=(4, 8), reps=10, seed=3))
+    want = [(r.d, r.rep, r.n, r.op_error, r.lambda_max_hat, r.max_weight, r.q_hat)
+            for r in res.rows]
+    assert got == want
+
+
+def test_cli_flushes_finished_cells_when_a_cell_fails(tmp_path, monkeypatch):
+    real = cli.run_scheme
+    calls = []
+
+    def third_cell_fails(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 3:
+            raise RuntimeError("cell failed")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_scheme", third_cell_fails)
+    out = tmp_path / "partial"
+    cfg = write_cfg(tmp_path / "f.cfg",
+                    BENCH_TEMPLATE.format(workers=1, out=out).replace("N = 2", "N = 4"))
+    with pytest.raises(RuntimeError, match="cell failed"):
+        run_cli(["benchmark", "--config", cfg])
+    rows = (out / "runs.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["0", "1"]
+    assert json.loads((out / "summary.json").read_text())["reps_completed"] == 2
 
 
 def test_cli_rerun_is_byte_identical(tmp_path):
@@ -214,17 +305,7 @@ output_dir = {out}
 
 def test_cli_gamma_outputs(tmp_path):
     out = tmp_path / "gamma"
-    cfg = write_cfg(tmp_path / "g.cfg", f"""
-kind = gamma
-target = slab
-alignment = v_in_u
-lambda1 = 0.5
-alpha = 1.0
-N = 10
-seed = 11
-workers = 2
-output_dir = {out}
-""")
+    cfg = write_cfg(tmp_path / "g.cfg", GAMMA_TEMPLATE.format(workers=2, out=out))
     assert run_cli(["gamma", "--config", cfg]) == 0
     lines = (out / "gamma.csv").read_text().splitlines()
     assert lines[0] == "n,rep,max_weight"
@@ -271,6 +352,18 @@ N = 10
 output_dir = /proc/definitely/not/writable
 """)
     assert run_cli(["gamma", "--config", io_cfg]) == 3
+    # Library-level rules are config errors too, raised before any output.
+    for kind, text in (
+        ("phase", PHASE_BASE + "lambda1 = 0.5\nkappa = 2.0\nN = 5\n"),
+        ("gamma", GAMMA_BASE + "lambda1 = 0.5\nN = 3\n"),
+        ("benchmark", "kind = benchmark\ntarget = quad\nscheme = ce\ndims = 1\n"),
+        ("table1", "kind = table1\ndims = 2\n"),
+    ):
+        out = tmp_path / f"never_{kind}"
+        cfg = write_cfg(tmp_path / f"{kind}.cfg", text + f"output_dir = {out}\n")
+        assert run_cli([kind, "--config", cfg]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_requires_subcommand():

@@ -18,7 +18,6 @@ from ce_spectra.gauss_core import (
     log_likelihood_ratio,
     log_ratio_to_standard,
     proj_r,
-    rayleigh_from_sample,
     sample,
 )
 from ce_spectra.seeding import stream
@@ -249,11 +248,9 @@ def test_proj_r_general_direction():
 
 
 def test_proj_r_floor_and_collapse():
-    gauss_core.floor_events.reset()
     sigma = np.diag([-1.0, 2.0])
     sp = proj_r(sigma, np.eye(2))
     assert sp.lambdas[0] == gauss_core.LAMBDA_FLOOR
-    assert gauss_core.floor_events.count == 1
     with pytest.raises(CollapsedEstimateError):
         proj_r(np.diag([-1.0, -2.0]), np.eye(2))
 
@@ -274,47 +271,6 @@ def test_proj_r_lambdas_ascending(seed):
     sp = proj_r(sigma, vecs)
     assert np.all(np.diff(sp.lambdas) >= 0.0)
     assert np.all(sp.lambdas > 0.0)
-
-
-# --------------------------------------------------- rayleigh_from_sample
-
-
-def weighted_sample_from(points, log_ratios, scores, threshold=0.0):
-    return WeightedSample.from_scores(points, log_ratios, scores, threshold)
-
-
-def test_rayleigh_matches_explicit_sum():
-    rng = stream(11, "ray")
-    n, d = 500, 4
-    x = rng.standard_normal((n, d))
-    lr = rng.standard_normal(n) * 0.1
-    scores = rng.standard_normal(n)
-    ws = weighted_sample_from(x, lr, scores)
-    v = np.array([0.5, 0.5, 0.5, 0.5])
-    mean = np.array([0.1, 0.0, -0.2, 0.3])
-    p_hat = 0.4
-    got = rayleigh_from_sample(ws, mean, v, p_hat)
-    ind = scores >= 0.0
-    second = np.sum(np.exp(lr[ind]) * (x[ind] @ v) ** 2) / (p_hat * n)
-    want = second - float(mean @ v) ** 2
-    assert got == pytest.approx(want, rel=1e-12)
-
-
-def test_rayleigh_no_hits_keeps_mean_term():
-    rng = stream(11, "rayz")
-    x = rng.standard_normal((50, 3))
-    ws = weighted_sample_from(x, np.zeros(50), -np.ones(50))
-    v = np.array([1.0, 0.0, 0.0])
-    mean = np.array([0.5, 0.0, 0.0])
-    assert rayleigh_from_sample(ws, mean, v, 0.5) == pytest.approx(-0.25)
-
-
-def test_rayleigh_rejects_bad_p():
-    rng = stream(11, "rayp")
-    x = rng.standard_normal((10, 2))
-    ws = weighted_sample_from(x, np.zeros(10), np.ones(10))
-    with pytest.raises(ValueError):
-        rayleigh_from_sample(ws, np.zeros(2), np.array([1.0, 0.0]), 0.0)
 
 
 # --------------------------------------------------------- WeightedSample
