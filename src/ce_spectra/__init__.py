@@ -24,7 +24,6 @@ from .gauss_core import (
     GaussianLaw,
     SpikedCovariance,
     WeightedSample,
-    likelihood_ratio,
     log_density,
     log_likelihood_ratio,
     proj_r,
@@ -105,7 +104,6 @@ __all__ = [
     "indicator_delta",
     "is_probability",
     "kappa_conjecture_report",
-    "likelihood_ratio",
     "linear_target",
     "load_config",
     "log_density",

@@ -1,26 +1,30 @@
 """Adaptive importance-sampling schemes over Gaussian sampling laws.
 
-Four variants share one driver:
+Four variants run one iteration, ``iterate``:
 
 * ce        : multilevel scheme, dense covariance updates;
 * ce_proj   : same levels, covariance projected onto one learned direction;
 * ice       : smoothed indicator with adaptive bandwidth, dense updates;
 * ice_proj  : smoothed indicator with projected covariance.
 
-Each iteration draws a fresh batch for the level (quantile or bandwidth)
-stage and an independent fresh batch for moment estimation. A run either
-converges (level threshold reaches 0, or the exact-indicator weight spread
-falls below target), hits the iteration budget, or diverges; divergence is
-any of: non-finite statistic, Cholesky failure of the dense update, zero
-hits, a collapsed projection, or a top eigenvalue past the configured cap.
-Diverged runs keep their last usable law so a probability estimate is still
-recorded, mirroring how failed repetitions are reported rather than
-discarded.
+Only the level stage depends on the scheme. It draws a fresh batch and sets
+the level: the rho-quantile threshold of the scores (ce, ce_proj), or the
+bandwidth of the smoothed indicator tuned to the target weight spread (ice,
+ice_proj), once the stop criterion has been checked on that batch. The
+update is shared: an independent fresh batch, the level-conditional
+weighted mean and covariance, their checks, and the next law, dense or
+projected. A run either converges (level threshold reaches 0, or the
+exact-indicator weight spread falls below target), hits the iteration
+budget, or diverges; divergence is any of: non-finite statistic, Cholesky
+failure of the dense update, zero hits, a collapsed projection, or a top
+eigenvalue past the configured cap. Diverged runs keep their last usable
+law so a probability estimate is still recorded, mirroring how failed
+repetitions are reported rather than discarded.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,7 +121,7 @@ class RunResult:
     traces: tuple[IterationTrace, ...]
     converged: bool
     iterations_used: int
-    diverged: bool = field(default=False)
+    diverged: bool
 
 
 def select_direction(sigma_hat: np.ndarray, mu_hat: np.ndarray, strategy: str,
@@ -140,13 +144,6 @@ def select_direction(sigma_hat: np.ndarray, mu_hat: np.ndarray, strategy: str,
     raise ValueError(f"no direction strategy {strategy!r}")
 
 
-def _diverged_trace(t: int, q_or_sigma: float, p_hat: float, lam_min: float,
-                    lam_max: float, n_hits: int) -> IterationTrace:
-    return IterationTrace(t=t, q_or_sigma=q_or_sigma, p_hat_t=p_hat,
-                          lambda_min_proj=lam_min, lambda_max_raw=lam_max,
-                          diverged=True, n_hits=n_hits)
-
-
 def _next_law(est, cfg: SchemeConfig, extremes: numerics.EigenExtremes) -> GaussianLaw:
     """Build the next sampling law; exceptions signal divergence upstream."""
     if cfg.projected:
@@ -154,56 +151,6 @@ def _next_law(est, cfg: SchemeConfig, extremes: numerics.EigenExtremes) -> Gauss
         spiked = proj_r(est.sigma_hat, v[None, :])
         return GaussianLaw.with_spiked(spiked, mean=est.mu_hat)
     return GaussianLaw.dense(est.mu_hat, est.sigma_hat)
-
-
-def ce_iteration(law: GaussianLaw, target: LimitState, cfg: SchemeConfig,
-                 rng_quantile: np.random.Generator,
-                 rng_learn: np.random.Generator) -> tuple[GaussianLaw, IterationTrace]:
-    """One level-update iteration (plain or projected).
-
-    Returns (next law, trace), the trace with t = 0 for the caller to set;
-    on divergence the law comes back unchanged and the trace carries the
-    flag. The recorded threshold is the one actually used for conditioning
-    (capped at 0 when configured).
-    """
-    lam_min_in = law.covariance_extremes()[0]
-
-    scores_y = target(sample(law, cfg.m, rng_quantile))
-    q_raw = quantile_threshold(scores_y, cfg.rho)
-    threshold = min(q_raw, 0.0) if cfg.cap_quantile_at_zero else q_raw
-
-    x = sample(law, cfg.n, rng_learn)
-    ws = WeightedSample.from_scores(x, log_ratio_to_standard(law, x), target(x), threshold)
-    try:
-        est = weighted_mean_cov(ws, threshold, self_normalize=True)
-    except DegenerateSampleError:
-        return law, _diverged_trace(0, threshold, 0.0, lam_min_in, math.nan, 0)
-
-    return _finish_update(law, est, cfg, threshold, lam_min_in)
-
-
-def _finish_update(law, est, cfg, level_stat, lam_min_in):
-    """Shared tail of an iteration: spectral checks, cap, next-law build."""
-    if not (np.all(np.isfinite(est.mu_hat)) and np.all(np.isfinite(est.sigma_hat))):
-        return law, _diverged_trace(0, level_stat, est.p_hat, lam_min_in, math.nan, est.n_hits)
-    extremes = numerics.sym_eigen_extremes(est.sigma_hat)
-    trace_ok = IterationTrace(t=0, q_or_sigma=level_stat, p_hat_t=est.p_hat,
-                              lambda_min_proj=lam_min_in,
-                              lambda_max_raw=extremes.lambda_max,
-                              diverged=False, n_hits=est.n_hits)
-    if not math.isfinite(est.p_hat):
-        return law, _diverged_trace(0, level_stat, est.p_hat, lam_min_in,
-                                    extremes.lambda_max, est.n_hits)
-    if extremes.lambda_max > cfg.divergence_lambda_cap:
-        return law, _diverged_trace(0, level_stat, est.p_hat, lam_min_in,
-                                    extremes.lambda_max, est.n_hits)
-    try:
-        nxt = _next_law(est, cfg, extremes)
-    except (numerics.NotPositiveDefiniteError, numerics.NotSymmetricError,
-            CollapsedEstimateError):
-        return law, _diverged_trace(0, level_stat, est.p_hat, lam_min_in,
-                                    extremes.lambda_max, est.n_hits)
-    return nxt, trace_ok
 
 
 def bandwidth_objective(sample_: WeightedSample, bandwidth: float, delta_target: float) -> float:
@@ -252,45 +199,68 @@ def optimize_bandwidth(sample_: WeightedSample, sigma_hi: float, delta_target: f
     return min(math.exp(0.5 * (a + b)), sigma_hi)
 
 
-def ice_iteration(law: GaussianLaw, bandwidth_prev: float | None, target: LimitState,
-                  cfg: SchemeConfig, rng_quantile: np.random.Generator,
-                  rng_learn: np.random.Generator
-                  ) -> tuple[GaussianLaw, float | None, IterationTrace | None, bool]:
-    """One smoothed-indicator iteration.
+def iterate(law: GaussianLaw, bandwidth: float | None, target: LimitState,
+            cfg: SchemeConfig, t: int, rng_level: np.random.Generator,
+            rng_learn: np.random.Generator
+            ) -> tuple[GaussianLaw, float | None, IterationTrace | None]:
+    """Iteration t of any scheme: level stage, then one shared update.
 
-    Returns (next law, bandwidth, trace, stop). The stop flag is raised by
-    the exact-indicator spread criterion checked on the fresh level batch
-    before any update; in that case the law is final and no trace is
-    produced. bandwidth_prev None means the initial bandwidth has not been
-    set yet; it is then derived from the spread of the level scores.
+    Returns (next law, bandwidth, trace). On divergence the law comes back
+    unchanged and the trace carries the flag. A trace of None means the
+    smoothed schemes' stop criterion held on the fresh level batch: the law
+    is final and nothing was updated. bandwidth is only read and tuned by
+    the smoothed schemes; None means it has not been set yet, and it is
+    then derived from the spread of the level scores.
     """
     lam_min_in = law.covariance_extremes()[0]
 
-    y = sample(law, cfg.m, rng_quantile)
-    scores_y = target(y)
-    ws_y = WeightedSample.from_scores(y, log_ratio_to_standard(law, y), scores_y, 0.0)
-    if indicator_delta(ws_y) <= cfg.delta_target:
-        return law, bandwidth_prev, None, True
+    def record(level: float, p_hat: float = math.nan, lam_max: float = math.nan,
+               n_hits: int = 0, diverged: bool = True) -> IterationTrace:
+        return IterationTrace(t=t, q_or_sigma=level, p_hat_t=p_hat,
+                              lambda_min_proj=lam_min_in, lambda_max_raw=lam_max,
+                              diverged=diverged, n_hits=n_hits)
 
-    if bandwidth_prev is None:
-        q25, q75 = np.percentile(scores_y, [25.0, 75.0])
-        bandwidth_prev = max(10.0 * float(q75 - q25), BANDWIDTH_FLOOR)
+    # The level stage: the recorded level is the threshold actually used for
+    # conditioning (capped at 0 when configured) or the tuned bandwidth.
+    if cfg.smoothed:
+        y = sample(law, cfg.m, rng_level)
+        scores_y = target(y)
+        ws_y = WeightedSample.from_scores(y, log_ratio_to_standard(law, y), scores_y, 0.0)
+        if indicator_delta(ws_y) <= cfg.delta_target:
+            return law, bandwidth, None
+        if bandwidth is None:
+            q25, q75 = np.percentile(scores_y, [25.0, 75.0])
+            bandwidth = max(10.0 * float(q75 - q25), BANDWIDTH_FLOOR)
+        level = optimize_bandwidth(ws_y, bandwidth, cfg.delta_target)
+        if level is None:
+            return law, bandwidth, record(math.nan)
+        bandwidth = level
+        estimator = smooth_weighted_mean_cov
+    else:
+        q_raw = quantile_threshold(target(sample(law, cfg.m, rng_level)), cfg.rho)
+        level = min(q_raw, 0.0) if cfg.cap_quantile_at_zero else q_raw
+        estimator = weighted_mean_cov
 
-    bandwidth = optimize_bandwidth(ws_y, bandwidth_prev, cfg.delta_target)
-    if bandwidth is None:
-        return law, bandwidth_prev, _diverged_trace(0, math.nan, math.nan,
-                                                    lam_min_in, math.nan, 0), False
-
+    # The update. The learning batch's indicators mark the event itself;
+    # the level-conditional estimator re-derives its own from the scores.
     x = sample(law, cfg.n, rng_learn)
-    ws_x = WeightedSample.from_scores(x, log_ratio_to_standard(law, x), target(x), 0.0)
+    ws = WeightedSample.from_scores(x, log_ratio_to_standard(law, x), target(x), 0.0)
     try:
-        est = smooth_weighted_mean_cov(ws_x, bandwidth)
+        est = estimator(ws, level)
     except DegenerateSampleError:
-        return law, bandwidth, _diverged_trace(0, bandwidth, 0.0, lam_min_in,
-                                               math.nan, 0), False
-
-    nxt, trace = _finish_update(law, est, cfg, bandwidth, lam_min_in)
-    return nxt, bandwidth, trace, False
+        return law, bandwidth, record(level, 0.0)
+    if not (np.all(np.isfinite(est.mu_hat)) and np.all(np.isfinite(est.sigma_hat))):
+        return law, bandwidth, record(level, est.p_hat, n_hits=est.n_hits)
+    extremes = numerics.sym_eigen_extremes(est.sigma_hat)
+    stats = (level, est.p_hat, extremes.lambda_max, est.n_hits)
+    if not math.isfinite(est.p_hat) or extremes.lambda_max > cfg.divergence_lambda_cap:
+        return law, bandwidth, record(*stats)
+    try:
+        nxt = _next_law(est, cfg, extremes)
+    except (numerics.NotPositiveDefiniteError, numerics.NotSymmetricError,
+            CollapsedEstimateError):
+        return law, bandwidth, record(*stats)
+    return nxt, bandwidth, record(*stats, diverged=False)
 
 
 def run_scheme(cfg: SchemeConfig, target: LimitState,
@@ -304,23 +274,16 @@ def run_scheme(cfg: SchemeConfig, target: LimitState,
     law = GaussianLaw.identity(target.dim)
     traces: list[IterationTrace] = []
     converged = False
-    diverged = False
     bandwidth: float | None = None
 
     for t in range(cfg.t_max):
-        rng_y = stream(*base, "y", t)
-        rng_x = stream(*base, "x", t)
-        if cfg.smoothed:
-            nxt, bandwidth, trace, stop = ice_iteration(law, bandwidth, target, cfg, rng_y, rng_x)
-            if stop:
-                converged = True
-                break
-        else:
-            nxt, trace = ce_iteration(law, target, cfg, rng_y, rng_x)
-        trace = replace(trace, t=t)
+        nxt, bandwidth, trace = iterate(law, bandwidth, target, cfg, t,
+                                        stream(*base, "y", t), stream(*base, "x", t))
+        if trace is None:
+            converged = True
+            break
         traces.append(trace)
         if trace.diverged:
-            diverged = True
             break
         if not cfg.smoothed and trace.q_or_sigma >= 0.0:
             # The current law already places the level at the event itself;
@@ -340,7 +303,7 @@ def run_scheme(cfg: SchemeConfig, target: LimitState,
         rel = math.nan
     return RunResult(p_hat=p_hat, relative_error=rel, traces=tuple(traces),
                      converged=converged, iterations_used=len(traces),
-                     diverged=diverged)
+                     diverged=bool(traces) and traces[-1].diverged)
 
 
 @dataclass(frozen=True)

@@ -109,13 +109,13 @@ class ExperimentConfig:
     kind: str
     target: str | None = None
     scheme: str | None = None
-    strategy: str = "none"
-    rho: float = 0.1
-    delta_target: float = 1.5
+    strategy: str | None = None
+    rho: float | None = None
+    delta_target: float | None = None
     m: int | None = None
     n: int | None = None
-    n_p: int = 2000
-    t_max: int = 30
+    n_p: int | None = None
+    t_max: int | None = None
     N: int | None = None
     lambda1: float | None = None
     kappa: tuple[float, ...] = ()
@@ -125,8 +125,8 @@ class ExperimentConfig:
     seed: int = 0
     workers: int = 0
     output_dir: str = "."
-    divergence_lambda_cap: float = 1e6
-    cap_quantile_at_zero: bool = True
+    divergence_lambda_cap: float | None = None
+    cap_quantile_at_zero: bool | None = None
 
     def __post_init__(self):
         if self.workers <= 0:
@@ -221,21 +221,23 @@ def benchmark_sizes(cfg: ExperimentConfig) -> tuple[int, int, int]:
     return d, m, n
 
 
+# Scheme options a file may set; unset ones take SchemeConfig's defaults.
+_SCHEME_KEYS = ("strategy", "rho", "delta_target", "n_p", "t_max",
+                "divergence_lambda_cap", "cap_quantile_at_zero")
+
+
 def scheme_cells(cfg: ExperimentConfig) -> list[tuple[LimitState, SchemeConfig]]:
     """(target, scheme config) for each benchmark or table1 cell, in run order."""
     if cfg.kind == "table1":
-        grid = [(t, s, st) for t in TABLE1_TARGETS for s, st in TABLE1_CELLS]
+        grid = [(t, {"scheme": s, "strategy": st}) for t in TABLE1_TARGETS
+                for s, st in TABLE1_CELLS]
     else:
-        grid = [(cfg.target, cfg.scheme, cfg.strategy)]
+        grid = [(cfg.target, {"scheme": cfg.scheme})]
+    options = {k: getattr(cfg, k) for k in _SCHEME_KEYS if getattr(cfg, k) is not None}
     cells = []
-    for name, scheme, strategy in grid:
+    for name, cell in grid:
         d, m, n = benchmark_sizes(replace(cfg, target=name))
-        scheme_cfg = SchemeConfig(
-            scheme=scheme, strategy=strategy, rho=cfg.rho, delta_target=cfg.delta_target,
-            m=m, n=n, n_p=cfg.n_p, t_max=cfg.t_max, seed=cfg.seed,
-            divergence_lambda_cap=cfg.divergence_lambda_cap,
-            cap_quantile_at_zero=cfg.cap_quantile_at_zero,
-        )
+        scheme_cfg = SchemeConfig(**{**options, **cell}, m=m, n=n, seed=cfg.seed)
         cells.append((benchmark_target(name, d), scheme_cfg))
     return cells
 

@@ -88,12 +88,12 @@ def _log_weight_moments(points: np.ndarray, log_w: np.ndarray):
     return mu, sigma, mean_weight
 
 
-def weighted_mean_cov(sample: WeightedSample, threshold: float, self_normalize: bool = True) -> EstimationResult:
+def weighted_mean_cov(sample: WeightedSample, threshold: float) -> EstimationResult:
     """Level-conditional weighted mean and covariance.
 
     Indicators are re-derived from the stored scores against the given
-    threshold. With self_normalize the weights are divided by the estimated
-    level probability p_hat = (1/n) sum l xi, so they sum to n exactly.
+    threshold. The weights are divided by the estimated level probability
+    p_hat = (1/n) sum l xi, so they sum to n exactly.
     """
     if sample.scores is None:
         raise ValueError("sample must carry scores to re-derive indicators")
@@ -103,21 +103,8 @@ def weighted_mean_cov(sample: WeightedSample, threshold: float, self_normalize: 
     n_hits = int(np.sum(ind))
     if n_hits == 0:
         raise DegenerateSampleError(f"no scores reached threshold {threshold:.6g}")
-    n = sample.size
     log_w = np.where(ind, sample.log_ratios, -np.inf)
-    peak = float(np.max(log_w))
-
-    if self_normalize:
-        mu, sigma, p_hat = _log_weight_moments(sample.points, log_w)
-    else:
-        a = np.exp(log_w - peak)
-        scale = numerics.exp_saturated(peak) / n
-        p_hat = scale * float(np.sum(a))
-        mu = scale * (a @ sample.points)
-        second = scale * ((sample.points * a[:, None]).T @ sample.points)
-        sigma = second - np.outer(mu, mu)
-        sigma = 0.5 * (sigma + sigma.T)
-
+    mu, sigma, p_hat = _log_weight_moments(sample.points, log_w)
     return EstimationResult(p_hat=float(p_hat), mu_hat=mu, sigma_hat=sigma, n_hits=n_hits)
 
 

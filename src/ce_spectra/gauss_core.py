@@ -240,11 +240,6 @@ def log_likelihood_ratio(sigma: SpikedCovariance, x: np.ndarray) -> np.ndarray |
     return float(out[0]) if single else out
 
 
-def likelihood_ratio(sigma: SpikedCovariance, x: np.ndarray) -> np.ndarray | float:
-    """f/g in closed form; positive, equal to exp(log_likelihood_ratio)."""
-    return np.exp(log_likelihood_ratio(sigma, x))
-
-
 def log_ratio_to_standard(law: GaussianLaw, x: np.ndarray) -> np.ndarray | float:
     """log of f/g for f the standard normal and g an arbitrary Gaussian law."""
     x = np.asarray(x, dtype=float)

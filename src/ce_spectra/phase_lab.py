@@ -35,6 +35,12 @@ TARGET_KINDS = ("slab", "halfspace")
 DEFAULT_WIDTHS = {"slab": 1.0, "halfspace": 0.0}
 
 
+def check_reps(reps: int) -> None:
+    """Per-cell medians are taken over at least 10 repetitions."""
+    if reps < 10:
+        raise ValueError(f"at least 10 repetitions required, got {reps}")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     target: str
@@ -55,8 +61,7 @@ class SweepConfig:
             raise ValueError("dims must be non-empty")
         if any(b <= a for a, b in zip(dims, dims[1:])):
             raise ValueError("dims must be strictly ascending")
-        if self.reps < 10:
-            raise ValueError(f"at least 10 repetitions required, got {self.reps}")
+        check_reps(self.reps)
         # Target, alignment, lambda1, alpha and d >= 2 are checked where they
         # are used, by building the smallest cell's geometry.
         widened_alignment(self.target, self.alignment, self.lambda1, dims[0],
@@ -245,8 +250,7 @@ def gamma_cells(target: LimitState | Callable[[int], LimitState], g: SpikedCovar
     n_grid = tuple(int(n) for n in n_grid)
     if len(n_grid) < 2 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError("n_grid must be ascending with at least two points")
-    if reps < 10:
-        raise ValueError(f"at least 10 repetitions required, got {reps}")
+    check_reps(reps)
     cells = []
     for i, n in enumerate(n_grid):
         state = target if isinstance(target, LimitState) else target(n)

@@ -1,0 +1,71 @@
+"""What the benchmark harness in bench/ relies on from the package: the
+functions its tracer rebinds by name, the set-up step it times, and a
+traced CLI run. The harness files are loaded by path and left unchanged."""
+import importlib
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
+
+
+def load_bench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def write_cfg(path: Path, text: str) -> str:
+    path.write_text(text)
+    return str(path)
+
+
+TINY = {
+    "benchmark": "kind = benchmark\ntarget = lin\nscheme = ice_proj\nstrategy = mean\n"
+                 "dims = 5\nm = 200\nn = 200\nn_p = 100\nt_max = 3\nN = 2\n",
+    "phase": "kind = phase\ntarget = halfspace\nalignment = v_in_u_perp\nlambda1 = 0.5\n"
+             "kappa = 1.2\ndims = 4, 8\nN = 10\n",
+    "gamma": "kind = gamma\ntarget = slab\nalignment = v_in_u\nlambda1 = 0.5\n"
+             "alpha = 1.0\nN = 10\n",
+}
+
+
+def test_every_traced_layer_resolves():
+    tracer = load_bench_module("tracer")
+    for mod_name, fn_name, *_ in tracer.LAYERS:
+        module = importlib.import_module(f"ce_spectra.{mod_name}")
+        assert callable(getattr(module, fn_name, None)), f"{mod_name}.{fn_name}"
+    # Rebound outside the LAYERS table by install().
+    assert callable(importlib.import_module("ce_spectra.numerics").cholesky)
+    assert callable(importlib.import_module("ce_spectra.seeding").stream)
+    assert callable(importlib.import_module("ce_spectra.targets").LimitState.__call__)
+
+
+@pytest.mark.parametrize("kind", sorted(TINY))
+def test_setup_probe_builds_each_target(tmp_path, kind):
+    probe = load_bench_module("setup_probe")
+    probe.build_target(kind, write_cfg(tmp_path / f"{kind}.cfg", TINY[kind]))
+
+
+def test_traced_run_records_scheme_spans(tmp_path):
+    cfg = write_cfg(tmp_path / "b.cfg", TINY["benchmark"])
+    spans = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "tracer.py"), str(spans), "--", "benchmark",
+         "--config", cfg, "--workers", "1", "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(spans.read_text())
+    names = {span[0] for span in record["spans"]}
+    assert record["exit"] == 0
+    assert {"ce_schemes.run", "ce_schemes.bandwidth", "estimators.moments",
+            "gauss_core.sample", "targets.score"} <= names

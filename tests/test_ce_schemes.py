@@ -1,6 +1,7 @@
 """Adaptive scheme drivers: the noise-free halfspace template, the
 bandwidth tuner against brute force, and full runs on small problems."""
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -9,11 +10,11 @@ from hypothesis import strategies as st
 
 from ce_spectra.ce_schemes import (
     BANDWIDTH_FLOOR,
+    IterationTrace,
     SchemeConfig,
     bandwidth_objective,
-    ce_iteration,
     deterministic_halfspace_path,
-    ice_iteration,
+    iterate,
     optimize_bandwidth,
     run_scheme,
     select_direction,
@@ -236,16 +237,17 @@ def test_ice_easy_halfspace_estimates_tail():
 def test_projected_run_spiked_law_and_trace_spectra():
     cfg = cfg_for("ice_proj", "mean", m=4000, n=4000, n_p=2000)
     target = halfspace_target(6, 2.5)
-    law, bandwidth, trace, stop = ice_iteration(
-        GaussianLaw.identity(6), None, target, cfg,
+    law, bandwidth, trace = iterate(
+        GaussianLaw.identity(6), None, target, cfg, 0,
         stream(1, "pi", "y"), stream(1, "pi", "x"))
-    assert not stop and trace is not None and not trace.diverged
+    assert trace is not None and not trace.diverged and trace.t == 0
+    assert trace.q_or_sigma == bandwidth
     assert law.spiked is not None and law.spiked.rank == 1
     assert trace.lambda_min_proj == 1.0  # identity law on the way in
     # Next iteration reads the projected spike as its input floor.
-    law2, _, trace2, stop2 = ice_iteration(
-        law, bandwidth, target, cfg, stream(2, "pi", "y"), stream(2, "pi", "x"))
-    assert not stop2
+    law2, _, trace2 = iterate(
+        law, bandwidth, target, cfg, 1, stream(2, "pi", "y"), stream(2, "pi", "x"))
+    assert trace2 is not None and trace2.t == 1
     assert trace2.lambda_min_proj == pytest.approx(
         law.covariance_extremes()[0], rel=1e-12)
 
@@ -263,6 +265,77 @@ def test_divergence_cap_flags_and_keeps_last_law():
     # Estimating from the identity law still works for this common event.
     p = float(std_normal_cdf(-1.0))
     assert res.p_hat == pytest.approx(p, rel=0.1)
+
+
+# Divergence branches. The evaluator is keyed on the batch size, so the
+# level batch (M rows), the learning batch (N rows) and the final batch
+# (N_P rows) each get their own scores; every run diverges on its first
+# iteration and estimates from the standard normal start law.
+D, M, N, N_P = 3, 40, 30, 50
+
+
+def batch_keyed_target(level, learn) -> LimitState:
+    def score(x):
+        if x.shape[0] == M:
+            return level(x)
+        if x.shape[0] == N:
+            return learn(x)
+        return x[:, 0] - 0.5
+    return LimitState(name="keyed", dim=D, evaluator=score)
+
+
+def above(x):
+    return np.ones(x.shape[0])
+
+
+def one_hit(x):
+    return np.where(np.arange(x.shape[0]) == 0, 1.0, -1.0)
+
+
+def below(x):
+    return -np.ones(x.shape[0])
+
+
+def hopeless(x):
+    return np.full(x.shape[0], -1e300)
+
+
+def first_smoothed_bandwidth() -> float:
+    """The bandwidth the first smoothed iteration tunes on its level batch."""
+    y = stream(0, "y", 0).standard_normal((M, D))
+    scores = y[:, 0] - 1.0
+    ws = WeightedSample.from_scores(y, np.zeros(M), scores, 0.0)
+    q25, q75 = np.percentile(scores, [25.0, 75.0])
+    bw = optimize_bandwidth(ws, max(10.0 * float(q75 - q25), BANDWIDTH_FLOOR), 1.5)
+    assert bw is not None and bw > 0.0
+    return bw
+
+
+@pytest.mark.parametrize("case", [
+    # zero hits at the capped threshold 0
+    ("ce", "none", above, below, (0.0, 0.0, math.nan, 0)),
+    # one hit: sigma_hat is exactly zero, the Cholesky factor fails
+    ("ce", "none", above, one_hit, (0.0, 1.0 / N, 0.0, 1)),
+    # one hit: the mean direction carries zero variance, the projection collapses
+    ("ce_proj", "mean", above, one_hit, (0.0, 1.0 / N, 0.0, 1)),
+    # no bandwidth gives a finite spread
+    ("ice", "none", hopeless, hopeless, (math.nan, math.nan, math.nan, 0)),
+    # a usable bandwidth, but every smoothed learning weight underflows
+    ("ice", "none", lambda x: x[:, 0] - 1.0, hopeless, (None, 0.0, math.nan, 0)),
+], ids=["zero_hits", "cholesky", "collapsed_projection", "no_bandwidth",
+        "smoothed_underflow"])
+def test_divergence_branches_record_their_trace(case):
+    scheme, strategy, level, learn, (q, p_t, lam_max, hits) = case
+    if q is None:
+        q = first_smoothed_bandwidth()
+    cfg = SchemeConfig(scheme=scheme, strategy=strategy, m=M, n=N, n_p=N_P, seed=0)
+    res = run_scheme(cfg, batch_keyed_target(level, learn))
+    assert res.diverged and not res.converged and res.iterations_used == 1
+    want = IterationTrace(t=0, q_or_sigma=q, p_hat_t=p_t, lambda_min_proj=1.0,
+                          lambda_max_raw=lam_max, diverged=True, n_hits=hits)
+    np.testing.assert_equal([astuple(tr) for tr in res.traces], [astuple(want)])
+    start = stream(0, "final").standard_normal((N_P, D))
+    assert res.p_hat == float(np.mean(start[:, 0] >= 0.5))
 
 
 def test_run_scheme_bit_reproducible():

@@ -126,18 +126,6 @@ def test_weighted_mean_cov_rederives_indicators():
     assert res.n_hits == int(np.sum(ws.scores >= hi))
 
 
-def test_weighted_mean_cov_not_normalized_scale():
-    rng = stream(1, "est", "nn")
-    ws = make_sample(rng, n=300)
-    res = weighted_mean_cov(ws, 0.0, self_normalize=False)
-    w = np.exp(ws.log_ratios) * ws.indicators / ws.size
-    mu = w @ ws.points
-    second = (ws.points * w[:, None]).T @ ws.points
-    sigma = second - np.outer(mu, mu)
-    assert np.allclose(res.mu_hat, mu, atol=1e-12)
-    assert np.allclose(res.sigma_hat, 0.5 * (sigma + sigma.T), atol=1e-12)
-
-
 def test_weighted_mean_cov_zero_hits_raises():
     x = np.zeros((5, 2))
     ws = WeightedSample.from_scores(x, np.zeros(5), -np.ones(5), 0.0)
