@@ -55,6 +55,7 @@ STRATEGIES = ("none", "eig_min", "mean")
 
 BANDWIDTH_FLOOR = 1e-6
 BANDWIDTH_LOG_TOL = 1e-4
+BANDWIDTH_GRID = 64
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -124,17 +125,15 @@ class RunResult:
     diverged: bool
 
 
-def select_direction(sigma_hat: np.ndarray, mu_hat: np.ndarray, strategy: str,
-                     extremes: numerics.EigenExtremes | None = None) -> np.ndarray:
-    """Single projection direction from the raw update.
+def select_direction(extremes: numerics.EigenExtremes, mu_hat: np.ndarray,
+                     strategy: str) -> np.ndarray:
+    """Single projection direction from the raw update (mu_hat, sigma_hat).
 
-    eig_min takes the eigenvector of the smallest eigenvalue (the axis the
-    estimate is collapsing along); mean takes mu_hat normalized, which is
-    scale free by construction.
+    extremes are sigma_hat's eigen-extremes. eig_min takes the eigenvector
+    of the smallest eigenvalue (the axis the estimate is collapsing along);
+    mean takes mu_hat normalized, which is scale free by construction.
     """
     if strategy == "eig_min":
-        if extremes is None:
-            extremes = numerics.sym_eigen_extremes(sigma_hat)
         return extremes.v_min
     if strategy == "mean":
         norm = float(np.linalg.norm(mu_hat))
@@ -147,7 +146,7 @@ def select_direction(sigma_hat: np.ndarray, mu_hat: np.ndarray, strategy: str,
 def _next_law(est, cfg: SchemeConfig, extremes: numerics.EigenExtremes) -> GaussianLaw:
     """Build the next sampling law; exceptions signal divergence upstream."""
     if cfg.projected:
-        v = select_direction(est.sigma_hat, est.mu_hat, cfg.strategy, extremes)
+        v = select_direction(extremes, est.mu_hat, cfg.strategy)
         spiked = proj_r(est.sigma_hat, v[None, :])
         return GaussianLaw.with_spiked(spiked, mean=est.mu_hat)
     return GaussianLaw.dense(est.mu_hat, est.sigma_hat)
@@ -160,26 +159,26 @@ def bandwidth_objective(sample_: WeightedSample, bandwidth: float, delta_target:
     return (value - delta_target) ** 2
 
 
-def optimize_bandwidth(sample_: WeightedSample, sigma_hi: float, delta_target: float,
-                       floor: float = BANDWIDTH_FLOOR,
-                       log_tol: float = BANDWIDTH_LOG_TOL,
-                       grid: int = 64) -> float | None:
-    """Bandwidth minimizing (spread - target)^2 over (floor, sigma_hi].
+def optimize_bandwidth(sample_: WeightedSample, sigma_hi: float,
+                       delta_target: float) -> float | None:
+    """Bandwidth minimizing (spread - target)^2 over (BANDWIDTH_FLOOR, sigma_hi].
 
-    Coarse log-grid scan brackets the best cell, then golden-section refines
-    inside it; the returned value never exceeds sigma_hi. None signals that
-    the objective is infinite everywhere (no usable bandwidth).
+    A BANDWIDTH_GRID-point log-grid scan brackets the best cell, then
+    golden-section refines inside it to BANDWIDTH_LOG_TOL in log bandwidth;
+    the returned value never exceeds sigma_hi. None signals that the
+    objective is infinite everywhere (no usable bandwidth).
     """
+    floor = BANDWIDTH_FLOOR
     if sigma_hi <= floor:
         return floor if math.isfinite(bandwidth_objective(sample_, floor, delta_target)) else None
     lo, hi = math.log(floor), math.log(sigma_hi)
-    xs = np.linspace(lo, hi, grid)
+    xs = np.linspace(lo, hi, BANDWIDTH_GRID)
     vals = np.array([bandwidth_objective(sample_, math.exp(t), delta_target) for t in xs])
     best = int(np.argmin(vals))
     if not math.isfinite(vals[best]):
         return None
     a = xs[max(best - 1, 0)]
-    b = xs[min(best + 1, grid - 1)]
+    b = xs[min(best + 1, BANDWIDTH_GRID - 1)]
 
     def f(t: float) -> float:
         return bandwidth_objective(sample_, math.exp(t), delta_target)
@@ -187,7 +186,7 @@ def optimize_bandwidth(sample_: WeightedSample, sigma_hi: float, delta_target: f
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    while (b - a) > log_tol:
+    while (b - a) > BANDWIDTH_LOG_TOL:
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
@@ -225,7 +224,7 @@ def iterate(law: GaussianLaw, bandwidth: float | None, target: LimitState,
     if cfg.smoothed:
         y = sample(law, cfg.m, rng_level)
         scores_y = target(y)
-        ws_y = WeightedSample.from_scores(y, log_ratio_to_standard(law, y), scores_y, 0.0)
+        ws_y = WeightedSample(y, log_ratio_to_standard(law, y), scores_y)
         if indicator_delta(ws_y) <= cfg.delta_target:
             return law, bandwidth, None
         if bandwidth is None:
@@ -241,10 +240,10 @@ def iterate(law: GaussianLaw, bandwidth: float | None, target: LimitState,
         level = min(q_raw, 0.0) if cfg.cap_quantile_at_zero else q_raw
         estimator = weighted_mean_cov
 
-    # The update. The learning batch's indicators mark the event itself;
-    # the level-conditional estimator re-derives its own from the scores.
+    # The update; the level-conditional estimator compares the scores with
+    # the level itself.
     x = sample(law, cfg.n, rng_learn)
-    ws = WeightedSample.from_scores(x, log_ratio_to_standard(law, x), target(x), 0.0)
+    ws = WeightedSample(x, log_ratio_to_standard(law, x), target(x))
     try:
         est = estimator(ws, level)
     except DegenerateSampleError:
@@ -294,8 +293,7 @@ def run_scheme(cfg: SchemeConfig, target: LimitState,
 
     rng_final = stream(*base, "final")
     x = sample(law, cfg.n_p, rng_final)
-    scores = target(x)
-    ws = WeightedSample.from_scores(x, log_ratio_to_standard(law, x), scores, 0.0)
+    ws = WeightedSample(x, log_ratio_to_standard(law, x), target(x))
     p_hat = is_probability(ws)
     if target.reference_p:
         rel = abs(p_hat - target.reference_p) / target.reference_p
@@ -332,8 +330,7 @@ class HalfspacePath:
         return len(self.thresholds)
 
 
-def deterministic_halfspace_path(offset: float, rho: float, t_max: int = 100,
-                                 cap_quantile_at_zero: bool = True) -> HalfspacePath:
+def deterministic_halfspace_path(offset: float, rho: float, t_max: int = 100) -> HalfspacePath:
     z_rho = float(numerics.std_normal_quantile(1.0 - rho))
     m, s = 0.0, 1.0
     thresholds: list[float] = []
@@ -346,7 +343,7 @@ def deterministic_halfspace_path(offset: float, rho: float, t_max: int = 100,
         if q >= 0.0:
             converged = True
             break
-        c = offset + (min(q, 0.0) if cap_quantile_at_zero else q)
+        c = offset + q  # q < 0 here, so this is K + min(q, 0)
         tail = float(numerics.std_normal_cdf(-c))
         hazard = float(numerics.std_normal_pdf(c)) / tail
         m = hazard

@@ -40,6 +40,7 @@ from .phase_lab import (
     gamma_cell,
     gamma_fit,
     kappa_conjecture_report,
+    predicted_gamma_star,
     sweep_cell,
     sweep_cells,
 )
@@ -286,18 +287,12 @@ def _finish_gamma(out: Path, cfg: ExperimentConfig, cells, values) -> dict:
     if complete:
         log_max = [values[i * reps:(i + 1) * reps] for i in range(len(GAMMA_N_GRID))]
         est = gamma_fit(GAMMA_N_GRID, log_max, seed=cfg.seed)
-        predicted = None
-        if cfg.target == "slab" and cfg.alpha is not None:
-            predicted = cfg.alpha * (1.0 - cfg.lambda1)
-        elif cfg.lambda1 < 1.0:
-            predicted = 1.0 - cfg.lambda1
-        elif cfg.lambda1 == 1.0:
-            predicted = 0.0
         summary.update({
             "slope": est.slope,
             "intercept": est.intercept,
             "band": list(est.band),
-            "predicted_gamma_star": predicted,
+            "predicted_gamma_star": predicted_gamma_star(cfg.target, cfg.alignment,
+                                                         cfg.lambda1, cfg.alpha),
             "dropped_points": list(est.dropped),
         })
         _write_gamma_figure(out, rows, est)

@@ -191,8 +191,8 @@ def _validate(cfg: ExperimentConfig) -> None:
     missing = [k for k in _REQUIRED[cfg.kind] if getattr(cfg, k) in (None, ())]
     if missing:
         raise ConfigError(f"kind={cfg.kind} requires keys: {', '.join(missing)}")
-    if cfg.kind == "table1" and (cfg.target is not None or cfg.scheme is not None):
-        raise ConfigError("table1 fixes its own targets and schemes")
+    if cfg.kind == "table1" and (cfg.target, cfg.scheme, cfg.strategy) != (None,) * 3:
+        raise ConfigError("table1 fixes its own targets, schemes and strategies")
     if cfg.kind == "phase":
         if len(cfg.dims) < 2:
             raise ConfigError("phase needs an ascending dims grid with >= 2 entries")

@@ -95,8 +95,6 @@ def weighted_mean_cov(sample: WeightedSample, threshold: float) -> EstimationRes
     threshold. The weights are divided by the estimated level probability
     p_hat = (1/n) sum l xi, so they sum to n exactly.
     """
-    if sample.scores is None:
-        raise ValueError("sample must carry scores to re-derive indicators")
     if sample.size == 0:
         raise DegenerateSampleError("empty sample")
     ind = sample.scores >= threshold
@@ -115,8 +113,6 @@ def smooth_weighted_mean_cov(sample: WeightedSample, bandwidth: float) -> Estima
     smooth analogue of the level probability. n_hits counts the exact
     indicator score >= 0 for diagnostics.
     """
-    if sample.scores is None:
-        raise ValueError("sample must carry scores")
     if bandwidth <= 0.0 or not math.isfinite(bandwidth):
         raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
     log_w = sample.log_ratios + numerics.log_std_normal_cdf(sample.scores / bandwidth)
@@ -160,8 +156,6 @@ def ice_delta(sample: WeightedSample, bandwidth: float) -> float:
     by Cauchy-Schwarz it is never below 1. Returns +inf when every weight
     underflows to zero.
     """
-    if sample.scores is None:
-        raise ValueError("sample must carry scores")
     if bandwidth <= 0.0 or not math.isfinite(bandwidth):
         raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
     log_w = sample.log_ratios + numerics.log_std_normal_cdf(sample.scores / bandwidth)

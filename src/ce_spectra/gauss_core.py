@@ -116,10 +116,8 @@ class GaussianLaw:
             raise ValueError("dense laws are built via GaussianLaw.dense")
 
     @classmethod
-    def identity(cls, dim: int, mean: np.ndarray | None = None) -> "GaussianLaw":
-        if mean is None:
-            mean = np.zeros(dim)
-        return cls(mean=mean)
+    def identity(cls, dim: int) -> "GaussianLaw":
+        return cls(mean=np.zeros(dim))
 
     @classmethod
     def with_spiked(cls, spiked: SpikedCovariance, mean: np.ndarray | None = None) -> "GaussianLaw":
@@ -148,38 +146,31 @@ class GaussianLaw:
 
 @dataclass(frozen=True)
 class WeightedSample:
-    """Sample points with log importance ratios and event indicators."""
+    """Sample points with log importance ratios and limit-state scores.
+
+    indicators marks the event {score >= 0}.
+    """
 
     points: np.ndarray
     log_ratios: np.ndarray
-    indicators: np.ndarray
-    scores: np.ndarray | None = None
+    scores: np.ndarray
+    indicators: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         lr = np.asarray(self.log_ratios, dtype=float)
-        ind = np.asarray(self.indicators, dtype=bool)
+        sc = np.asarray(self.scores, dtype=float)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "log_ratios", lr)
-        object.__setattr__(self, "indicators", ind)
+        object.__setattr__(self, "scores", sc)
+        object.__setattr__(self, "indicators", sc >= 0.0)
         if pts.ndim != 2:
             raise ValueError("points must be a (n, d) array")
         n = pts.shape[0]
-        if lr.shape != (n,) or ind.shape != (n,):
-            raise ValueError("log_ratios and indicators must have length n")
+        if lr.shape != (n,) or sc.shape != (n,):
+            raise ValueError("log_ratios and scores must have length n")
         if not np.all(np.isfinite(lr)):
             raise ValueError("log ratios must be finite")
-        if self.scores is not None:
-            sc = np.asarray(self.scores, dtype=float)
-            object.__setattr__(self, "scores", sc)
-            if sc.shape != (n,):
-                raise ValueError("scores must have length n")
-
-    @classmethod
-    def from_scores(cls, points, log_ratios, scores, threshold: float) -> "WeightedSample":
-        scores = np.asarray(scores, dtype=float)
-        return cls(points=points, log_ratios=log_ratios,
-                   indicators=scores >= threshold, scores=scores)
 
     @property
     def size(self) -> int:
@@ -253,15 +244,15 @@ def log_ratio_to_standard(law: GaussianLaw, x: np.ndarray) -> np.ndarray | float
     return float(out[0]) if single else out
 
 
-def proj_r(sigma_hat: np.ndarray, directions: np.ndarray, floor: float = LAMBDA_FLOOR) -> SpikedCovariance:
+def proj_r(sigma_hat: np.ndarray, directions: np.ndarray) -> SpikedCovariance:
     """Project a dense covariance estimate onto given spike directions.
 
     Returns I + sum_k (lambda_k - 1) v_k v_k^T with lambda_k the quadratic
     form v_k^T sigma_hat v_k, identity on the orthogonal complement.
-    Variances below the floor are clamped to it so a degenerating run
+    Variances below LAMBDA_FLOOR are clamped to it so a degenerating run
     keeps sampling long enough to record its blow-up; when every variance
-    is below floor the estimate is unusable and CollapsedEstimateError is
-    raised.
+    is below the floor the estimate is unusable and CollapsedEstimateError
+    is raised.
     """
     sigma_hat = numerics.require_symmetric(sigma_hat)
     vecs = np.atleast_2d(np.asarray(directions, dtype=float))
@@ -269,11 +260,11 @@ def proj_r(sigma_hat: np.ndarray, directions: np.ndarray, floor: float = LAMBDA_
     if not np.allclose(gram, np.eye(vecs.shape[0]), atol=ORTHO_TOL):
         raise ValueError("projection directions must be orthonormal")
     lam = np.einsum("kd,de,ke->k", vecs, sigma_hat, vecs)
-    if np.all(lam < floor):
+    if np.all(lam < LAMBDA_FLOOR):
         raise CollapsedEstimateError(
-            f"all projected variances below floor {floor:.1e}: {lam}"
+            f"all projected variances below floor {LAMBDA_FLOOR:.1e}: {lam}"
         )
-    lam = np.maximum(lam, floor)
+    lam = np.maximum(lam, LAMBDA_FLOOR)
     order = np.argsort(lam, kind="stable")
     return SpikedCovariance(dim=sigma_hat.shape[0], lambdas=lam[order], directions=vecs[order])
 

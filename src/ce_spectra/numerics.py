@@ -98,7 +98,7 @@ def gamma_inverse_cdf(u, shape: float, scale: float):
     return float(out) if out.ndim == 0 else out
 
 
-def require_symmetric(m, rtol: float = SYM_RTOL) -> np.ndarray:
+def require_symmetric(m) -> np.ndarray:
     """Validate a square, finite, symmetric matrix and return it as float64."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -106,7 +106,7 @@ def require_symmetric(m, rtol: float = SYM_RTOL) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise NotSymmetricError("matrix has non-finite entries")
     scale = np.max(np.abs(m)) if m.size else 0.0
-    if not np.allclose(m, m.T, rtol=rtol, atol=rtol * max(1.0, scale)):
+    if not np.allclose(m, m.T, rtol=SYM_RTOL, atol=SYM_RTOL * max(1.0, scale)):
         raise NotSymmetricError("matrix is not symmetric within tolerance")
     return m
 
@@ -157,16 +157,16 @@ def operator_norm_diff(a, b) -> float:
     return float(max(abs(w[0]), abs(w[-1])))
 
 
-def cholesky(m, pivot_rtol: float = PIVOT_RTOL) -> np.ndarray:
+def cholesky(m) -> np.ndarray:
     """Lower Cholesky factor with an explicit pivot tolerance.
 
-    A pivot at or below ``pivot_rtol * trace/dim`` raises
+    A pivot at or below ``PIVOT_RTOL * trace/dim`` raises
     NotPositiveDefiniteError carrying the failing index, so callers can
     distinguish a merely ill-conditioned estimate from a collapsed one.
     """
     m = require_symmetric(m)
     d = m.shape[0]
-    tol = pivot_rtol * max(float(np.trace(m)), 0.0) / max(d, 1)
+    tol = PIVOT_RTOL * max(float(np.trace(m)), 0.0) / max(d, 1)
     lower = np.zeros_like(m)
     for j in range(d):
         s = m[j, j] - lower[j, :j] @ lower[j, :j]

@@ -150,8 +150,7 @@ def sweep_cell(cfg: SweepConfig, d: int, rep: int) -> SweepRow:
 
     law = GaussianLaw.with_spiked(cov)
     x = sample(law, n, rng)
-    scores = state(x)
-    ws = WeightedSample.from_scores(x, log_likelihood_ratio(cov, x), scores, 0.0)
+    ws = WeightedSample(x, log_likelihood_ratio(cov, x), state(x))
 
     analytic = state.analytic
     sigma_hat = sigma_a_estimator(ws, analytic.p, analytic.mu)
@@ -182,7 +181,6 @@ class GammaEstimate:
     band: tuple[float, float]
     n_grid: tuple[int, ...]
     medians: tuple[float, ...]
-    log_max: tuple[tuple[float, ...], ...]
     dropped: tuple[int, ...]
 
 
@@ -196,7 +194,7 @@ def gamma_cell(state: LimitState, g: SpikedCovariance, seed: int,
     rng = stream(seed, "gamma", grid_index, rep)
     law = GaussianLaw.with_spiked(g)
     x = sample(law, n, rng)
-    ws = WeightedSample.from_scores(x, log_likelihood_ratio(g, x), state(x), 0.0)
+    ws = WeightedSample(x, log_likelihood_ratio(g, x), state(x))
     return log_max_hit_ratio(ws)
 
 
@@ -236,7 +234,6 @@ def gamma_fit(n_grid: Sequence[int], log_max: Sequence[Sequence[float]],
     return GammaEstimate(slope=float(slope), intercept=float(intercept), band=band,
                          n_grid=tuple(n_grid[i] for i in kept),
                          medians=tuple(float(v) for v in med),
-                         log_max=tuple(log_max[i] for i in kept),
                          dropped=dropped)
 
 
@@ -260,7 +257,7 @@ def gamma_cells(target: LimitState | Callable[[int], LimitState], g: SpikedCovar
 
 def estimate_gamma_star(target: LimitState | Callable[[int], LimitState],
                         g: SpikedCovariance, n_grid: Sequence[int], reps: int,
-                        seed: int = 0, bootstrap: int = 200) -> GammaEstimate:
+                        seed: int = 0) -> GammaEstimate:
     """Weight-growth exponent from the max-weight regression.
 
     ``target`` is as in gamma_cells. The band is a 95% bootstrap interval
@@ -269,7 +266,22 @@ def estimate_gamma_star(target: LimitState | Callable[[int], LimitState],
     cells = gamma_cells(target, g, n_grid, reps, seed)
     values = list(map_cells(gamma_cell, cells, 1))
     log_max = [values[i:i + reps] for i in range(0, len(values), reps)]
-    return gamma_fit(n_grid, log_max, seed=seed, bootstrap=bootstrap)
+    return gamma_fit(n_grid, log_max, seed=seed)
+
+
+def predicted_gamma_star(target: str, alignment: str, lambda1: float,
+                         alpha: float | None) -> float:
+    """Weight-growth exponent the max-weight regression should find.
+
+    The weight depends on the spike coordinate only. For a slab with the
+    spike inside its direction (v_in_u), a hit bounds that coordinate by the
+    half-width, so the exponent is alpha (1 - lambda1) when the half-width
+    grows as prop_range_width, and 0 for a fixed slab. Every other case
+    gives 1 - lambda1. Both are 0 at lambda1 = 1, plain Monte Carlo.
+    """
+    if target == "slab" and alignment == "v_in_u":
+        return alpha * (1.0 - lambda1) if alpha is not None else 0.0
+    return 1.0 - lambda1
 
 
 def kappa_conjecture_report(traces: Sequence) -> float:

@@ -7,7 +7,8 @@ targets carry closed-form conditional moments of the standard normal given
 A, which the estimation lab uses as ground truth.
 
 Scores here depend on a fixed low-dimensional intrinsic subspace U (the
-span of u), so phi(x) = phi(P_U x) for slab and halfspace by construction.
+span of u = e_1), so phi(x) = phi(P_U x) for slab and halfspace by
+construction.
 Score and hit-probability functions are module-level functions bound with
 functools.partial, so limit states pickle and can be sent to worker
 processes.
@@ -91,12 +92,12 @@ def _quadratic_score(u: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x @ u - 4.0 - 1.25 * diff * diff
 
 
-def quadratic_target(d: int = 334, reference_p: float = 6.6e-6) -> LimitState:
+def quadratic_target(d: int = 334) -> LimitState:
     """phi(x) = <x, 1>/sqrt(d) - 4 - 1.25 (x_1 - x_2)^2."""
     if d < 2:
         raise ValueError("quadratic target needs d >= 2")
     return LimitState(name="quad", dim=d, evaluator=partial(_quadratic_score, _unit_ones(d)),
-                      reference_p=reference_p)
+                      reference_p=6.6e-6)
 
 
 def _count_score(x: np.ndarray) -> np.ndarray:
@@ -109,7 +110,7 @@ def _count_score(x: np.ndarray) -> np.ndarray:
     return np.sum(inner >= 0.5 * math.sqrt(d), axis=1) - (0.25 * d + 0.1)
 
 
-def count_target(d: int = 334, reference_p: float = 1.8e-6) -> LimitState:
+def count_target(d: int = 334) -> LimitState:
     """Counts coordinates j >= 3 whose mixed score clears 0.5 sqrt(d).
 
     phi(x) = sum_{j>=3} 1{ (0.25 x_1 + 3 sqrt(1 - 0.0625) x_j) * s(x_2)
@@ -118,12 +119,12 @@ def count_target(d: int = 334, reference_p: float = 1.8e-6) -> LimitState:
     """
     if d < 3:
         raise ValueError("count target needs d >= 3")
-    return LimitState(name="fin", dim=d, evaluator=_count_score, reference_p=reference_p)
+    return LimitState(name="fin", dim=d, evaluator=_count_score, reference_p=1.8e-6)
 
 
-def _basis_vector(d: int, index: int) -> np.ndarray:
+def _first_axis(d: int) -> np.ndarray:
     e = np.zeros(d)
-    e[index] = 1.0
+    e[0] = 1.0
     return e
 
 
@@ -144,19 +145,15 @@ def _halfspace_q(u: np.ndarray, offset: float, g: SpikedCovariance) -> float:
     return float(numerics.std_normal_cdf(-offset / math.sqrt(_variance_along(g, u))))
 
 
-def slab_target(d: int, width: float, u: np.ndarray | None = None) -> LimitState:
-    """A = {|<u, x>| <= K}: symmetric slab of half-width K around the origin.
+def slab_target(d: int, width: float) -> LimitState:
+    """A = {|<u, x>| <= K} with u = e_1: slab of half-width K around the origin.
 
     Conditional of f on A: mean 0, variance 1 - 2 K phi(K) / (2 Phi(K) - 1)
     along u, identity elsewhere.
     """
     if width <= 0.0 or not math.isfinite(width):
         raise ValueError(f"slab half-width must be positive, got {width}")
-    if u is None:
-        u = _basis_vector(d, 0)
-    u = np.asarray(u, dtype=float)
-    if abs(np.linalg.norm(u) - 1.0) > 1e-10:
-        raise ValueError("u must be a unit vector")
+    u = _first_axis(d)
 
     big_phi = float(numerics.std_normal_cdf(width))
     p = 2.0 * big_phi - 1.0
@@ -174,19 +171,15 @@ def slab_target(d: int, width: float, u: np.ndarray | None = None) -> LimitState
                       reference_p=p, analytic=analytic)
 
 
-def halfspace_target(d: int, offset: float, u: np.ndarray | None = None) -> LimitState:
-    """A = {<u, x> >= K}: halfspace at distance K.
+def halfspace_target(d: int, offset: float) -> LimitState:
+    """A = {<u, x> >= K} with u = e_1: halfspace at distance K.
 
     Conditional of f on A: mean h(K) u with hazard h = phi(K)/(1 - Phi(K)),
     variance 1 - h (h - K) along u, identity elsewhere.
     """
     if not math.isfinite(offset):
         raise ValueError(f"halfspace offset must be finite, got {offset}")
-    if u is None:
-        u = _basis_vector(d, 0)
-    u = np.asarray(u, dtype=float)
-    if abs(np.linalg.norm(u) - 1.0) > 1e-10:
-        raise ValueError("u must be a unit vector")
+    u = _first_axis(d)
 
     p = float(numerics.std_normal_cdf(-offset))
     pdf = math.exp(-0.5 * offset * offset) / _SQRT_2PI

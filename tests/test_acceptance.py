@@ -133,17 +133,21 @@ def test_06_weight_growth_exponent():
 
 
 def test_07_bandwidth_search_matches_brute_force():
-    start = time.time()
+    # The budget covers the searches only; the brute-force reference grid
+    # below is the test's own cost, not the package's.
+    searching = 0.0
     target_spread = 1.5
     for k in range(20):
         rng = np.random.default_rng(9000 + k)
         m = 1000
         scores = rng.normal(-2.0, 1.0, m)
         log_ratios = rng.normal(0.0, 0.3, m)
-        ws = WeightedSample.from_scores(np.zeros((m, 1)), log_ratios, scores, 0.0)
+        ws = WeightedSample(np.zeros((m, 1)), log_ratios, scores)
         sigma_hi = 2.0 * float(np.max(np.abs(scores)))
 
+        start = time.perf_counter()
         got = optimize_bandwidth(ws, sigma_hi, target_spread)
+        searching += time.perf_counter() - start
 
         grid = np.exp(np.linspace(np.log(1e-6), np.log(sigma_hi), 10_000))
         log_w = log_ratios[None, :] + numerics.log_std_normal_cdf(scores[None, :] / grid[:, None])
@@ -153,7 +157,7 @@ def test_07_bandwidth_search_matches_brute_force():
         brute = float(grid[int(np.argmin((spread - target_spread) ** 2))])
 
         assert abs(got - brute) <= 1e-3 * brute, (k, got, brute)
-    assert time.time() - start < 10.0
+    assert searching < 2.0, searching
 
 
 def test_08_benchmark_scheme_behavior():
@@ -319,7 +323,7 @@ def test_10_invariant_suite(tmp_path):
         log_ratios = rng.normal(0.0, 0.5, m)
         scores = rng.normal(0.0, 1.0, m)
         assume(bool(np.any(scores >= 0.0)))
-        ws = WeightedSample.from_scores(points, log_ratios, scores, 0.0)
+        ws = WeightedSample(points, log_ratios, scores)
         res = weighted_mean_cov(ws, 0.0)
 
         w = np.exp(log_ratios) * (scores >= 0.0)

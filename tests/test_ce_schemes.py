@@ -22,7 +22,7 @@ from ce_spectra.ce_schemes import (
 from ce_spectra.gauss_core import CollapsedEstimateError, GaussianLaw, WeightedSample
 from ce_spectra.seeding import stream
 from ce_spectra.targets import LimitState, halfspace_target, linear_target
-from ce_spectra.numerics import std_normal_cdf
+from ce_spectra.numerics import std_normal_cdf, sym_eigen_extremes
 
 Z90 = 1.281551565544600467
 PHI_MINUS_2 = 0.0227501319481792072
@@ -65,18 +65,19 @@ def test_config_validation():
 
 def test_select_direction_eig_min():
     sigma = np.diag([4.0, 0.25, 1.0])
-    v = select_direction(sigma, np.zeros(3), "eig_min")
+    v = select_direction(sym_eigen_extremes(sigma), np.zeros(3), "eig_min")
     assert np.allclose(np.abs(v), [0.0, 1.0, 0.0], atol=1e-12)
 
 
 def test_select_direction_mean():
     mu = np.array([3.0, 0.0, 4.0])
-    v = select_direction(np.eye(3), mu, "mean")
+    extremes = sym_eigen_extremes(np.eye(3))
+    v = select_direction(extremes, mu, "mean")
     assert np.allclose(v, mu / 5.0)
     with pytest.raises(CollapsedEstimateError):
-        select_direction(np.eye(3), np.zeros(3), "mean")
+        select_direction(extremes, np.zeros(3), "mean")
     with pytest.raises(ValueError):
-        select_direction(np.eye(3), mu, "median")
+        select_direction(extremes, mu, "median")
 
 
 # --------------------------------------------- deterministic halfspace path
@@ -153,7 +154,7 @@ def random_weighted_sample(seed: int, m: int = 800, d: int = 2) -> WeightedSampl
     x = rng.standard_normal((m, d))
     lr = 0.3 * rng.standard_normal(m)
     scores = rng.standard_normal(m) - 1.0
-    return WeightedSample.from_scores(x, lr, scores, 0.0)
+    return WeightedSample(x, lr, scores)
 
 
 def brute_force_bandwidth(ws, sigma_hi, delta_target, points=10 ** 4):
@@ -184,7 +185,7 @@ def test_optimize_bandwidth_all_underflow_returns_none():
     # Scores so deep in the tail that even the log of the smoothed weight
     # overflows to -inf for every bandwidth in range.
     x = np.zeros((4, 1))
-    ws = WeightedSample.from_scores(x, np.zeros(4), np.full(4, -1e300), 0.0)
+    ws = WeightedSample(x, np.zeros(4), np.full(4, -1e300))
     assert optimize_bandwidth(ws, 1e-4, 1.5) is None
 
 
@@ -304,7 +305,7 @@ def first_smoothed_bandwidth() -> float:
     """The bandwidth the first smoothed iteration tunes on its level batch."""
     y = stream(0, "y", 0).standard_normal((M, D))
     scores = y[:, 0] - 1.0
-    ws = WeightedSample.from_scores(y, np.zeros(M), scores, 0.0)
+    ws = WeightedSample(y, np.zeros(M), scores)
     q25, q75 = np.percentile(scores, [25.0, 75.0])
     bw = optimize_bandwidth(ws, max(10.0 * float(q75 - q25), BANDWIDTH_FLOOR), 1.5)
     assert bw is not None and bw > 0.0

@@ -60,8 +60,9 @@ def test_parse_rejects_malformed_lines(tmp_path, line, fragment):
 def test_validation_per_kind(tmp_path):
     with pytest.raises(ConfigError, match="requires keys"):
         load_config(write_cfg(tmp_path / "a.cfg", "kind = benchmark\n"))
-    with pytest.raises(ConfigError, match="fixes its own"):
-        load_config(write_cfg(tmp_path / "b.cfg", "kind = table1\ntarget = lin\n"))
+    for key in ("target = lin", "scheme = ce", "strategy = mean"):
+        with pytest.raises(ConfigError, match="fixes its own"):
+            load_config(write_cfg(tmp_path / "b.cfg", f"kind = table1\n{key}\n"))
     with pytest.raises(ConfigError, match="dims grid"):
         load_config(write_cfg(
             tmp_path / "c.cfg",
@@ -315,6 +316,18 @@ def test_cli_gamma_outputs(tmp_path):
     assert payload["predicted_gamma_star"] == 0.5
     assert abs(payload["slope"] - 0.5) < 0.15
     assert (out / "gamma.svg").exists()
+
+
+def test_cli_gamma_prediction_spike_off_the_slab(tmp_path):
+    # The spike on e_2 is not bounded by the slab, so the widening slab's
+    # alpha does not enter: gamma* = 1 - lambda1.
+    out = tmp_path / "gamma_perp"
+    text = GAMMA_TEMPLATE.format(workers=1, out=out).replace("v_in_u", "v_in_u_perp")
+    cfg = write_cfg(tmp_path / "g.cfg", text.replace("alpha = 1.0", "alpha = 0.5"))
+    assert run_cli(["gamma", "--config", cfg]) == 0
+    payload = json.loads((out / "gamma.json").read_text())
+    assert payload["predicted_gamma_star"] == 0.5
+    assert abs(payload["slope"] - 0.5) < 0.15
 
 
 def test_cli_table1_reduced_grid(tmp_path):

@@ -32,7 +32,7 @@ def make_sample(rng, n=400, d=3, hit_rate=0.5, lr_spread=0.5):
     lr = rng.standard_normal(n) * lr_spread
     scores = rng.standard_normal(n) + std_normal_cdf(0.0) * 0.0
     scores = scores - np.quantile(scores, 1.0 - hit_rate)
-    return WeightedSample.from_scores(x, lr, scores, 0.0)
+    return WeightedSample(x, lr, scores)
 
 
 # ---------------------------------------------------------- is_probability
@@ -47,20 +47,20 @@ def test_is_probability_matches_direct_sum():
 
 def test_is_probability_no_hits_is_zero():
     x = np.zeros((5, 2))
-    ws = WeightedSample.from_scores(x, np.zeros(5), -np.ones(5), 0.0)
+    ws = WeightedSample(x, np.zeros(5), -np.ones(5))
     assert is_probability(ws) == 0.0
 
 
 def test_is_probability_survives_huge_log_weights():
     x = np.zeros((4, 1))
     lr = np.array([800.0, 799.0, -inf_safe(), 0.0])
-    ws = WeightedSample.from_scores(x, lr, np.ones(4), 0.0)
+    ws = WeightedSample(x, lr, np.ones(4))
     got = is_probability(ws)
     assert math.isinf(got) and got > 0.0
 
 
 def inf_safe():
-    # from_scores requires finite log ratios; use a very negative stand-in
+    # WeightedSample requires finite log ratios; use a very negative stand-in
     return -700.0
 
 
@@ -128,7 +128,7 @@ def test_weighted_mean_cov_rederives_indicators():
 
 def test_weighted_mean_cov_zero_hits_raises():
     x = np.zeros((5, 2))
-    ws = WeightedSample.from_scores(x, np.zeros(5), -np.ones(5), 0.0)
+    ws = WeightedSample(x, np.zeros(5), -np.ones(5))
     with pytest.raises(DegenerateSampleError):
         weighted_mean_cov(ws, 0.0)
 
@@ -138,7 +138,7 @@ def test_weighted_mean_cov_huge_weights_stay_finite():
     rng = stream(1, "est", "huge")
     x = rng.standard_normal((50, 2))
     lr = np.linspace(0.0, 900.0, 50)
-    ws = WeightedSample.from_scores(x, lr, np.ones(50), 0.0)
+    ws = WeightedSample(x, lr, np.ones(50))
     res = weighted_mean_cov(ws, 0.0)
     assert np.all(np.isfinite(res.mu_hat))
     assert np.all(np.isfinite(res.sigma_hat))
@@ -159,7 +159,7 @@ def test_smooth_weights_match_direct_construction():
 def test_smooth_weights_reach_far_tail():
     # Scores far below zero still contribute through the log CDF.
     x = np.array([[1.0], [2.0]])
-    ws = WeightedSample.from_scores(x, np.zeros(2), np.array([-40.0, -41.0]), 0.0)
+    ws = WeightedSample(x, np.zeros(2), np.array([-40.0, -41.0]))
     res = smooth_weighted_mean_cov(ws, 1.0)
     assert np.all(np.isfinite(res.mu_hat))
     assert res.n_hits == 0
@@ -188,7 +188,7 @@ def test_sigma_a_matches_direct_sum():
 
 def test_sigma_a_no_hits_is_negative_outer():
     x = np.zeros((5, 2))
-    ws = WeightedSample.from_scores(x, np.zeros(5), -np.ones(5), 0.0)
+    ws = WeightedSample(x, np.zeros(5), -np.ones(5))
     mu = np.array([1.0, 2.0])
     assert np.allclose(sigma_a_estimator(ws, 0.5, mu), -np.outer(mu, mu))
 
@@ -209,7 +209,7 @@ def test_sigma_a_validation():
 
 def test_spread_statistic_constant_weights():
     x = np.zeros((64, 1))
-    ws = WeightedSample.from_scores(x, np.full(64, 3.0), np.ones(64), 0.0)
+    ws = WeightedSample(x, np.full(64, 3.0), np.ones(64))
     assert indicator_delta(ws) == pytest.approx(1.0, rel=1e-12)
 
 
@@ -218,13 +218,13 @@ def test_spread_statistic_single_weight():
     x = np.zeros((m, 1))
     scores = -np.ones(m)
     scores[0] = 1.0
-    ws = WeightedSample.from_scores(x, np.zeros(m), scores, 0.0)
+    ws = WeightedSample(x, np.zeros(m), scores)
     assert indicator_delta(ws) == pytest.approx(math.sqrt(m), rel=1e-12)
 
 
 def test_spread_statistic_all_zero_is_inf():
     x = np.zeros((8, 1))
-    ws = WeightedSample.from_scores(x, np.zeros(8), -np.ones(8), 0.0)
+    ws = WeightedSample(x, np.zeros(8), -np.ones(8))
     assert indicator_delta(ws) == math.inf
 
 
@@ -243,7 +243,7 @@ def test_ice_delta_matches_direct_formula():
 def test_spread_statistic_at_least_one(m, seed):
     rng = stream(seed, "est", "ge1")
     lr = rng.standard_normal(m) * 2.0
-    ws = WeightedSample.from_scores(np.zeros((m, 1)), lr, np.ones(m), 0.0)
+    ws = WeightedSample(np.zeros((m, 1)), lr, np.ones(m))
     assert indicator_delta(ws) >= 1.0 - 1e-12
 
 
@@ -262,7 +262,7 @@ def test_max_weight_statistic():
     x = np.zeros((4, 2))
     lr = np.array([0.1, 2.0, 5.0, -1.0])
     scores = np.array([1.0, 1.0, -1.0, 1.0])
-    ws = WeightedSample.from_scores(x, lr, scores, 0.0)
+    ws = WeightedSample(x, lr, scores)
     # Largest hitting log ratio is 2.0; the 5.0 entry missed the set.
     assert max_weight_statistic(ws, d=10, n=100) == pytest.approx(
         0.1 * math.exp(2.0), rel=1e-12)
@@ -271,7 +271,7 @@ def test_max_weight_statistic():
 
 def test_max_weight_statistic_no_hits():
     x = np.zeros((3, 1))
-    ws = WeightedSample.from_scores(x, np.zeros(3), -np.ones(3), 0.0)
+    ws = WeightedSample(x, np.zeros(3), -np.ones(3))
     assert max_weight_statistic(ws, d=2, n=10) == 0.0
     assert log_max_hit_ratio(ws) == -math.inf
 
@@ -286,7 +286,7 @@ def test_is_probability_slab_calibrated():
     rng = stream(5, "est", "cal")
     x = rng.standard_normal((n, 1))
     scores = 1.0 - np.abs(x[:, 0])
-    ws = WeightedSample.from_scores(x, np.zeros(n), scores, 0.0)
+    ws = WeightedSample(x, np.zeros(n), scores)
     got = is_probability(ws)
     se = math.sqrt(SLAB_P_K1 * (1.0 - SLAB_P_K1) / n)
     assert abs(got - SLAB_P_K1) < 4.0 * se
@@ -300,7 +300,7 @@ def test_is_probability_importance_sampled_tail():
     y = rng.standard_normal(n) + 5.0
     lr = 0.5 * ((y - 5.0) ** 2 - y ** 2)  # log f/g, both unit variance
     scores = y - 5.0
-    ws = WeightedSample.from_scores(y[:, None], lr, scores, 0.0)
+    ws = WeightedSample(y[:, None], lr, scores)
     got = is_probability(ws)
     w = np.exp(lr) * (scores >= 0.0)
     se = float(np.std(w)) / math.sqrt(n)

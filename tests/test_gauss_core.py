@@ -276,9 +276,9 @@ def test_proj_r_lambdas_ascending(seed):
 
 
 def test_weighted_sample_from_scores():
+    # The event is {score >= 0}: a score of exactly 0 is a hit.
     x = np.zeros((4, 2))
-    ws = WeightedSample.from_scores(x, np.zeros(4),
-                                    np.array([-1.0, 0.0, 0.5, 2.0]), 0.5)
+    ws = WeightedSample(x, np.zeros(4), np.array([-1.0, -1e-300, 0.0, 2.0]))
     assert ws.indicators.tolist() == [False, False, True, True]
     assert ws.size == 4 and ws.dim == 2
 
@@ -286,7 +286,8 @@ def test_weighted_sample_from_scores():
 def test_weighted_sample_validation():
     x = np.zeros((3, 2))
     with pytest.raises(ValueError):
-        WeightedSample.from_scores(x, np.zeros(2), np.zeros(3), 0.0)
+        WeightedSample(x, np.zeros(2), np.zeros(3))
     with pytest.raises(ValueError):
-        WeightedSample.from_scores(x, np.array([0.0, np.nan, 0.0]),
-                                   np.zeros(3), 0.0)
+        WeightedSample(x, np.zeros(3), np.zeros(2))
+    with pytest.raises(ValueError):
+        WeightedSample(x, np.array([0.0, np.nan, 0.0]), np.zeros(3))

@@ -14,6 +14,7 @@ from ce_spectra.phase_lab import (
     gamma_fit,
     kappa_conjecture_report,
     phase_sweep,
+    predicted_gamma_star,
     sample_size,
     sweep_cell,
 )
@@ -173,6 +174,22 @@ def test_estimate_gamma_star_slab_growth():
                               reps=30, seed=2)
     assert est.slope == pytest.approx(0.5, abs=0.1)
     assert est.band[0] < est.slope < est.band[1]
+
+
+def test_predicted_gamma_star_branches():
+    # Slab with the spike on its direction: the weight sees only the bounded
+    # coordinate, so only a widening slab (alpha) lets it grow.
+    assert predicted_gamma_star("slab", "v_in_u", 0.5, 0.5) == 0.25
+    assert predicted_gamma_star("slab", "v_in_u", 0.5, None) == 0.0
+    # Otherwise the unbounded spike coordinate gives 1 - lambda1.
+    assert predicted_gamma_star("slab", "v_in_u_perp", 0.5, 0.5) == 0.5
+    assert predicted_gamma_star("slab", "v_in_u_perp", 0.25, None) == 0.75
+    assert predicted_gamma_star("halfspace", "v_in_u", 0.5, None) == 0.5
+    assert predicted_gamma_star("halfspace", "v_in_u_perp", 0.5, None) == 0.5
+    # Plain Monte Carlo.
+    for target, alignment, alpha in (("slab", "v_in_u", 1.0), ("slab", "v_in_u_perp", None),
+                                     ("halfspace", "v_in_u", None)):
+        assert predicted_gamma_star(target, alignment, 1.0, alpha) == 0.0
 
 
 def test_estimate_gamma_star_validation():

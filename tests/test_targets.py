@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate, special
 
 from ce_spectra.gauss_core import GaussianLaw, SpikedCovariance, sample
 from ce_spectra.seeding import stream
@@ -49,6 +50,18 @@ def test_quadratic_values():
     assert t(x) == pytest.approx(0.5 - 4.0 - 1.25)
     assert t(np.zeros(4)) == pytest.approx(-4.0)
     assert quadratic_target().reference_p == 6.6e-6
+
+
+def test_quadratic_reference_by_quadrature():
+    # The score depends on the independent pair z = <x, 1>/sqrt(d) ~ N(0, 1)
+    # and w = x_1 - x_2 ~ N(0, 2), so p = E_w[Phi(-(4 + 1.25 w^2))].
+    def integrand(w):
+        density = math.exp(-0.25 * w * w) / math.sqrt(4.0 * math.pi)
+        return special.ndtr(-(4.0 + 1.25 * w * w)) * density
+
+    p, _ = integrate.quad(integrand, -math.inf, math.inf, epsabs=0.0, epsrel=1e-12)
+    assert p == pytest.approx(6.6206e-6, rel=1e-4)
+    assert quadratic_target().reference_p == pytest.approx(p, rel=0.01)
 
 
 def test_count_values():
@@ -172,11 +185,7 @@ def test_hit_probability_spike_off_axis_empirical():
     assert got == pytest.approx(want, abs=4.0 * math.sqrt(want * (1 - want) / 400000))
 
 
-def test_unit_vector_validation():
-    with pytest.raises(ValueError):
-        slab_target(2, 1.0, u=np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        halfspace_target(2, 0.0, u=np.array([0.5, 0.0]))
+def test_width_and_offset_validation():
     with pytest.raises(ValueError):
         slab_target(2, 0.0)
     with pytest.raises(ValueError):
