@@ -71,7 +71,6 @@ class SchemeConfig:
     t_max: int = 30
     seed: int = 0
     divergence_lambda_cap: float = 1e6
-    cap_quantile_at_zero: bool = True
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -220,7 +219,7 @@ def iterate(law: GaussianLaw, bandwidth: float | None, target: LimitState,
                               diverged=diverged, n_hits=n_hits)
 
     # The level stage: the recorded level is the threshold actually used for
-    # conditioning (capped at 0 when configured) or the tuned bandwidth.
+    # conditioning, the score quantile capped at 0, or the tuned bandwidth.
     if cfg.smoothed:
         y = sample(law, cfg.m, rng_level)
         scores_y = target(y)
@@ -236,8 +235,7 @@ def iterate(law: GaussianLaw, bandwidth: float | None, target: LimitState,
         bandwidth = level
         estimator = smooth_weighted_mean_cov
     else:
-        q_raw = quantile_threshold(target(sample(law, cfg.m, rng_level)), cfg.rho)
-        level = min(q_raw, 0.0) if cfg.cap_quantile_at_zero else q_raw
+        level = min(quantile_threshold(target(sample(law, cfg.m, rng_level)), cfg.rho), 0.0)
         estimator = weighted_mean_cov
 
     # The update; the level-conditional estimator compares the scores with

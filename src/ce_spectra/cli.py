@@ -76,8 +76,9 @@ def write_json(path: Path, payload: dict) -> None:
 
 
 def _quartiles(values: list[float]) -> dict:
+    """Quartiles of values; None (JSON null, not NaN) for an empty list."""
     if not values:
-        return {"q25": math.nan, "median": math.nan, "q75": math.nan}
+        return {"q25": None, "median": None, "q75": None}
     arr = np.asarray(values, dtype=float)
     q25, med, q75 = np.percentile(arr, [25.0, 50.0, 75.0])
     return {"q25": float(q25), "median": float(med), "q75": float(q75)}
@@ -139,8 +140,8 @@ def _write_benchmark_outputs(out: Path, results: list[RunResult], target: LimitS
         "reps_completed": n,
         "p_hat": _quartiles([r.p_hat for r in results]),
         "relative_error": _quartiles(rel),
-        "divergence_rate": (sum(r.diverged for r in results) / n) if n else math.nan,
-        "converged_rate": (sum(r.converged for r in results) / n) if n else math.nan,
+        "divergence_rate": (sum(r.diverged for r in results) / n) if n else None,
+        "converged_rate": (sum(r.converged for r in results) / n) if n else None,
         "iterations": _quartiles([float(r.iterations_used) for r in results]),
         "kappa_diagnostic": _quartiles(diagnostics),
     }

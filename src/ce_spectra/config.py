@@ -47,17 +47,6 @@ TABLE1_CELLS = (
 GAMMA_N_GRID = (1000, 10000, 100000, 1000000)
 GAMMA_DEFAULT_DIM = 2
 
-# key -> parser
-_BOOL_WORDS = {"true": True, "yes": True, "1": True,
-               "false": False, "no": False, "0": False}
-
-
-def _parse_bool(raw: str) -> bool:
-    word = raw.strip().lower()
-    if word not in _BOOL_WORDS:
-        raise ValueError(f"expected a boolean, got {raw!r}")
-    return _BOOL_WORDS[word]
-
 
 def _parse_int(raw: str) -> int:
     return int(raw.strip())
@@ -79,6 +68,7 @@ def _parse_float_list(raw: str) -> tuple[float, ...]:
     return tuple(float(p.strip()) for p in raw.split(",") if p.strip())
 
 
+# key -> parser
 _PARSERS = {
     "kind": _parse_str,
     "target": _parse_str,
@@ -100,7 +90,6 @@ _PARSERS = {
     "workers": _parse_int,
     "output_dir": _parse_str,
     "divergence_lambda_cap": _parse_float,
-    "cap_quantile_at_zero": _parse_bool,
 }
 
 
@@ -126,7 +115,6 @@ class ExperimentConfig:
     workers: int = 0
     output_dir: str = "."
     divergence_lambda_cap: float | None = None
-    cap_quantile_at_zero: bool | None = None
 
     def __post_init__(self):
         if self.workers <= 0:
@@ -222,8 +210,7 @@ def benchmark_sizes(cfg: ExperimentConfig) -> tuple[int, int, int]:
 
 
 # Scheme options a file may set; unset ones take SchemeConfig's defaults.
-_SCHEME_KEYS = ("strategy", "rho", "delta_target", "n_p", "t_max",
-                "divergence_lambda_cap", "cap_quantile_at_zero")
+_SCHEME_KEYS = ("strategy", "rho", "delta_target", "n_p", "t_max", "divergence_lambda_cap")
 
 
 def scheme_cells(cfg: ExperimentConfig) -> list[tuple[LimitState, SchemeConfig]]:

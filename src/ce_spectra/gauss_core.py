@@ -12,7 +12,8 @@ the standard normal has the closed form
 which depends on x only through its projection onto span{v_k}. Ratios are
 handled in log space throughout; exponentials appear only at final
 aggregation so that heavy-weight samples degrade into recorded infinities
-instead of silent NaNs.
+instead of silent NaNs. Densities and ratios take an (n, d) batch of points
+and return one value per row; anything else is a ValueError.
 """
 from __future__ import annotations
 
@@ -84,10 +85,6 @@ class SpikedCovariance:
             lo = min(lo, 1.0)
             hi = max(hi, 1.0)
         return lo, hi
-
-    def quad_coords(self, x: np.ndarray) -> np.ndarray:
-        """<v_k, x> for each direction; batched over leading axes."""
-        return np.asarray(x, dtype=float) @ self.directions.T
 
 
 @dataclass(frozen=True)
@@ -195,53 +192,46 @@ def sample(law: GaussianLaw, n: int, rng: np.random.Generator) -> np.ndarray:
     return z + law.mean
 
 
-def log_density(law: GaussianLaw, x: np.ndarray) -> np.ndarray | float:
-    """Log density at x; accepts a single point (d,) or a batch (n, d)."""
+def _batch(x: np.ndarray, d: int) -> np.ndarray:
+    """x as a float (n, d) batch; anything else is a ValueError."""
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    y = np.atleast_2d(x) - law.mean
+    if x.ndim != 2 or x.shape[1] != d:
+        raise ValueError(f"expected an (n, {d}) batch of points, got shape {x.shape}")
+    return x
+
+
+def log_density(law: GaussianLaw, x: np.ndarray) -> np.ndarray:
+    y = _batch(x, law.dim) - law.mean
     d = law.dim
-    if y.shape[1] != d:
-        raise ValueError(f"point dimension {y.shape[1]} does not match law dimension {d}")
     if law.spiked is not None:
         sp = law.spiked
         coords = y @ sp.directions.T
         quad = np.sum(y * y, axis=1)
         quad += coords * coords @ (1.0 / sp.lambdas - 1.0)
-        out = -0.5 * (d * _LOG_2PI + sp.log_det() + quad)
-    elif law.dense_chol is not None:
+        return -0.5 * (d * _LOG_2PI + sp.log_det() + quad)
+    if law.dense_chol is not None:
         half = solve_triangular(law.dense_chol, y.T, lower=True).T
         log_det = 2.0 * float(np.sum(np.log(np.diag(law.dense_chol))))
-        out = -0.5 * (d * _LOG_2PI + log_det + np.sum(half * half, axis=1))
-    else:
-        out = -0.5 * (d * _LOG_2PI + np.sum(y * y, axis=1))
-    return float(out[0]) if single else out
+        return -0.5 * (d * _LOG_2PI + log_det + np.sum(half * half, axis=1))
+    return -0.5 * (d * _LOG_2PI + np.sum(y * y, axis=1))
 
 
-def log_likelihood_ratio(sigma: SpikedCovariance, x: np.ndarray) -> np.ndarray | float:
+def log_likelihood_ratio(sigma: SpikedCovariance, x: np.ndarray) -> np.ndarray:
     """log of f/g for f standard normal and g zero-mean with covariance sigma.
 
     Depends on x only through the spike coordinates, so the cost is
     O(n d r) with no dense algebra.
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    coords = np.atleast_2d(x) @ sigma.directions.T
-    out = 0.5 * (sigma.log_det() + coords * coords @ (1.0 / sigma.lambdas - 1.0))
-    return float(out[0]) if single else out
+    coords = _batch(x, sigma.dim) @ sigma.directions.T
+    return 0.5 * (sigma.log_det() + coords * coords @ (1.0 / sigma.lambdas - 1.0))
 
 
-def log_ratio_to_standard(law: GaussianLaw, x: np.ndarray) -> np.ndarray | float:
+def log_ratio_to_standard(law: GaussianLaw, x: np.ndarray) -> np.ndarray:
     """log of f/g for f the standard normal and g an arbitrary Gaussian law."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
+    x = _batch(x, law.dim)
     if law.spiked is None and law.dense_cov is None and not np.any(law.mean):
-        out = np.zeros(pts.shape[0])
-    else:
-        out = -0.5 * (law.dim * _LOG_2PI + np.sum(pts * pts, axis=1))
-        out -= log_density(law, pts)
-    return float(out[0]) if single else out
+        return np.zeros(x.shape[0])
+    return -0.5 * (law.dim * _LOG_2PI + np.sum(x * x, axis=1)) - log_density(law, x)
 
 
 def proj_r(sigma_hat: np.ndarray, directions: np.ndarray) -> SpikedCovariance:

@@ -113,12 +113,11 @@ def require_symmetric(m) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigenExtremes:
-    """Extreme eigenpairs of a symmetric matrix."""
+    """Extreme eigenvalues of a symmetric matrix; eigenvector of the smallest."""
 
     lambda_min: float
     lambda_max: float
     v_min: np.ndarray
-    v_max: np.ndarray
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:
@@ -131,9 +130,10 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
 
 
 def sym_eigen_extremes(m) -> EigenExtremes:
-    """Smallest and largest eigenpairs of a symmetric matrix.
+    """Smallest and largest eigenvalues of a symmetric matrix, and the
+    eigenvector of the smallest.
 
-    Full decomposition of the symmetrized input; eigenvectors carry a
+    Full decomposition of the symmetrized input; the eigenvector carries a
     deterministic sign so repeated calls agree bit for bit.
     """
     m = require_symmetric(m)
@@ -142,7 +142,6 @@ def sym_eigen_extremes(m) -> EigenExtremes:
         lambda_min=float(w[0]),
         lambda_max=float(w[-1]),
         v_min=_fix_sign(v[:, 0]),
-        v_max=_fix_sign(v[:, -1]),
     )
 
 

@@ -159,7 +159,7 @@ def sweep_cell(cfg: SweepConfig, d: int, rep: int) -> SweepRow:
         d=d,
         rep=rep,
         n=n,
-        op_error=numerics.operator_norm_diff(sigma_hat, analytic.sigma_dense()),
+        op_error=numerics.operator_norm_diff(sigma_hat, analytic.sigma.dense()),
         lambda_max_hat=extremes.lambda_max,
         max_weight=max_weight_statistic(ws, d, n),
         q_hat=float(np.mean(ws.indicators)),

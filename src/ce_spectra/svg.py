@@ -10,16 +10,20 @@ import math
 from dataclasses import dataclass, field
 
 PALETTE = ("#1f6fb2", "#d1495b", "#3a8f5d", "#8a5fbf", "#c98a2b", "#4a4a4a")
+WIDTH = 640
+PANEL_HEIGHT = 300
+# Target number of intervals between linear-axis ticks.
+TICKS = 5
 
 
 def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def _nice_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / max(n, 2)
+    raw = (hi - lo) / TICKS
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         step = mult * mag
@@ -57,18 +61,18 @@ class Panel:
     ylog: bool = False
     series: list = field(default_factory=list)
 
-    def line(self, xs, ys, label: str = "", color: str | None = None, dash: bool = False):
-        self.series.append(("line", list(xs), list(ys), label, color, dash))
+    def line(self, xs, ys, label: str = "", dash: bool = False):
+        self.series.append(("line", list(xs), list(ys), label, dash))
 
-    def band(self, xs, lo, hi, label: str = "", color: str | None = None):
-        self.series.append(("band", list(xs), (list(lo), list(hi)), label, color, False))
+    def band(self, xs, lo, hi, label: str = ""):
+        self.series.append(("band", list(xs), (list(lo), list(hi)), label, False))
 
-    def scatter(self, xs, ys, label: str = "", color: str | None = None):
-        self.series.append(("scatter", list(xs), list(ys), label, color, False))
+    def scatter(self, xs, ys, label: str = ""):
+        self.series.append(("scatter", list(xs), list(ys), label, False))
 
     def _data_range(self):
         xs_all, ys_all = [], []
-        for kind, xs, ys, _, _, _ in self.series:
+        for kind, xs, ys, _, _ in self.series:
             vals = list(ys[0]) + list(ys[1]) if kind == "band" else list(ys)
             for x, y in zip(list(xs) * (2 if kind == "band" else 1), vals):
                 if not (math.isfinite(x) and math.isfinite(y)):
@@ -85,26 +89,21 @@ class Panel:
         return min(xs_all), max(xs_all), min(ys_all), max(ys_all)
 
 
-def render(panels: list[Panel], width: int = 640, panel_height: int = 300,
-           title: str = "") -> str:
+def render(panels: list[Panel]) -> str:
     """Render stacked panels to a complete SVG document string."""
     pad_l, pad_r, pad_t, pad_b = 64, 16, 34, 44
-    head = 28 if title else 0
-    total_h = head + panel_height * len(panels)
+    total_h = PANEL_HEIGHT * len(panels)
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{total_h}" viewBox="0 0 {width} {total_h}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+        f'height="{total_h}" viewBox="0 0 {WIDTH} {total_h}" '
         f'font-family="sans-serif" font-size="11">',
-        f'<rect width="{width}" height="{total_h}" fill="white"/>',
+        f'<rect width="{WIDTH}" height="{total_h}" fill="white"/>',
     ]
-    if title:
-        out.append(f'<text x="{width / 2:.0f}" y="18" text-anchor="middle" '
-                   f'font-size="13">{_esc(title)}</text>')
 
     for idx, panel in enumerate(panels):
-        oy = head + idx * panel_height
-        x0, x1 = pad_l, width - pad_r
-        y0, y1 = oy + pad_t, oy + panel_height - pad_b
+        oy = idx * PANEL_HEIGHT
+        x0, x1 = pad_l, WIDTH - pad_r
+        y0, y1 = oy + pad_t, oy + PANEL_HEIGHT - pad_b
         xmin, xmax, ymin, ymax = panel._data_range()
 
         def tx(v, lo=None, hi=None):
@@ -150,11 +149,8 @@ def render(panels: list[Panel], width: int = 640, panel_height: int = 300,
                        f'transform="rotate(-90 {cx:.0f} {cy:.0f})">{_esc(panel.ylabel)}</text>')
 
         legend = []
-        color_i = 0
-        for kind, xs, ys, label, color, dash in panel.series:
-            if color is None:
-                color = PALETTE[color_i % len(PALETTE)]
-                color_i += 1
+        for i, (kind, xs, ys, label, dash) in enumerate(panel.series):
+            color = PALETTE[i % len(PALETTE)]
             if label:
                 legend.append((label, color, kind))
             if kind == "band":

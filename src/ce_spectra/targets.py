@@ -1,10 +1,10 @@
 """Rare-event score functions and analytically solvable conditioned sets.
 
-A limit state is a batched score function phi with failure set
-A = {x : phi(x) >= 0}. The three benchmark scores (linear, quadratic,
-finite count) match the published test problems; the slab and halfspace
-targets carry closed-form conditional moments of the standard normal given
-A, which the estimation lab uses as ground truth.
+A limit state is a score function phi over (n, d) batches of points with
+failure set A = {x : phi(x) >= 0}. The three benchmark scores (linear,
+quadratic, finite count) match the published test problems; the slab and
+halfspace targets carry closed-form conditional moments of the standard
+normal given A, which the estimation lab uses as ground truth.
 
 Scores here depend on a fixed low-dimensional intrinsic subspace U (the
 span of u = e_1), so phi(x) = phi(P_U x) for slab and halfspace by
@@ -40,10 +40,6 @@ class AnalyticConditional:
     mu: np.ndarray
     sigma: SpikedCovariance
     q_of: Callable[[SpikedCovariance], float]
-    directions: np.ndarray
-
-    def sigma_dense(self) -> np.ndarray:
-        return self.sigma.dense()
 
 
 @dataclass(frozen=True)
@@ -60,16 +56,13 @@ class LimitState:
         if self.dim < 1:
             raise ValueError("dimension must be positive")
 
-    def __call__(self, x: np.ndarray) -> np.ndarray | float:
+    def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = np.atleast_2d(x)
-        if pts.shape[1] != self.dim:
+        if x.ndim != 2 or x.shape[1] != self.dim:
             raise ValueError(
-                f"target {self.name} expects dimension {self.dim}, got {pts.shape[1]}"
+                f"target {self.name} expects an (n, {self.dim}) batch, got shape {x.shape}"
             )
-        out = self.evaluator(pts)
-        return float(out[0]) if single else out
+        return self.evaluator(x)
 
 
 def _unit_ones(d: int) -> np.ndarray:
@@ -102,24 +95,30 @@ def quadratic_target(d: int = 334) -> LimitState:
 
 def _count_score(x: np.ndarray) -> np.ndarray:
     d = x.shape[1]
-    # Clip the normal CDF away from {0, 1}: the gamma quantile is
-    # infinite at 1 and 0 * inf would poison the count.
+    # Clip the normal CDF away from {0, 1}: the gamma quantile is infinite
+    # at 1 and 0 at 0, where the division would poison the count.
     u2 = np.clip(numerics.std_normal_cdf(x[:, 1]), 1e-300, 1.0 - 1e-16)
-    s = np.sqrt(numerics.gamma_inverse_cdf(u2, 6.0, 6.0))
-    inner = (0.25 * x[:, :1] + 3.0 * math.sqrt(1.0 - 0.25 ** 2) * x[:, 2:]) * s[:, None]
+    s = np.sqrt(numerics.gamma_inverse_cdf(u2, 6.0, 1.0 / 6.0))
+    inner = (0.25 * x[:, :1] + 3.0 * math.sqrt(1.0 - 0.25 ** 2) * x[:, 2:]) / s[:, None]
     return np.sum(inner >= 0.5 * math.sqrt(d), axis=1) - (0.25 * d + 0.1)
 
 
 def count_target(d: int = 334) -> LimitState:
     """Counts coordinates j >= 3 whose mixed score clears 0.5 sqrt(d).
 
-    phi(x) = sum_{j>=3} 1{ (0.25 x_1 + 3 sqrt(1 - 0.0625) x_j) * s(x_2)
+    phi(x) = sum_{j>=3} 1{ (0.25 x_1 + 3 sqrt(1 - 0.0625) x_j) / s(x_2)
                            >= 0.5 sqrt(d) }  -  0.25 d - 0.1
-    with s(y) = sqrt of the Gamma(6, 6) quantile at Phi(y).
+    with s(y) = sqrt of the Gamma(shape 6, rate 6) quantile at Phi(y). s^2
+    is then chi^2_12 / 12, so the mixed scores are scaled Student-t with 12
+    degrees of freedom sharing one mixing variable (a t-copula). The
+    reference, 1.7348e-6, is P(phi >= 0) at the published d = 334 by
+    quadrature over (x_1, x_2) of the Binomial(d - 2, p_j) tail of the
+    count; it depends on d, so other dimensions carry none.
     """
     if d < 3:
         raise ValueError("count target needs d >= 3")
-    return LimitState(name="fin", dim=d, evaluator=_count_score, reference_p=1.8e-6)
+    return LimitState(name="fin", dim=d, evaluator=_count_score,
+                      reference_p=1.7348e-6 if d == TABLE_DIMS["fin"] else None)
 
 
 def _first_axis(d: int) -> np.ndarray:
@@ -129,7 +128,7 @@ def _first_axis(d: int) -> np.ndarray:
 
 
 def _variance_along(g: SpikedCovariance, u: np.ndarray) -> float:
-    coords = g.quad_coords(u)
+    coords = u @ g.directions.T
     return 1.0 + float((g.lambdas - 1.0) @ (coords * coords))
 
 
@@ -165,7 +164,6 @@ def slab_target(d: int, width: float) -> LimitState:
         mu=np.zeros(d),
         sigma=SpikedCovariance(dim=d, lambdas=np.array([var_u]), directions=u[None, :]),
         q_of=partial(_slab_q, u, width),
-        directions=u[None, :],
     )
     return LimitState(name="slab", dim=d, evaluator=partial(_slab_score, u, width),
                       reference_p=p, analytic=analytic)
@@ -191,7 +189,6 @@ def halfspace_target(d: int, offset: float) -> LimitState:
         mu=hazard * u,
         sigma=SpikedCovariance(dim=d, lambdas=np.array([var_u]), directions=u[None, :]),
         q_of=partial(_halfspace_q, u, offset),
-        directions=u[None, :],
     )
     return LimitState(name="halfspace", dim=d, evaluator=partial(_affine_score, u, offset),
                       reference_p=p, analytic=analytic)

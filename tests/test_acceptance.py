@@ -73,7 +73,7 @@ def test_03_conditional_moments_match_monte_carlo():
     d = 4
     for state, zero_mean in ((slab_target(d, 1.0), True), (halfspace_target(d, 0.0), False)):
         a = state.analytic
-        u = a.directions[0]
+        u = a.sigma.directions[0]
         x = rng.normal(size=(1_000_000, d))
         hits = state(x) >= 0.0
         p_mc = float(np.mean(hits))

@@ -207,14 +207,6 @@ def test_always_true_event_estimates_one_exactly(scheme, strategy):
         assert res.traces[0].q_or_sigma == 0.0  # capped at zero
 
 
-def test_always_true_uncapped_records_raw_quantile():
-    cfg = cfg_for("ce", m=500, n=500, n_p=200, cap_quantile_at_zero=False)
-    res = run_scheme(cfg, always_true_target())
-    assert res.converged
-    assert res.traces[0].q_or_sigma == pytest.approx(1.0)
-    assert res.p_hat == 1.0
-
-
 def test_ce_easy_halfspace_estimates_tail():
     cfg = cfg_for("ce", m=5000, n=5000, n_p=2000)
     res = run_scheme(cfg, halfspace_target(3, 2.0), seed_key=(23, "easy"))

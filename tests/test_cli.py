@@ -8,8 +8,14 @@ import pytest
 
 from ce_spectra import cli
 from ce_spectra.cli import main
-from ce_spectra.config import ConfigError, benchmark_sizes, load_config
-from ce_spectra.phase_lab import SweepConfig, phase_sweep
+from ce_spectra.config import GAMMA_N_GRID, ConfigError, benchmark_sizes, load_config
+from ce_spectra.phase_lab import (
+    SweepConfig,
+    build_alignment,
+    estimate_gamma_star,
+    phase_sweep,
+    widened_alignment,
+)
 
 
 def write_cfg(path: Path, text: str) -> str:
@@ -34,14 +40,12 @@ lambda1 = 0.5
 kappa = 1.2, 2.5
 dims = 10, 20, 40
 N = 12
-cap_quantile_at_zero = false
 """)
     cfg = load_config(cfg_path)
     assert cfg.kind == "phase"
     assert cfg.kappa == (1.2, 2.5)
     assert cfg.dims == (10, 20, 40)
     assert cfg.N == 12
-    assert cfg.cap_quantile_at_zero is False
 
 
 @pytest.mark.parametrize("line,fragment", [
@@ -225,25 +229,36 @@ def test_cli_phase_rows_match_library_sweep(tmp_path):
     assert got == want
 
 
-def test_cli_flushes_finished_cells_when_a_cell_fails(tmp_path, monkeypatch):
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+@pytest.mark.parametrize("failing_call", [3, 1], ids=["third_cell", "first_cell"])
+def test_cli_flushes_finished_cells_when_a_cell_fails(tmp_path, monkeypatch, failing_call):
     real = cli.run_scheme
     calls = []
 
-    def third_cell_fails(*args, **kwargs):
+    def cell_fails(*args, **kwargs):
         calls.append(args)
-        if len(calls) == 3:
+        if len(calls) == failing_call:
             raise RuntimeError("cell failed")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "run_scheme", third_cell_fails)
+    monkeypatch.setattr(cli, "run_scheme", cell_fails)
     out = tmp_path / "partial"
     cfg = write_cfg(tmp_path / "f.cfg",
                     BENCH_TEMPLATE.format(workers=1, out=out).replace("N = 2", "N = 4"))
     with pytest.raises(RuntimeError, match="cell failed"):
         run_cli(["benchmark", "--config", cfg])
+    completed = failing_call - 1
     rows = (out / "runs.csv").read_text().splitlines()[1:]
-    assert [row.split(",")[0] for row in rows] == ["0", "1"]
-    assert json.loads((out / "summary.json").read_text())["reps_completed"] == 2
+    assert [row.split(",")[0] for row in rows] == [str(rep) for rep in range(completed)]
+    # The summary is strict JSON: empty statistics are null, never NaN.
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=_reject_constant)
+    assert summary["reps_completed"] == completed
+    if completed == 0:
+        assert summary["divergence_rate"] is None and summary["converged_rate"] is None
+        assert summary["p_hat"] == {"q25": None, "median": None, "q75": None}
 
 
 def test_cli_rerun_is_byte_identical(tmp_path):
@@ -316,6 +331,20 @@ def test_cli_gamma_outputs(tmp_path):
     assert payload["predicted_gamma_star"] == 0.5
     assert abs(payload["slope"] - 0.5) < 0.15
     assert (out / "gamma.svg").exists()
+
+
+def test_cli_gamma_fit_matches_library_estimate(tmp_path):
+    out = tmp_path / "gamma"
+    cfg = write_cfg(tmp_path / "g.cfg", GAMMA_TEMPLATE.format(workers=2, out=out))
+    assert run_cli(["gamma", "--config", cfg]) == 0
+    payload = json.loads((out / "gamma.json").read_text())
+    _, cov = build_alignment("slab", "v_in_u", 0.5, 2)
+    est = estimate_gamma_star(
+        lambda n: widened_alignment("slab", "v_in_u", 0.5, 2, n, 1.0)[0],
+        cov, GAMMA_N_GRID, reps=10, seed=11)
+    assert payload["slope"] == est.slope
+    assert payload["intercept"] == est.intercept
+    assert payload["band"] == list(est.band)
 
 
 def test_cli_gamma_prediction_spike_off_the_slab(tmp_path):

@@ -135,7 +135,7 @@ def test_dense_law_sampling_matches_spiked():
 
 def test_log_density_standard_normal_at_zero():
     law = GaussianLaw.identity(2)
-    assert log_density(law, np.zeros(2)) == pytest.approx(-LOG_2PI, rel=1e-14)
+    assert log_density(law, np.zeros((1, 2)))[0] == pytest.approx(-LOG_2PI, rel=1e-14)
 
 
 def test_log_density_spiked_matches_dense_formula():
@@ -158,9 +158,15 @@ def test_log_density_spiked_matches_dense_formula():
 
 
 def test_log_density_scalar_input():
+    # Inputs are (n, d) batches; a single point or a wrong width is an error.
     law = GaussianLaw.identity(3)
-    out = log_density(law, np.zeros(3))
-    assert isinstance(out, float)
+    for bad in (np.zeros(3), np.zeros((2, 4)), np.zeros((1, 1, 3))):
+        with pytest.raises(ValueError):
+            log_density(law, bad)
+        with pytest.raises(ValueError):
+            log_ratio_to_standard(law, bad)
+    with pytest.raises(ValueError):
+        log_likelihood_ratio(spike(3, [0.5], [0]), np.zeros(3))
 
 
 # ------------------------------------------------------ likelihood ratio
@@ -169,9 +175,10 @@ def test_log_density_scalar_input():
 def test_likelihood_ratio_at_origin():
     # At x = 0 the ratio is |Sigma|^(1/2).
     sp = spike(4, [0.25], [1])
-    assert np.exp(log_likelihood_ratio(sp, np.zeros(4))) == pytest.approx(0.5, rel=1e-14)
+    origin = np.zeros((1, 4))
+    assert np.exp(log_likelihood_ratio(sp, origin))[0] == pytest.approx(0.5, rel=1e-14)
     sp2 = spike(4, [4.0], [1])
-    assert np.exp(log_likelihood_ratio(sp2, np.zeros(4))) == pytest.approx(2.0, rel=1e-14)
+    assert np.exp(log_likelihood_ratio(sp2, origin))[0] == pytest.approx(2.0, rel=1e-14)
 
 
 def test_likelihood_ratio_matches_density_ratio():
@@ -190,11 +197,11 @@ def test_likelihood_ratio_matches_density_ratio():
 def test_likelihood_ratio_depends_only_on_projections():
     # Moving x inside the orthogonal complement leaves the ratio fixed.
     sp = spike(6, [0.5, 2.0], [0, 1])
-    x = np.zeros(6)
-    x[0], x[1] = 1.0, -2.0
+    x = np.zeros((1, 6))
+    x[0, 0], x[0, 1] = 1.0, -2.0
     base = log_likelihood_ratio(sp, x)
     x2 = x.copy()
-    x2[3] = 17.0
+    x2[0, 3] = 17.0
     assert log_likelihood_ratio(sp, x2) == pytest.approx(base, rel=1e-14)
 
 

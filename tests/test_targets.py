@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, special
+from scipy import integrate, special, stats
 
 from ce_spectra.gauss_core import GaussianLaw, SpikedCovariance, sample
 from ce_spectra.seeding import stream
@@ -38,17 +38,15 @@ def test_linear_values_and_reference():
     t = linear_target()
     assert t.dim == 100 and t.name == "lin"
     assert t.reference_p == pytest.approx(TAIL_5, rel=1e-12)
-    assert t(np.zeros(100)) == pytest.approx(-5.0)
-    x = np.full(100, 0.5)
-    assert t(x) == pytest.approx(0.5 * math.sqrt(100) - 5.0)
+    x = np.stack([np.zeros(100), np.full(100, 0.5)])
+    assert t(x) == pytest.approx([-5.0, 0.5 * math.sqrt(100) - 5.0])
 
 
 def test_quadratic_values():
     t = quadratic_target(d=4)
-    x = np.array([1.0, 0.0, 0.0, 0.0])
+    x = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
     # <x, 1>/sqrt(d) - 4 - 1.25 (x_1 - x_2)^2
-    assert t(x) == pytest.approx(0.5 - 4.0 - 1.25)
-    assert t(np.zeros(4)) == pytest.approx(-4.0)
+    assert t(x) == pytest.approx([0.5 - 4.0 - 1.25, -4.0])
     assert quadratic_target().reference_p == 6.6e-6
 
 
@@ -67,12 +65,52 @@ def test_quadratic_reference_by_quadrature():
 def test_count_values():
     d = 9
     t = count_target(d=d)
-    # x = 0: s(0) = sqrt(gamma median), every inner term 0 < 0.5 sqrt(d).
-    assert t(np.zeros(d)) == pytest.approx(-(0.25 * d + 0.1))
-    # Huge positive coordinates push every count to one.
-    x = np.full(d, 40.0)
-    assert t(x) == pytest.approx((d - 2) - (0.25 * d + 0.1))
-    assert count_target().reference_p == 1.8e-6
+    # Row 0 is x = 0: s(0) = sqrt(gamma median), every inner term 0 < 0.5 sqrt(d).
+    # Row 1: huge positive coordinates push every count to one.
+    x = np.stack([np.zeros(d), np.full(d, 40.0)])
+    assert t(x) == pytest.approx([-(0.25 * d + 0.1), (d - 2) - (0.25 * d + 0.1)])
+    assert count_target().reference_p == 1.7348e-6
+    # The reference holds at the published dimension only.
+    assert t.reference_p is None
+
+
+def count_probability_by_quadrature(d: int, nodes: int = 200) -> float:
+    """P(phi >= 0) of the fin score under the standard normal.
+
+    Given (x_1, x_2), the d - 2 indicators are independent with success
+    probability p_j = P(0.25 x_1 + c x_j >= 0.5 sqrt(d) s(x_2)) =
+    Phi((0.25 x_1 - 0.5 sqrt(d) s) / c), c = 3 sqrt(1 - 0.0625), where s^2
+    is the Gamma(shape 6, rate 6) quantile at Phi(x_2). The event is a
+    Binomial(d - 2, p_j) count of at least ceil(0.25 d + 0.1); Gauss-Hermite
+    quadrature integrates its tail over (x_1, x_2).
+    """
+    nodes_1d, weights = np.polynomial.hermite_e.hermegauss(nodes)
+    weights = weights / math.sqrt(2.0 * math.pi)
+    x1, x2 = np.meshgrid(nodes_1d, nodes_1d, indexing="ij")
+    s = np.sqrt(special.gammaincinv(6.0, special.ndtr(x2)) / 6.0)
+    c = 3.0 * math.sqrt(1.0 - 0.0625)
+    p_j = special.ndtr((0.25 * x1 - 0.5 * math.sqrt(d) * s) / c)
+    tail = stats.binom.sf(math.ceil(0.25 * d + 0.1) - 1, d - 2, p_j)
+    return float(np.sum(np.outer(weights, weights) * tail))
+
+
+def test_count_reference_by_quadrature():
+    p = count_probability_by_quadrature(TABLE_DIMS["fin"])
+    assert p == pytest.approx(1.73484e-6, rel=1e-4)
+    assert count_probability_by_quadrature(TABLE_DIMS["fin"], nodes=300) == pytest.approx(
+        p, rel=1e-6)
+    assert count_target().reference_p == pytest.approx(p, rel=0.01)
+
+
+@pytest.mark.parametrize("d", [8, 12])
+def test_count_score_matches_quadrature_by_monte_carlo(d):
+    # At small d the event is common, so plain Monte Carlo pins the code's
+    # score to the formula the quadrature integrates.
+    n = 200000
+    x = stream(0, "targets", "fin_mc", d).standard_normal((n, d))
+    hits = float(np.mean(count_target(d)(x) >= 0.0))
+    want = count_probability_by_quadrature(d)
+    assert hits == pytest.approx(want, abs=4.0 * math.sqrt(want * (1.0 - want) / n))
 
 
 def test_count_monotone_in_tail_coordinates():
@@ -82,22 +120,23 @@ def test_count_monotone_in_tail_coordinates():
     x = rng.standard_normal((1, d))
     lifted = x.copy()
     lifted[0, 5] = 50.0
-    assert t(lifted[0]) >= t(x[0])
+    assert t(lifted)[0] >= t(x)[0]
 
 
 def test_count_survives_extreme_conditioning_coordinate():
     d = 5
     t = count_target(d=d)
-    x = np.zeros(d)
-    x[1] = 50.0  # Phi saturates to 1; the gamma quantile must stay finite
-    assert math.isfinite(t(x))
-    x[1] = -50.0
-    assert math.isfinite(t(x))
+    x = np.zeros((2, d))
+    x[0, 1] = 50.0  # Phi saturates to 1; the gamma quantile must stay finite
+    x[1, 1] = -50.0
+    assert np.all(np.isfinite(t(x)))
 
 
 def test_dimension_checks():
-    with pytest.raises(ValueError):
-        linear_target()(np.zeros(7))
+    # Scores take (n, d) batches only.
+    for bad in (np.zeros(7), np.zeros((1, 7)), np.zeros(100), np.zeros((1, 1, 100))):
+        with pytest.raises(ValueError):
+            linear_target()(bad)
     with pytest.raises(ValueError):
         quadratic_target(d=1)
     with pytest.raises(ValueError):
@@ -122,8 +161,7 @@ def test_slab_frozen_constants():
     assert a.p == pytest.approx(SLAB_P_K1, rel=1e-12)
     assert a.sigma.lambdas[0] == pytest.approx(SLAB_VAR_K1, rel=1e-12)
     assert np.array_equal(a.mu, np.zeros(3))
-    assert t(np.array([0.5, 9.0, 9.0])) == pytest.approx(0.5)
-    assert t(np.array([-2.0, 0.0, 0.0])) == pytest.approx(-1.0)
+    assert t(np.array([[0.5, 9.0, 9.0], [-2.0, 0.0, 0.0]])) == pytest.approx([0.5, -1.0])
 
 
 def test_halfspace_frozen_constants():
@@ -198,9 +236,9 @@ def test_scores_depend_only_on_projection(seed):
     # phi(x) = phi(P x) for the slab and halfspace scores with u = e1.
     rng = stream(seed, "targets", "proj")
     d = 4
-    x = rng.standard_normal(d)
+    x = rng.standard_normal((1, d))
     y = x.copy()
-    y[1:] = rng.standard_normal(3)
+    y[0, 1:] = rng.standard_normal(3)
     slab = slab_target(d, 1.5)
     hs = halfspace_target(d, 0.7)
     assert slab(x) == pytest.approx(slab(y), rel=1e-13, abs=1e-13)
