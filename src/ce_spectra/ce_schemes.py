@@ -148,7 +148,15 @@ def _next_law(est, cfg: SchemeConfig, extremes: numerics.EigenExtremes) -> Gauss
         v = select_direction(extremes, est.mu_hat, cfg.strategy)
         spiked = proj_r(est.sigma_hat, v[None, :])
         return GaussianLaw.with_spiked(spiked, mean=est.mu_hat)
-    return GaussianLaw.dense(est.mu_hat, est.sigma_hat)
+    return GaussianLaw.dense(est.mu_hat, est.sigma_hat, extremes)
+
+
+def _weighted_batch(law: GaussianLaw, size: int, rng: np.random.Generator,
+                    target: LimitState) -> WeightedSample:
+    """size fresh points from the law with their log ratios and scores."""
+    z = rng.standard_normal((size, law.dim))
+    x = sample(law, z)
+    return WeightedSample(x, log_ratio_to_standard(law, x, z), target(x))
 
 
 def bandwidth_objective(sample_: WeightedSample, bandwidth: float, delta_target: float) -> float:
@@ -221,13 +229,11 @@ def iterate(law: GaussianLaw, bandwidth: float | None, target: LimitState,
     # The level stage: the recorded level is the threshold actually used for
     # conditioning, the score quantile capped at 0, or the tuned bandwidth.
     if cfg.smoothed:
-        y = sample(law, cfg.m, rng_level)
-        scores_y = target(y)
-        ws_y = WeightedSample(y, log_ratio_to_standard(law, y), scores_y)
+        ws_y = _weighted_batch(law, cfg.m, rng_level, target)
         if indicator_delta(ws_y) <= cfg.delta_target:
             return law, bandwidth, None
         if bandwidth is None:
-            q25, q75 = np.percentile(scores_y, [25.0, 75.0])
+            q25, q75 = np.percentile(ws_y.scores, [25.0, 75.0])
             bandwidth = max(10.0 * float(q75 - q25), BANDWIDTH_FLOOR)
         level = optimize_bandwidth(ws_y, bandwidth, cfg.delta_target)
         if level is None:
@@ -235,13 +241,13 @@ def iterate(law: GaussianLaw, bandwidth: float | None, target: LimitState,
         bandwidth = level
         estimator = smooth_weighted_mean_cov
     else:
-        level = min(quantile_threshold(target(sample(law, cfg.m, rng_level)), cfg.rho), 0.0)
+        scores = target(sample(law, rng_level.standard_normal((cfg.m, law.dim))))
+        level = min(quantile_threshold(scores, cfg.rho), 0.0)
         estimator = weighted_mean_cov
 
     # The update; the level-conditional estimator compares the scores with
     # the level itself.
-    x = sample(law, cfg.n, rng_learn)
-    ws = WeightedSample(x, log_ratio_to_standard(law, x), target(x))
+    ws = _weighted_batch(law, cfg.n, rng_learn, target)
     try:
         est = estimator(ws, level)
     except DegenerateSampleError:
@@ -289,10 +295,7 @@ def run_scheme(cfg: SchemeConfig, target: LimitState,
             break
         law = nxt
 
-    rng_final = stream(*base, "final")
-    x = sample(law, cfg.n_p, rng_final)
-    ws = WeightedSample(x, log_ratio_to_standard(law, x), target(x))
-    p_hat = is_probability(ws)
+    p_hat = is_probability(_weighted_batch(law, cfg.n_p, stream(*base, "final"), target))
     if target.reference_p:
         rel = abs(p_hat - target.reference_p) / target.reference_p
     else:
@@ -301,52 +304,3 @@ def run_scheme(cfg: SchemeConfig, target: LimitState,
                      converged=converged, iterations_used=len(traces),
                      diverged=bool(traces) and traces[-1].diverged)
 
-
-@dataclass(frozen=True)
-class HalfspacePath:
-    """Noise-free level recursion for a halfspace target.
-
-    For phi(x) = <u, x> - K and sampling laws N(m_t u, I + (s_t - 1) u u^T),
-    every stage is Gaussian in the score, so the level threshold and the
-    conditional moments of f are closed form:
-
-        q_t     = m_t - K + sqrt(s_t) z_rho
-        c_t     = K + min(q_t, 0)
-        m_{t+1} = h(c_t),  s_{t+1} = 1 - h(c_t)(h(c_t) - c_t)
-
-    with h the standard normal hazard. Serves as the exact template the
-    stochastic scheme is checked against.
-    """
-
-    thresholds: tuple[float, ...]
-    means: tuple[float, ...]
-    variances: tuple[float, ...]
-    converged: bool
-
-    @property
-    def iterations(self) -> int:
-        return len(self.thresholds)
-
-
-def deterministic_halfspace_path(offset: float, rho: float, t_max: int = 100) -> HalfspacePath:
-    z_rho = float(numerics.std_normal_quantile(1.0 - rho))
-    m, s = 0.0, 1.0
-    thresholds: list[float] = []
-    means = [m]
-    variances = [s]
-    converged = False
-    for _ in range(t_max):
-        q = m - offset + math.sqrt(s) * z_rho
-        thresholds.append(q)
-        if q >= 0.0:
-            converged = True
-            break
-        c = offset + q  # q < 0 here, so this is K + min(q, 0)
-        tail = float(numerics.std_normal_cdf(-c))
-        hazard = float(numerics.std_normal_pdf(c)) / tail
-        m = hazard
-        s = 1.0 - hazard * (hazard - c)
-        means.append(m)
-        variances.append(s)
-    return HalfspacePath(thresholds=tuple(thresholds), means=tuple(means),
-                         variances=tuple(variances), converged=converged)

@@ -66,14 +66,14 @@ def quantile_threshold(scores: np.ndarray, rho: float) -> float:
     return float(np.partition(scores, k - 1)[k - 1])
 
 
-def _log_weight_moments(points: np.ndarray, log_w: np.ndarray):
+def _log_weight_moments(points: np.ndarray, log_w: np.ndarray, n: int):
     """Self-normalized weighted mean and covariance from log weights.
 
     Returns (mu, sigma, mean_weight) where mean_weight = (1/n) sum w may be
     inf when the peak log weight overflows; mu and sigma stay finite because
-    the peak cancels inside the normalization.
+    the peak cancels inside the normalization. n is the batch size, which
+    exceeds the number of rows when zero-weight rows were left out.
     """
-    n = points.shape[0]
     peak = float(np.max(log_w))
     if peak == -math.inf:
         raise DegenerateSampleError("all weights are zero")
@@ -93,7 +93,9 @@ def weighted_mean_cov(sample: WeightedSample, threshold: float) -> EstimationRes
 
     Indicators are re-derived from the stored scores against the given
     threshold. The weights are divided by the estimated level probability
-    p_hat = (1/n) sum l xi, so they sum to n exactly.
+    p_hat = (1/n) sum l xi, so they sum to n exactly. Rows below the
+    threshold weigh exactly 0, so the moments are formed from the hit rows
+    alone.
     """
     if sample.size == 0:
         raise DegenerateSampleError("empty sample")
@@ -101,8 +103,8 @@ def weighted_mean_cov(sample: WeightedSample, threshold: float) -> EstimationRes
     n_hits = int(np.sum(ind))
     if n_hits == 0:
         raise DegenerateSampleError(f"no scores reached threshold {threshold:.6g}")
-    log_w = np.where(ind, sample.log_ratios, -np.inf)
-    mu, sigma, p_hat = _log_weight_moments(sample.points, log_w)
+    mu, sigma, p_hat = _log_weight_moments(sample.points[ind], sample.log_ratios[ind],
+                                           sample.size)
     return EstimationResult(p_hat=float(p_hat), mu_hat=mu, sigma_hat=sigma, n_hits=n_hits)
 
 
@@ -116,7 +118,7 @@ def smooth_weighted_mean_cov(sample: WeightedSample, bandwidth: float) -> Estima
     if bandwidth <= 0.0 or not math.isfinite(bandwidth):
         raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
     log_w = sample.log_ratios + numerics.log_std_normal_cdf(sample.scores / bandwidth)
-    mu, sigma, norm = _log_weight_moments(sample.points, log_w)
+    mu, sigma, norm = _log_weight_moments(sample.points, log_w, sample.size)
     return EstimationResult(p_hat=float(norm), mu_hat=mu, sigma_hat=sigma,
                             n_hits=int(np.sum(sample.scores >= 0.0)))
 

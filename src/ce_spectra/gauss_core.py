@@ -14,6 +14,12 @@ handled in log space throughout; exponentials appear only at final
 aggregation so that heavy-weight samples degrade into recorded infinities
 instead of silent NaNs. Densities and ratios take an (n, d) batch of points
 and return one value per row; anything else is a ValueError.
+
+Draws are whitened: ``sample`` maps a caller-drawn standard-normal batch z
+to x = mean + A z with A A^T = Sigma, so the ratio against the standard
+normal needs no solve, for any covariance representation:
+
+    log l(x) = 1/2 (log|Sigma| + |z|^2 - |x|^2).
 """
 from __future__ import annotations
 
@@ -21,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dtrmm
 
 from . import numerics
 
@@ -91,25 +98,26 @@ class SpikedCovariance:
 class GaussianLaw:
     """Normal law with identity, spiked, or dense covariance.
 
-    Exactly one covariance representation is set; dense laws carry their
-    Cholesky factor from construction, so an invalid covariance fails fast.
+    At most one covariance representation is set. Dense laws carry their
+    Cholesky factor from construction, so an invalid covariance fails fast,
+    and the eigen-extremes their builder already computed.
     """
 
     mean: np.ndarray
     spiked: SpikedCovariance | None = None
-    dense_cov: np.ndarray | None = field(default=None, repr=False)
     dense_chol: np.ndarray | None = field(default=None, repr=False)
+    dense_extremes: numerics.EigenExtremes | None = field(default=None, repr=False)
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
         if mean.ndim != 1 or not np.all(np.isfinite(mean)):
             raise ValueError("mean must be a finite vector")
         object.__setattr__(self, "mean", mean)
-        if self.spiked is not None and self.dense_cov is not None:
+        if self.spiked is not None and self.dense_chol is not None:
             raise ValueError("covariance given twice")
         if self.spiked is not None and self.spiked.dim != mean.shape[0]:
             raise ValueError("covariance dimension does not match mean")
-        if self.dense_cov is not None and self.dense_chol is None:
+        if (self.dense_chol is None) != (self.dense_extremes is None):
             raise ValueError("dense laws are built via GaussianLaw.dense")
 
     @classmethod
@@ -123,21 +131,35 @@ class GaussianLaw:
         return cls(mean=mean, spiked=spiked)
 
     @classmethod
-    def dense(cls, mean: np.ndarray, cov: np.ndarray) -> "GaussianLaw":
-        """Dense-covariance law; raises NotPositiveDefiniteError when unusable."""
-        chol = numerics.cholesky(cov)
-        return cls(mean=np.asarray(mean, dtype=float), dense_cov=np.asarray(cov, dtype=float), dense_chol=chol)
+    def dense(cls, mean: np.ndarray, cov: np.ndarray,
+              extremes: numerics.EigenExtremes) -> "GaussianLaw":
+        """Dense-covariance law; raises NotPositiveDefiniteError when unusable.
+
+        extremes are cov's eigen-extremes (``numerics.sym_eigen_extremes``),
+        which the caller has at hand; the law keeps them instead of
+        decomposing cov again.
+        """
+        return cls(mean=np.asarray(mean, dtype=float), dense_chol=numerics.cholesky(cov),
+                   dense_extremes=extremes)
 
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
 
+    @property
+    def log_det(self) -> float:
+        """log|Sigma|."""
+        if self.spiked is not None:
+            return self.spiked.log_det()
+        if self.dense_chol is not None:
+            return 2.0 * float(np.sum(np.log(np.diag(self.dense_chol))))
+        return 0.0
+
     def covariance_extremes(self) -> tuple[float, float]:
         if self.spiked is not None:
             return self.spiked.lambda_extremes()
-        if self.dense_cov is not None:
-            ext = numerics.sym_eigen_extremes(self.dense_cov)
-            return ext.lambda_min, ext.lambda_max
+        if self.dense_extremes is not None:
+            return self.dense_extremes.lambda_min, self.dense_extremes.lambda_max
         return 1.0, 1.0
 
 
@@ -178,25 +200,33 @@ class WeightedSample:
         return self.points.shape[1]
 
 
-def sample(law: GaussianLaw, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n points from the law; O(n d r) for spiked covariances."""
-    if n <= 0:
-        raise ValueError(f"sample size must be positive, got {n}")
-    z = rng.standard_normal((n, law.dim))
-    if law.spiked is not None:
-        sp = law.spiked
-        coords = z @ sp.directions.T
-        z += (coords * (np.sqrt(sp.lambdas) - 1.0)) @ sp.directions
-    elif law.dense_chol is not None:
-        z = z @ law.dense_chol.T
-    return z + law.mean
-
-
 def _batch(x: np.ndarray, d: int) -> np.ndarray:
     """x as a float (n, d) batch; anything else is a ValueError."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != d:
         raise ValueError(f"expected an (n, {d}) batch of points, got shape {x.shape}")
+    return x
+
+
+def sample(law: GaussianLaw, z: np.ndarray) -> np.ndarray:
+    """Map a standard-normal (n, d) batch z to the law: mean + A z.
+
+    A is Sigma^{1/2} for spiked laws (O(n d r)) and the lower Cholesky factor
+    for dense ones (one triangular multiply). z is left unchanged; the
+    result is a new array.
+    """
+    z = _batch(z, law.dim)
+    if law.spiked is not None:
+        sp = law.spiked
+        x = ((z @ sp.directions.T) * (np.sqrt(sp.lambdas) - 1.0)) @ sp.directions
+        x += z
+    elif law.dense_chol is not None:
+        # x^T = L z^T; z^T is Fortran-ordered, so BLAS copies nothing but the
+        # output it writes.
+        x = dtrmm(1.0, law.dense_chol, z.T, lower=1).T
+    else:
+        return z + law.mean
+    x += law.mean
     return x
 
 
@@ -211,8 +241,7 @@ def log_density(law: GaussianLaw, x: np.ndarray) -> np.ndarray:
         return -0.5 * (d * _LOG_2PI + sp.log_det() + quad)
     if law.dense_chol is not None:
         half = solve_triangular(law.dense_chol, y.T, lower=True).T
-        log_det = 2.0 * float(np.sum(np.log(np.diag(law.dense_chol))))
-        return -0.5 * (d * _LOG_2PI + log_det + np.sum(half * half, axis=1))
+        return -0.5 * (d * _LOG_2PI + law.log_det + np.sum(half * half, axis=1))
     return -0.5 * (d * _LOG_2PI + np.sum(y * y, axis=1))
 
 
@@ -226,12 +255,17 @@ def log_likelihood_ratio(sigma: SpikedCovariance, x: np.ndarray) -> np.ndarray:
     return 0.5 * (sigma.log_det() + coords * coords @ (1.0 / sigma.lambdas - 1.0))
 
 
-def log_ratio_to_standard(law: GaussianLaw, x: np.ndarray) -> np.ndarray:
-    """log of f/g for f the standard normal and g an arbitrary Gaussian law."""
+def log_ratio_to_standard(law: GaussianLaw, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """log of f/g for f the standard normal and g any Gaussian law, at the
+    points x = sample(law, z): 1/2 (log|Sigma| + |z|^2 - |x|^2), O(n d).
+
+    Exactly 0 for the standard law, where x equals z.
+    """
     x = _batch(x, law.dim)
-    if law.spiked is None and law.dense_cov is None and not np.any(law.mean):
-        return np.zeros(x.shape[0])
-    return -0.5 * (law.dim * _LOG_2PI + np.sum(x * x, axis=1)) - log_density(law, x)
+    z = _batch(z, law.dim)
+    if z.shape != x.shape:
+        raise ValueError(f"draws of shape {z.shape} do not match points of shape {x.shape}")
+    return 0.5 * (law.log_det + np.einsum("ij,ij->i", z, z) - np.einsum("ij,ij->i", x, x))
 
 
 def proj_r(sigma_hat: np.ndarray, directions: np.ndarray) -> SpikedCovariance:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _special
+from scipy.linalg import lapack as _lapack
 
 # Entry-pair symmetry tolerance for accepting a matrix as symmetric.
 SYM_RTOL = 1e-12
@@ -77,8 +78,7 @@ def std_normal_quantile(u):
     u = np.asarray(u, dtype=float)
     if not np.all((u > 0.0) & (u < 1.0)):
         raise DomainError("quantile argument must lie strictly inside (0, 1)")
-    out = _special.ndtri(u)
-    return float(out) if out.ndim == 0 else out
+    return _special.ndtri(u)
 
 
 def gamma_inverse_cdf(u, shape: float, scale: float):
@@ -94,8 +94,7 @@ def gamma_inverse_cdf(u, shape: float, scale: float):
     u = np.asarray(u, dtype=float)
     if not np.all((u > 0.0) & (u < 1.0)):
         raise DomainError("quantile argument must lie strictly inside (0, 1)")
-    out = _special.gammaincinv(shape, u) * scale
-    return float(out) if out.ndim == 0 else out
+    return _special.gammaincinv(shape, u) * scale
 
 
 def require_symmetric(m) -> np.ndarray:
@@ -157,22 +156,23 @@ def operator_norm_diff(a, b) -> float:
 
 
 def cholesky(m) -> np.ndarray:
-    """Lower Cholesky factor with an explicit pivot tolerance.
+    """Lower Cholesky factor (LAPACK ``dpotrf``) with an explicit pivot tolerance.
 
     A pivot at or below ``PIVOT_RTOL * trace/dim`` raises
     NotPositiveDefiniteError carrying the failing index, so callers can
-    distinguish a merely ill-conditioned estimate from a collapsed one.
+    distinguish a merely ill-conditioned estimate from a collapsed one. The
+    pivots are the squared diagonal of the factor; the failing one is
+    recomputed from the factor's row only on the error path.
     """
     m = require_symmetric(m)
     d = m.shape[0]
     tol = PIVOT_RTOL * max(float(np.trace(m)), 0.0) / max(d, 1)
-    lower = np.zeros_like(m)
-    for j in range(d):
-        s = m[j, j] - lower[j, :j] @ lower[j, :j]
-        if not (s > tol):
-            raise NotPositiveDefiniteError(j, s, tol)
-        root = math.sqrt(s)
-        lower[j, j] = root
-        if j + 1 < d:
-            lower[j + 1 :, j] = (m[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / root
+    lower, info = _lapack.dpotrf(m, lower=1)
+    # LAPACK stops at the first non-positive pivot (info is its 1-based
+    # index); pivots before it still face the tolerance.
+    done = info - 1 if info > 0 else d
+    low = np.flatnonzero(~(np.diagonal(lower)[:done] ** 2 > tol))
+    j = int(low[0]) if low.size else done
+    if j < d:
+        raise NotPositiveDefiniteError(j, m[j, j] - lower[j, :j] @ lower[j, :j], tol)
     return lower

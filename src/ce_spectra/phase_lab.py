@@ -149,7 +149,7 @@ def sweep_cell(cfg: SweepConfig, d: int, rep: int) -> SweepRow:
     rng = stream(cfg.seed, "phase", cfg.target, cfg.alignment, d, rep)
 
     law = GaussianLaw.with_spiked(cov)
-    x = sample(law, n, rng)
+    x = sample(law, rng.standard_normal((n, d)))
     ws = WeightedSample(x, log_likelihood_ratio(cov, x), state(x))
 
     analytic = state.analytic
@@ -193,7 +193,7 @@ def gamma_cell(state: LimitState, g: SpikedCovariance, seed: int,
     """
     rng = stream(seed, "gamma", grid_index, rep)
     law = GaussianLaw.with_spiked(g)
-    x = sample(law, n, rng)
+    x = sample(law, rng.standard_normal((n, g.dim)))
     ws = WeightedSample(x, log_likelihood_ratio(g, x), state(x))
     return log_max_hit_ratio(ws)
 

@@ -90,7 +90,7 @@ def quadratic_target(d: int = 334) -> LimitState:
     if d < 2:
         raise ValueError("quadratic target needs d >= 2")
     return LimitState(name="quad", dim=d, evaluator=partial(_quadratic_score, _unit_ones(d)),
-                      reference_p=6.6e-6)
+                      reference_p=6.6206e-6)
 
 
 def _count_score(x: np.ndarray) -> np.ndarray:

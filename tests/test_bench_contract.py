@@ -1,9 +1,11 @@
 """What the benchmark harness in bench/ relies on from the package: the
 functions its tracer rebinds by name, the set-up step it times, and a
 traced CLI run. The harness files are loaded by path and left unchanged."""
+import csv
 import importlib
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -54,18 +56,41 @@ def test_setup_probe_builds_each_target(tmp_path, kind):
     probe.build_target(kind, write_cfg(tmp_path / f"{kind}.cfg", TINY[kind]))
 
 
-def test_traced_run_records_scheme_spans(tmp_path):
-    cfg = write_cfg(tmp_path / "b.cfg", TINY["benchmark"])
+def traced_benchmark(tmp_path: Path, text: str) -> tuple[list[list], Path]:
+    """Run the benchmark command under bench/tracer.py; (spans, output dir)."""
+    cfg = write_cfg(tmp_path / "b.cfg", text)
     spans = tmp_path / "spans.json"
+    out = tmp_path / "out"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, str(BENCH / "tracer.py"), str(spans), "--", "benchmark",
-         "--config", cfg, "--workers", "1", "--out", str(tmp_path / "out")],
+         "--config", cfg, "--workers", "1", "--out", str(out)],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     record = json.loads(spans.read_text())
-    names = {span[0] for span in record["spans"]}
     assert record["exit"] == 0
+    return record["spans"], out
+
+
+def test_traced_run_records_scheme_spans(tmp_path):
+    spans, _ = traced_benchmark(tmp_path, TINY["benchmark"])
+    names = {span[0] for span in spans}
     assert {"ce_schemes.run", "ce_schemes.bandwidth", "estimators.moments",
             "gauss_core.sample", "targets.score"} <= names
+
+
+def test_traced_dense_run_decomposes_once_per_iteration(tmp_path):
+    # Dense updates: every iteration that reaches the estimate decomposes it
+    # once (recorded as a finite lambda_max_raw), and the next law reuses
+    # those extremes instead of decomposing again.
+    spans, out = traced_benchmark(
+        tmp_path, "kind = benchmark\ntarget = lin\nscheme = ce\ndims = 5\nm = 200\n"
+                  "n = 200\nn_p = 100\nt_max = 3\nN = 2\n")
+    names = [span[0] for span in spans]
+    assert {"gauss_core.sample", "numerics.cholesky", "numerics.eigen"} <= set(names)
+    with open(out / "traces.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    finite = sum(math.isfinite(float(row["lambda_max_raw"])) for row in rows)
+    assert finite > 0
+    assert names.count("numerics.eigen") == finite

@@ -1,7 +1,7 @@
 """Adaptive scheme drivers: the noise-free halfspace template, the
 bandwidth tuner against brute force, and full runs on small problems."""
 import math
-from dataclasses import astuple
+from dataclasses import astuple, dataclass
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from ce_spectra.ce_schemes import (
     IterationTrace,
     SchemeConfig,
     bandwidth_objective,
-    deterministic_halfspace_path,
     iterate,
     optimize_bandwidth,
     run_scheme,
@@ -22,7 +21,12 @@ from ce_spectra.ce_schemes import (
 from ce_spectra.gauss_core import CollapsedEstimateError, GaussianLaw, WeightedSample
 from ce_spectra.seeding import stream
 from ce_spectra.targets import LimitState, halfspace_target, linear_target
-from ce_spectra.numerics import std_normal_cdf, sym_eigen_extremes
+from ce_spectra.numerics import (
+    std_normal_cdf,
+    std_normal_pdf,
+    std_normal_quantile,
+    sym_eigen_extremes,
+)
 
 Z90 = 1.281551565544600467
 PHI_MINUS_2 = 0.0227501319481792072
@@ -81,6 +85,56 @@ def test_select_direction_mean():
 
 
 # --------------------------------------------- deterministic halfspace path
+
+
+@dataclass(frozen=True)
+class HalfspacePath:
+    """Noise-free level recursion for a halfspace target.
+
+    For phi(x) = <u, x> - K and sampling laws N(m_t u, I + (s_t - 1) u u^T),
+    every stage is Gaussian in the score, so the level threshold and the
+    conditional moments of f are closed form:
+
+        q_t     = m_t - K + sqrt(s_t) z_rho
+        c_t     = K + min(q_t, 0)
+        m_{t+1} = h(c_t),  s_{t+1} = 1 - h(c_t)(h(c_t) - c_t)
+
+    with h the standard normal hazard. Serves as the exact template the
+    stochastic scheme is checked against.
+    """
+
+    thresholds: tuple[float, ...]
+    means: tuple[float, ...]
+    variances: tuple[float, ...]
+    converged: bool
+
+    @property
+    def iterations(self) -> int:
+        return len(self.thresholds)
+
+
+def deterministic_halfspace_path(offset: float, rho: float, t_max: int = 100) -> HalfspacePath:
+    z_rho = float(std_normal_quantile(1.0 - rho))
+    m, s = 0.0, 1.0
+    thresholds: list[float] = []
+    means = [m]
+    variances = [s]
+    converged = False
+    for _ in range(t_max):
+        q = m - offset + math.sqrt(s) * z_rho
+        thresholds.append(q)
+        if q >= 0.0:
+            converged = True
+            break
+        c = offset + q  # q < 0 here, so this is K + min(q, 0)
+        tail = float(std_normal_cdf(-c))
+        hazard = float(std_normal_pdf(c)) / tail
+        m = hazard
+        s = 1.0 - hazard * (hazard - c)
+        means.append(m)
+        variances.append(s)
+    return HalfspacePath(thresholds=tuple(thresholds), means=tuple(means),
+                         variances=tuple(variances), converged=converged)
 
 
 def test_halfspace_path_structure():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ce_spectra.estimators import (
     DegenerateSampleError,
+    _log_weight_moments,
     ice_delta,
     indicator_delta,
     is_probability,
@@ -117,6 +118,22 @@ def test_weighted_mean_cov_matches_textbook():
     assert res.p_hat == pytest.approx(w.sum() / ws.size, rel=1e-12)
     assert res.n_hits == int(ws.indicators.sum())
 
+
+
+def test_weighted_mean_cov_hit_rows_match_full_batch():
+    # Rows below the threshold weigh exactly 0; dropping them before the
+    # moments must agree with the full batch carrying zero weights.
+    rng = stream(1, "est", "hits")
+    ws = make_sample(rng, n=2000, d=5, hit_rate=0.1, lr_spread=3.0)
+    threshold = float(np.quantile(ws.scores, 0.95))
+    ind = ws.scores >= threshold
+    log_w = np.where(ind, ws.log_ratios, -np.inf)
+    mu, sigma, p_hat = _log_weight_moments(ws.points, log_w, ws.size)
+    res = weighted_mean_cov(ws, threshold)
+    assert np.max(np.abs(res.mu_hat - mu)) < 1e-12
+    assert np.max(np.abs(res.sigma_hat - sigma)) < 1e-12
+    assert res.p_hat == pytest.approx(p_hat, rel=1e-12)
+    assert res.n_hits == int(ind.sum()) == 100
 
 def test_weighted_mean_cov_rederives_indicators():
     rng = stream(1, "est", "re")

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ce_spectra import gauss_core
+from ce_spectra.numerics import sym_eigen_extremes
 from ce_spectra.gauss_core import (
     CollapsedEstimateError,
     GaussianLaw,
@@ -35,6 +36,15 @@ def spike(d: int, lambdas, cols) -> SpikedCovariance:
 def random_orthonormal(rng, d: int, r: int) -> np.ndarray:
     q, _ = np.linalg.qr(rng.standard_normal((d, r)))
     return q.T
+
+
+def draw(law: GaussianLaw, n: int, rng) -> np.ndarray:
+    """n points of the law from n fresh standard-normal rows of rng."""
+    return sample(law, rng.standard_normal((n, law.dim)))
+
+
+def dense_law(mean, cov) -> GaussianLaw:
+    return GaussianLaw.dense(mean, cov, sym_eigen_extremes(cov))
 
 
 # ------------------------------------------------------ SpikedCovariance
@@ -77,7 +87,7 @@ def test_law_factories_and_extremes():
     sp = spike(3, [0.5], [0])
     law2 = GaussianLaw.with_spiked(sp, np.ones(3))
     assert law2.covariance_extremes() == (0.5, 1.0)
-    law3 = GaussianLaw.dense(np.zeros(2), np.diag([2.0, 8.0]))
+    law3 = dense_law(np.zeros(2), np.diag([2.0, 8.0]))
     lo, hi = law3.covariance_extremes()
     assert (lo, hi) == (pytest.approx(2.0), pytest.approx(8.0))
 
@@ -86,7 +96,7 @@ def test_dense_law_requires_positive_definite():
     from ce_spectra.numerics import NotPositiveDefiniteError
 
     with pytest.raises(NotPositiveDefiniteError):
-        GaussianLaw.dense(np.zeros(2), np.array([[1.0, 1.0], [1.0, 1.0]]))
+        dense_law(np.zeros(2), np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
 # -------------------------------------------------------------- sampling
@@ -94,16 +104,16 @@ def test_dense_law_requires_positive_definite():
 
 def test_sampling_reproducible():
     law = GaussianLaw.with_spiked(spike(6, [0.25, 4.0], [0, 1]), np.arange(6.0))
-    a = sample(law, 50, stream(3, "a"))
-    b = sample(law, 50, stream(3, "a"))
+    a = draw(law, 50, stream(3, "a"))
+    b = draw(law, 50, stream(3, "a"))
     assert np.array_equal(a, b)
 
 
 def test_unit_spike_equals_identity_draws():
     # lambda = 1 must reproduce the identity law bit for bit.
     sp = spike(4, [1.0], [2])
-    a = sample(GaussianLaw.with_spiked(sp, None), 100, stream(9, "u"))
-    b = sample(GaussianLaw.identity(4), 100, stream(9, "u"))
+    a = draw(GaussianLaw.with_spiked(sp, None), 100, stream(9, "u"))
+    b = draw(GaussianLaw.identity(4), 100, stream(9, "u"))
     assert np.array_equal(a, b)
 
 
@@ -112,7 +122,7 @@ def test_sample_covariance_matches_law():
     vecs = random_orthonormal(stream(1, "vecs"), d, 2)
     sp = SpikedCovariance(dim=d, lambdas=np.array([0.25, 4.0]), directions=vecs)
     mean = np.linspace(-1.0, 1.0, d)
-    x = sample(GaussianLaw.with_spiked(sp, mean), n, stream(1, "cov"))
+    x = draw(GaussianLaw.with_spiked(sp, mean), n, stream(1, "cov"))
     emp_mean = x.mean(axis=0)
     emp_cov = np.cov(x.T)
     # 3 sigma of the largest-variance entry CLT.
@@ -125,7 +135,7 @@ def test_dense_law_sampling_matches_spiked():
     vecs = random_orthonormal(stream(4, "vd"), d, 2)
     sp = SpikedCovariance(dim=d, lambdas=np.array([0.5, 3.0]), directions=vecs)
     mean = np.ones(d)
-    x = sample(GaussianLaw.dense(mean, sp.dense()), 100000, stream(4, "dl"))
+    x = draw(dense_law(mean, sp.dense()), 100000, stream(4, "dl"))
     emp_cov = np.cov(x.T)
     assert np.max(np.abs(emp_cov - sp.dense())) < 3.0 * 6.0 / math.sqrt(100000)
 
@@ -144,8 +154,8 @@ def test_log_density_spiked_matches_dense_formula():
     sp = SpikedCovariance(dim=d, lambdas=np.array([0.5, 2.5]), directions=vecs)
     mean = np.linspace(0.0, 1.0, d)
     law_s = GaussianLaw.with_spiked(sp, mean)
-    law_d = GaussianLaw.dense(mean, sp.dense())
-    x = sample(law_s, 40, stream(5, "pts"))
+    law_d = dense_law(mean, sp.dense())
+    x = draw(law_s, 40, stream(5, "pts"))
     got_s = log_density(law_s, x)
     got_d = log_density(law_d, x)
     cov = sp.dense()
@@ -164,7 +174,7 @@ def test_log_density_scalar_input():
         with pytest.raises(ValueError):
             log_density(law, bad)
         with pytest.raises(ValueError):
-            log_ratio_to_standard(law, bad)
+            log_ratio_to_standard(law, bad, bad)
     with pytest.raises(ValueError):
         log_likelihood_ratio(spike(3, [0.5], [0]), np.zeros(3))
 
@@ -188,7 +198,7 @@ def test_likelihood_ratio_matches_density_ratio():
                           directions=vecs)
     g = GaussianLaw.with_spiked(sp, None)
     f = GaussianLaw.identity(d)
-    x = sample(g, 1000, stream(6, "pts"))
+    x = draw(g, 1000, stream(6, "pts"))
     want = log_density(f, x) - log_density(g, x)
     got = log_likelihood_ratio(sp, x)
     assert np.max(np.abs(got - want)) < 1e-10
@@ -211,7 +221,7 @@ def test_likelihood_ratio_integrates_to_one(lam):
     d = 3
     sp = spike(d, [lam], [0])
     n = 400000
-    x = sample(GaussianLaw.with_spiked(sp, None), n, stream(7, "int", str(lam)))
+    x = draw(GaussianLaw.with_spiked(sp, None), n, stream(7, "int", str(lam)))
     vals = np.exp(log_likelihood_ratio(sp, x))
     se = vals.std() / math.sqrt(n)
     assert abs(vals.mean() - 1.0) < 4.0 * se + 1e-12
@@ -219,18 +229,72 @@ def test_likelihood_ratio_integrates_to_one(lam):
 
 def test_log_ratio_to_standard_zero_for_standard():
     law = GaussianLaw.identity(4)
-    x = sample(law, 10, stream(8, "std"))
-    out = log_ratio_to_standard(law, x)
+    z = stream(8, "std").standard_normal((10, 4))
+    out = log_ratio_to_standard(law, sample(law, z), z)
     assert np.array_equal(np.asarray(out), np.zeros(10))
 
 
 def test_log_ratio_to_standard_shifted_dense():
     mean = np.array([1.0, -1.0])
-    law = GaussianLaw.dense(mean, np.diag([2.0, 0.5]))
-    x = sample(law, 200, stream(8, "sh"))
+    law = dense_law(mean, np.diag([2.0, 0.5]))
+    z = stream(8, "sh").standard_normal((200, 2))
+    x = sample(law, z)
     want = log_density(GaussianLaw.identity(2), x) - log_density(law, x)
-    got = log_ratio_to_standard(law, x)
+    got = log_ratio_to_standard(law, x, z)
     assert np.allclose(got, want, atol=1e-10)
+
+
+
+def whitened_laws(d: int):
+    """Identity, spiked and dense laws, each with a nonzero mean."""
+    mean = np.linspace(-1.0, 2.0, d)
+    vecs = random_orthonormal(stream(8, "wl"), d, 2)
+    sp = SpikedCovariance(dim=d, lambdas=np.array([0.4, 3.0]), directions=vecs)
+    a = stream(8, "wd").standard_normal((d, d))
+    return {"identity": GaussianLaw(mean=mean),
+            "spiked": GaussianLaw.with_spiked(sp, mean),
+            "dense": dense_law(mean, a @ a.T / d + 0.5 * np.eye(d))}
+
+
+@pytest.mark.parametrize("kind", ["identity", "spiked", "dense"])
+def test_log_ratio_to_standard_matches_densities(kind):
+    # The whitened formula 1/2 (log|Sigma| + |z|^2 - |x|^2) against the
+    # density oracle, for every covariance representation.
+    d = 7
+    law = whitened_laws(d)[kind]
+    z = stream(8, "wz", kind).standard_normal((300, d))
+    x = sample(law, z)
+    want = log_density(GaussianLaw.identity(d), x) - log_density(law, x)
+    assert np.max(np.abs(log_ratio_to_standard(law, x, z) - want)) < 1e-10
+
+
+def test_log_ratio_to_standard_rejects_mismatched_draws():
+    law = GaussianLaw.identity(3)
+    with pytest.raises(ValueError):
+        log_ratio_to_standard(law, np.zeros((4, 3)), np.zeros((5, 3)))
+
+
+@pytest.mark.parametrize("kind", ["identity", "spiked", "dense"])
+def test_sample_leaves_draws_unchanged(kind):
+    law = whitened_laws(5)[kind]
+    z = stream(8, "keep").standard_normal((50, 5))
+    before = z.copy()
+    x = sample(law, z)
+    assert np.array_equal(z, before)
+    assert not np.shares_memory(x, z)
+
+
+def test_sample_bytes_match_rank_update_formula():
+    # Spiked and identity draws are z + update + mean, in that order, so a
+    # seed gives the same points as the formula written out.
+    law = whitened_laws(6)["spiked"]
+    sp = law.spiked
+    z = stream(8, "bytes").standard_normal((40, 6))
+    coords = z @ sp.directions.T
+    want = z + (coords * (np.sqrt(sp.lambdas) - 1.0)) @ sp.directions
+    assert np.array_equal(sample(law, z), want + law.mean)
+    ident = whitened_laws(6)["identity"]
+    assert np.array_equal(sample(ident, z), z + ident.mean)
 
 
 # ---------------------------------------------------------------- proj_r

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 from ce_spectra import numerics
 from ce_spectra.numerics import (
+    PIVOT_RTOL,
     DomainError,
     NotPositiveDefiniteError,
     NotSymmetricError,
@@ -233,6 +235,50 @@ def test_cholesky_matches_library():
     m = a @ a.T + 9 * np.eye(9)
     assert np.allclose(cholesky(m), np.linalg.cholesky(m), atol=1e-10)
 
+
+
+def test_cholesky_pivot_tolerance_beyond_lapack():
+    # Positive definite, so LAPACK factors it, but the second pivot is below
+    # PIVOT_RTOL times the mean diagonal.
+    m = np.diag([1.0, 1e-14])
+    _, info = lapack.dpotrf(m, lower=1)
+    assert info == 0
+    with pytest.raises(NotPositiveDefiniteError) as err:
+        cholesky(m)
+    assert err.value.pivot_index == 1
+    assert err.value.value == pytest.approx(1e-14, rel=1e-12)
+    assert err.value.tol == pytest.approx(PIVOT_RTOL * (1.0 + 1e-14) / 2.0, rel=1e-12)
+
+
+def loop_pivot_failure(m: np.ndarray) -> int | None:
+    """First pivot index at or below tolerance, by the textbook column loop."""
+    d = m.shape[0]
+    tol = PIVOT_RTOL * max(float(np.trace(m)), 0.0) / d
+    lower = np.zeros_like(m)
+    for j in range(d):
+        s = m[j, j] - lower[j, :j] @ lower[j, :j]
+        if not s > tol:
+            return j
+        lower[j, j] = math.sqrt(s)
+        lower[j + 1:, j] = (m[j + 1:, j] - lower[j + 1:, :j] @ lower[j, :j]) / lower[j, j]
+    return None
+
+
+@given(st.integers(min_value=2, max_value=12), st.integers(min_value=0, max_value=10 ** 6))
+@settings(max_examples=50)
+def test_cholesky_fails_where_the_loop_fails(d, seed):
+    # Rank-deficient positive semidefinite matrices: the pivot after the
+    # rank is rounding noise, far below tolerance, for both factorizations.
+    rng = stream(seed, "numerics", "rank")
+    rank = int(rng.integers(1, d))
+    b = rng.standard_normal((d, rank))
+    m = b @ b.T
+    m = 0.5 * (m + m.T)
+    want = loop_pivot_failure(m)
+    assert want == rank
+    with pytest.raises(NotPositiveDefiniteError) as err:
+        cholesky(m)
+    assert err.value.pivot_index == want
 
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=10 ** 6))
 @settings(max_examples=100)

@@ -43,8 +43,8 @@ def test_alignment_geometry():
 
 def test_alignment_unit_lambda_is_monte_carlo():
     _, cov = build_alignment("slab", "v_in_u", 1.0, 4)
-    x = sample(GaussianLaw.with_spiked(cov), 64, stream(0, "pl", "mc"))
-    y = sample(GaussianLaw.identity(4), 64, stream(0, "pl", "mc"))
+    x = sample(GaussianLaw.with_spiked(cov), stream(0, "pl", "mc").standard_normal((64, 4)))
+    y = sample(GaussianLaw.identity(4), stream(0, "pl", "mc").standard_normal((64, 4)))
     assert np.array_equal(x, y)
 
 
