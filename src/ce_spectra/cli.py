@@ -214,14 +214,24 @@ def run_table1(cfg: ExperimentConfig) -> dict:
 def run_phase(cfg: ExperimentConfig) -> dict:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    sweeps = [(sweep_cfg, []) for sweep_cfg in sweep_configs(cfg)]
+    configs = sweep_configs(cfg)
+    # The cells of every kappa branch go through one map_cells call, so a
+    # pool starts once per command; each cell carries its branch's config.
+    # Rows come back in cell order, so each branch owns a contiguous run.
+    per_branch = [sweep_cells(sweep_cfg) for sweep_cfg in configs]
+    cells = [cell for branch in per_branch for cell in branch]
+    rows: list = []
     try:
-        for sweep_cfg, rows in sweeps:
-            for row in map_cells(sweep_cell, sweep_cells(sweep_cfg), cfg.workers):
-                rows.append(row)
+        for row in map_cells(sweep_cell, cells, cfg.workers):
+            rows.append(row)
     finally:
-        summary = _write_phase_outputs(
-            out, cfg, [SweepResult(config=c, rows=tuple(rows)) for c, rows in sweeps])
+        sweeps = []
+        start = 0
+        for sweep_cfg, branch in zip(configs, per_branch):
+            sweeps.append(SweepResult(config=sweep_cfg,
+                                      rows=tuple(rows[start:start + len(branch)])))
+            start += len(branch)
+        summary = _write_phase_outputs(out, cfg, sweeps)
     return summary
 
 

@@ -66,6 +66,20 @@ def quantile_threshold(scores: np.ndarray, rho: float) -> float:
     return float(np.partition(scores, k - 1)[k - 1])
 
 
+def _weighted_gram(points: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """sum_i a_i x_i x_i^T for nonnegative weights a, formed as B^T B.
+
+    B holds the rows scaled by sqrt(a_i). NumPy sends the product of a
+    matrix with its own transpose (same buffer, transposed view) to BLAS
+    syrk, which computes one triangle and mirrors it: half the flops of a
+    general product, and an exactly symmetric result. That exactness is
+    NumPy's dispatch, not a documented guarantee; the tests pin it at the
+    shapes the estimators see, and the eigen routines symmetrize anyway.
+    """
+    b = points * np.sqrt(a)[:, None]
+    return b.T @ b
+
+
 def _log_weight_moments(points: np.ndarray, log_w: np.ndarray, n: int):
     """Self-normalized weighted mean and covariance from log weights.
 
@@ -79,11 +93,8 @@ def _log_weight_moments(points: np.ndarray, log_w: np.ndarray, n: int):
         raise DegenerateSampleError("all weights are zero")
     a = np.exp(log_w - peak)
     total = float(np.sum(a))
-    c = a / total
-    mu = c @ points
-    second = (points * c[:, None]).T @ points
-    sigma = second - np.outer(mu, mu)
-    sigma = 0.5 * (sigma + sigma.T)
+    mu = (a / total) @ points
+    sigma = _weighted_gram(points, a) / total - np.outer(mu, mu)
     mean_weight = numerics.exp_saturated(peak) * total / n
     return mu, sigma, mean_weight
 
@@ -129,7 +140,9 @@ def sigma_a_estimator(sample: WeightedSample, p: float, mu: np.ndarray) -> np.nd
         Sigma-hat_A = (1/(n p)) sum l_i xi_i X_i X_i^T - mu mu^T.
 
     No self-normalization: the scale is the true probability, which is what
-    exposes the sample-size phase transition.
+    exposes the sample-size phase transition. Rows outside the set weigh
+    exactly 0, so the sum runs over the hit rows alone; n stays the full
+    batch size. The result is exactly symmetric.
     """
     if sample.size == 0:
         raise DegenerateSampleError("empty sample")
@@ -139,15 +152,14 @@ def sigma_a_estimator(sample: WeightedSample, p: float, mu: np.ndarray) -> np.nd
     d = sample.dim
     if mu.shape != (d,):
         raise ValueError(f"mu must have shape ({d},)")
-    out = -np.outer(mu, mu)
-    if np.any(sample.indicators):
-        lw = np.where(sample.indicators, sample.log_ratios, -np.inf)
-        peak = float(np.max(lw))
-        a = np.exp(lw - peak)
-        scale = numerics.exp_saturated(peak) / (sample.size * p)
-        second = scale * ((sample.points * a[:, None]).T @ sample.points)
-        out = out + second
-    return 0.5 * (out + out.T)
+    ind = sample.indicators
+    if not np.any(ind):
+        return -np.outer(mu, mu)
+    lw = sample.log_ratios[ind]
+    peak = float(np.max(lw))
+    scale = numerics.exp_saturated(peak) / (sample.size * p)
+    second = _weighted_gram(sample.points[ind], np.exp(lw - peak))
+    return scale * second - np.outer(mu, mu)
 
 
 def ice_delta(sample: WeightedSample, bandwidth: float) -> float:

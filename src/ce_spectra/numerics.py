@@ -98,12 +98,18 @@ def gamma_inverse_cdf(u, shape: float, scale: float):
 
 
 def require_symmetric(m) -> np.ndarray:
-    """Validate a square, finite, symmetric matrix and return it as float64."""
+    """Validate a square, finite, symmetric matrix and return it as float64.
+
+    An exactly symmetric matrix passes on one comparison with its
+    transpose; only a near-symmetric one pays for the tolerance test.
+    """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSymmetricError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise NotSymmetricError("matrix has non-finite entries")
+    if np.array_equal(m, m.T):
+        return m
     scale = np.max(np.abs(m)) if m.size else 0.0
     if not np.allclose(m, m.T, rtol=SYM_RTOL, atol=SYM_RTOL * max(1.0, scale)):
         raise NotSymmetricError("matrix is not symmetric within tolerance")
@@ -144,6 +150,18 @@ def sym_eigen_extremes(m) -> EigenExtremes:
     )
 
 
+def sym_eigenvalues(m) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix, without eigenvectors.
+
+    Decomposes the symmetrized input, as ``sym_eigen_extremes`` does, so a
+    matrix that is symmetric only within ``SYM_RTOL`` gives the eigenvalues
+    of its symmetric part rather than of its lower triangle. An exactly
+    symmetric input is its own symmetric part, bit for bit.
+    """
+    m = require_symmetric(m)
+    return np.linalg.eigvalsh(0.5 * (m + m.T))
+
+
 def operator_norm_diff(a, b) -> float:
     """Spectral norm of the difference of two symmetric matrices."""
     a = require_symmetric(a)
@@ -151,7 +169,9 @@ def operator_norm_diff(a, b) -> float:
     if a.shape != b.shape:
         raise NotSymmetricError(f"shape mismatch: {a.shape} vs {b.shape}")
     d = a - b
-    w = np.linalg.eigvalsh(0.5 * (d + d.T))
+    # The symmetrized difference is exactly symmetric, so it passes the
+    # check even where the tolerances of a and b do not add up.
+    w = sym_eigenvalues(0.5 * (d + d.T))
     return float(max(abs(w[0]), abs(w[-1])))
 
 

@@ -154,13 +154,12 @@ def sweep_cell(cfg: SweepConfig, d: int, rep: int) -> SweepRow:
 
     analytic = state.analytic
     sigma_hat = sigma_a_estimator(ws, analytic.p, analytic.mu)
-    extremes = numerics.sym_eigen_extremes(sigma_hat)
     return SweepRow(
         d=d,
         rep=rep,
         n=n,
         op_error=numerics.operator_norm_diff(sigma_hat, analytic.sigma.dense()),
-        lambda_max_hat=extremes.lambda_max,
+        lambda_max_hat=float(numerics.sym_eigenvalues(sigma_hat)[-1]),
         max_weight=max_weight_statistic(ws, d, n),
         q_hat=float(np.mean(ws.indicators)),
     )

@@ -56,15 +56,15 @@ def test_setup_probe_builds_each_target(tmp_path, kind):
     probe.build_target(kind, write_cfg(tmp_path / f"{kind}.cfg", TINY[kind]))
 
 
-def traced_benchmark(tmp_path: Path, text: str) -> tuple[list[list], Path]:
-    """Run the benchmark command under bench/tracer.py; (spans, output dir)."""
-    cfg = write_cfg(tmp_path / "b.cfg", text)
+def traced_cli(tmp_path: Path, kind: str, text: str) -> tuple[list[list], Path]:
+    """Run one CLI command under bench/tracer.py; (spans, output dir)."""
+    cfg = write_cfg(tmp_path / f"{kind}.cfg", text)
     spans = tmp_path / "spans.json"
     out = tmp_path / "out"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, str(BENCH / "tracer.py"), str(spans), "--", "benchmark",
+        [sys.executable, str(BENCH / "tracer.py"), str(spans), "--", kind,
          "--config", cfg, "--workers", "1", "--out", str(out)],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -74,7 +74,7 @@ def traced_benchmark(tmp_path: Path, text: str) -> tuple[list[list], Path]:
 
 
 def test_traced_run_records_scheme_spans(tmp_path):
-    spans, _ = traced_benchmark(tmp_path, TINY["benchmark"])
+    spans, _ = traced_cli(tmp_path, "benchmark", TINY["benchmark"])
     names = {span[0] for span in spans}
     assert {"ce_schemes.run", "ce_schemes.bandwidth", "estimators.moments",
             "gauss_core.sample", "targets.score"} <= names
@@ -84,8 +84,8 @@ def test_traced_dense_run_decomposes_once_per_iteration(tmp_path):
     # Dense updates: every iteration that reaches the estimate decomposes it
     # once (recorded as a finite lambda_max_raw), and the next law reuses
     # those extremes instead of decomposing again.
-    spans, out = traced_benchmark(
-        tmp_path, "kind = benchmark\ntarget = lin\nscheme = ce\ndims = 5\nm = 200\n"
+    spans, out = traced_cli(
+        tmp_path, "benchmark", "kind = benchmark\ntarget = lin\nscheme = ce\ndims = 5\nm = 200\n"
                   "n = 200\nn_p = 100\nt_max = 3\nN = 2\n")
     names = [span[0] for span in spans]
     assert {"gauss_core.sample", "numerics.cholesky", "numerics.eigen"} <= set(names)
@@ -94,3 +94,16 @@ def test_traced_dense_run_decomposes_once_per_iteration(tmp_path):
     finite = sum(math.isfinite(float(row["lambda_max_raw"])) for row in rows)
     assert finite > 0
     assert names.count("numerics.eigen") == finite
+
+
+def test_traced_phase_cell_decomposes_once(tmp_path):
+    # A phase cell reports the operator-norm error and the top eigenvalue of
+    # its estimate. Both are eigenvalues only; the traced decomposition is
+    # the operator-norm call, and no cell pays for an eigenvector basis.
+    spans, _ = traced_cli(tmp_path, "phase", TINY["phase"])
+    names = {span[0] for span in spans}
+    assert {"phase_lab.sweep_cell", "estimators.moments", "numerics.eigen"} <= names
+    cells = [span[4] for span in spans if span[0] == "phase_lab.sweep_cell"]
+    assert len(cells) == 2 * 10
+    eigen = [span[4] for span in spans if span[0] == "numerics.eigen"]
+    assert sorted(eigen) == sorted(cells)

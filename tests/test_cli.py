@@ -319,6 +319,37 @@ output_dir = {out}
     assert not (out / "sweep.csv").exists()
 
 
+def test_cli_phase_maps_every_branch_at_once(tmp_path, monkeypatch):
+    # Both kappa branches go through one map_cells call (one pool per
+    # command); a cell failing in the second branch still leaves the first
+    # branch complete and the second one's finished cells on disk.
+    real_cell, real_map = cli.sweep_cell, cli.map_cells
+    cells, maps = [], []
+
+    def cell_fails(*args):
+        cells.append(args)
+        if len(cells) == 25:
+            raise RuntimeError("cell failed")
+        return real_cell(*args)
+
+    def counted_map(*args):
+        maps.append(args)
+        return real_map(*args)
+
+    monkeypatch.setattr(cli, "sweep_cell", cell_fails)
+    monkeypatch.setattr(cli, "map_cells", counted_map)
+    out = tmp_path / "partial"
+    cfg = write_cfg(tmp_path / "p.cfg", PHASE_BASE + "lambda1 = 0.5\nkappa = 1.5, 2.5\nN = 10\n"
+                                                     f"workers = 1\noutput_dir = {out}\n")
+    with pytest.raises(RuntimeError, match="cell failed"):
+        run_cli(["phase", "--config", cfg])
+    assert len(maps) == 1
+    first = (out / "sweep_1.csv").read_text().splitlines()[1:]
+    second = (out / "sweep_2.csv").read_text().splitlines()[1:]
+    assert len(first) == 20
+    assert [row.split(",")[:2] for row in second] == [["4", str(rep)] for rep in range(4)]
+
+
 def test_cli_gamma_outputs(tmp_path):
     out = tmp_path / "gamma"
     cfg = write_cfg(tmp_path / "g.cfg", GAMMA_TEMPLATE.format(workers=2, out=out))

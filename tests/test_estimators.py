@@ -203,6 +203,34 @@ def test_sigma_a_matches_direct_sum():
     assert np.allclose(got, 0.5 * (want + want.T), atol=1e-12)
 
 
+def test_sigma_a_reads_hit_rows_only():
+    # Rows outside the set weigh exactly 0, so their points must not reach
+    # the sum at all: neither a huge nor a NaN point changes a single byte.
+    rng = stream(3, "est", "sa_hits")
+    ws = make_sample(rng, n=400, d=3)
+    p, mu = 0.37, np.array([0.2, -0.1, 0.0])
+    got = sigma_a_estimator(ws, p, mu)
+    miss = ~ws.indicators
+    for value in (1e6, math.nan):
+        points = ws.points.copy()
+        points[miss] = ws.points[miss] * value
+        moved = WeightedSample(points, ws.log_ratios, ws.scores)
+        assert sigma_a_estimator(moved, p, mu).tobytes() == got.tobytes()
+    assert np.array_equal(got, got.T)
+
+
+@pytest.mark.parametrize("n,d,hit_rate", [(2000, 400, 0.5), (300, 400, 1 / 300)])
+def test_moments_exactly_symmetric_at_lab_shapes(n, d, hit_rate):
+    # The syrk kernel mirrors one triangle; pin that at the dimensions the
+    # phase lab uses, with half the rows hitting and with a single hit row.
+    rng = stream(3, "est", "sym", d, n)
+    ws = make_sample(rng, n=n, d=d, hit_rate=hit_rate)
+    got = sigma_a_estimator(ws, 0.3, np.zeros(d))
+    assert np.array_equal(got, got.T)
+    sigma = weighted_mean_cov(ws, 0.0).sigma_hat
+    assert np.array_equal(sigma, sigma.T)
+
+
 def test_sigma_a_no_hits_is_negative_outer():
     x = np.zeros((5, 2))
     ws = WeightedSample(x, np.zeros(5), -np.ones(5))

@@ -12,16 +12,19 @@ from scipy.linalg import lapack
 from ce_spectra import numerics
 from ce_spectra.numerics import (
     PIVOT_RTOL,
+    SYM_RTOL,
     DomainError,
     NotPositiveDefiniteError,
     NotSymmetricError,
     cholesky,
     gamma_inverse_cdf,
     operator_norm_diff,
+    require_symmetric,
     std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,
     sym_eigen_extremes,
+    sym_eigenvalues,
 )
 from ce_spectra.seeding import stream
 
@@ -195,6 +198,47 @@ def test_eigen_rejects_asymmetric():
         sym_eigen_extremes(np.ones((2, 3)))
     with pytest.raises(NotSymmetricError):
         sym_eigen_extremes(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_sym_eigenvalues_match_eigh():
+    rng = stream(2024, "numerics", "eigvals")
+    for d in (1, 5, 40):
+        m = random_symmetric(rng, d)
+        want = np.linalg.eigh(m)[0]
+        got = sym_eigenvalues(m)
+        assert got.shape == (d,)
+        assert np.all(np.diff(got) >= 0.0)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    # Symmetric only within SYM_RTOL: the eigenvalues of the symmetric part.
+    near = m.copy()
+    near[0, -1] += 0.5 * SYM_RTOL * np.max(np.abs(m))
+    sym = 0.5 * (near + near.T)
+    assert sym_eigenvalues(near).tobytes() == np.linalg.eigvalsh(sym).tobytes()
+
+
+def test_sym_eigenvalues_rejects_bad_input():
+    with pytest.raises(NotSymmetricError):
+        sym_eigenvalues(np.ones((2, 3)))
+    with pytest.raises(NotSymmetricError):
+        sym_eigenvalues(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+    with pytest.raises(NotSymmetricError):
+        sym_eigenvalues(np.array([[0.0, 1.0], [0.5, 0.0]]))
+
+
+def test_require_symmetric_tolerance():
+    rng = stream(2024, "numerics", "symcheck")
+    m = random_symmetric(rng, 6)
+    assert require_symmetric(m) is m
+    # Asymmetric within SYM_RTOL of the largest entry: still accepted.
+    scale = np.max(np.abs(m))
+    near = m.copy()
+    near[0, 1] += 0.5 * SYM_RTOL * scale
+    assert not np.array_equal(near, near.T)
+    assert require_symmetric(near) is near
+    far = m.copy()
+    far[0, 1] += 1e3 * SYM_RTOL * scale
+    with pytest.raises(NotSymmetricError):
+        require_symmetric(far)
 
 
 def test_operator_norm_diff_frozen():

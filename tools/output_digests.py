@@ -1,8 +1,10 @@
-"""Digest every output file the CLI writes for the frozen refactor configs.
+"""Digest every output file the CLI writes for the frozen refactor configs,
+and compare two such runs column by column.
 
 Usage:
 
     python3 tools/output_digests.py OUT_DIR [SEED ...]
+    python3 tools/output_digests.py --compare OLD_OUT_DIR NEW_OUT_DIR
 
 OUT_DIR must not exist yet. Writes the four workload configs of
 bench/run.py (through its ``WORKLOADS`` and ``write_config``) and the
@@ -14,11 +16,25 @@ under OUT_DIR. Runs each with the ``ce-spectra`` CLI from this checkout's
 two checkouts and diff the listings to check that a change leaves the
 output bytes alone; within one listing, the ``w1`` and ``w2`` files of a
 run must agree too.
+
+``--compare`` takes two OUT_DIRs this tool wrote, say in the parent
+checkout and in a changed one. It lists every file whose bytes differ. For
+every CSV it requires the same header, the same row count and equal values
+in the integer and flag columns (``FLAG_COLUMNS``), and it prints the
+largest relative change of each float column per workload and file name.
+It exits 1 on a missing file, an empty CSV, a row whose width differs
+from its header's, a header, row-count or flag difference, a float that
+turns finite or non-finite, or a ``w1`` file that differs from its ``w2``
+twin in either directory, with 2 when either directory holds no
+``runs/``, else 0.
+A change that moves output only by rounding passes and shows how far.
 """
 from __future__ import annotations
 
+import csv
 import hashlib
 import importlib.util
+import math
 import os
 import subprocess
 import sys
@@ -27,6 +43,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 WORKERS = (1, 2)
 DEFAULT_SEEDS = (1, 5)
+
+# CSV columns that must match exactly between two runs.
+FLAG_COLUMNS = ("rep", "t", "d", "n", "diverged", "converged", "iterations")
 
 # The reduced table1 grid of tests/test_cli.py::test_cli_table1_reduced_grid;
 # the seed comes from the command line.
@@ -47,9 +66,110 @@ def child_env() -> dict:
     return env
 
 
+def output_files(out: Path) -> dict[str, Path]:
+    runs = out / "runs"
+    return {p.relative_to(runs).as_posix(): p for p in sorted(runs.rglob("*")) if p.is_file()}
+
+
+def relative_change(old: float, new: float) -> float | None:
+    """|new - old| / |old|; None when a non-finite value appears, goes or
+    changes, which no relative size describes."""
+    if old == new or (math.isnan(old) and math.isnan(new)):
+        return 0.0
+    if not (math.isfinite(old) and math.isfinite(new)):
+        return None
+    if old == 0.0:
+        return math.inf
+    return abs(new - old) / abs(old)
+
+
+def ragged_rows(label: str, rows: list[list[str]]) -> list[str]:
+    """An empty file, or rows whose width differs from the header's."""
+    if not rows:
+        return [f"{label}: empty file"]
+    width = len(rows[0])
+    return [f"{label}: row {i} has {len(row)} fields, header {width}"
+            for i, row in enumerate(rows[1:], start=1) if len(row) != width]
+
+
+def compare_csv(rel: str, old: Path, new: Path, largest: dict) -> list[str]:
+    """Problems with one CSV pair; float changes go into largest[(workload,
+    file name, column)]."""
+    with open(old, newline="") as fh:
+        old_rows = list(csv.reader(fh))
+    with open(new, newline="") as fh:
+        new_rows = list(csv.reader(fh))
+    problems = ragged_rows(f"old {rel}", old_rows) + ragged_rows(f"new {rel}", new_rows)
+    if problems:
+        return problems
+    if old_rows[0] != new_rows[0]:
+        return [f"{rel}: header {old_rows[0]} -> {new_rows[0]}"]
+    if len(old_rows) != len(new_rows):
+        return [f"{rel}: {len(old_rows) - 1} rows -> {len(new_rows) - 1}"]
+    workload, name = rel.split("/")[0], rel.rsplit("/", 1)[-1]
+    for j, column in enumerate(old_rows[0]):
+        key = (workload, name, column)
+        if column not in FLAG_COLUMNS:
+            largest.setdefault(key, 0.0)
+        for i, (a, b) in enumerate(zip(old_rows[1:], new_rows[1:]), start=1):
+            if a[j] == b[j]:
+                continue
+            try:
+                change = relative_change(float(a[j]), float(b[j]))
+            except ValueError:
+                change = None
+            if column in FLAG_COLUMNS or change is None:
+                problems.append(f"{rel}: row {i} {column} {a[j]} -> {b[j]}")
+            else:
+                largest[key] = max(largest[key], change)
+    return problems
+
+
+def worker_mismatches(files: dict[str, Path]) -> list[str]:
+    """Files of a --workers 1 run whose --workers 2 twin has other bytes."""
+    out = []
+    for rel, path in files.items():
+        parts = rel.split("/")
+        if len(parts) > 2 and parts[2] == "w1":
+            twin = files.get("/".join(parts[:2] + ["w2"] + parts[3:]))
+            if twin is None or twin.read_bytes() != path.read_bytes():
+                out.append(rel)
+    return out
+
+
+def compare(old_dir: Path, new_dir: Path) -> int:
+    for out in (old_dir, new_dir):
+        if not (out / "runs").is_dir():
+            print(f"{out} holds no runs/ directory of this tool", file=sys.stderr)
+            return 2
+    old, new = output_files(old_dir), output_files(new_dir)
+    problems = [f"only in {old_dir}: {rel}" for rel in sorted(old.keys() - new.keys())]
+    problems += [f"only in {new_dir}: {rel}" for rel in sorted(new.keys() - old.keys())]
+    for label, files in (("old", old), ("new", new)):
+        problems += [f"{label}: w1 differs from w2: {rel}" for rel in worker_mismatches(files)]
+    largest: dict = {}
+    changed = 0
+    for rel in sorted(old.keys() & new.keys()):
+        if rel.endswith(".csv"):
+            problems += compare_csv(rel, old[rel], new[rel], largest)
+        if old[rel].read_bytes() != new[rel].read_bytes():
+            changed += 1
+            print(f"changed  {rel}")
+    print(f"{changed} of {len(old.keys() & new.keys())} common files changed")
+    for (workload, name, column), change in sorted(largest.items()):
+        print(f"max_rel  {workload:<16} {name:<12} {column:<16} {change:.3g}")
+    for problem in problems:
+        print(f"PROBLEM  {problem}", file=sys.stderr)
+    return 1 if problems else 0
+
+
 def main(argv: list[str]) -> int:
-    if not argv:
-        print("usage: python3 tools/output_digests.py OUT_DIR [SEED ...]", file=sys.stderr)
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(Path(argv[1]), Path(argv[2]))
+    if not argv or argv[0].startswith("--"):
+        print("usage: python3 tools/output_digests.py OUT_DIR [SEED ...]\n"
+              "       python3 tools/output_digests.py --compare OLD_OUT_DIR NEW_OUT_DIR",
+              file=sys.stderr)
         return 2
     out = Path(argv[0]).resolve()
     seeds = [int(s) for s in argv[1:]] or list(DEFAULT_SEEDS)
