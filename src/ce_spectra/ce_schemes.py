@@ -120,8 +120,14 @@ class RunResult:
     relative_error: float
     traces: tuple[IterationTrace, ...]
     converged: bool
-    iterations_used: int
-    diverged: bool
+
+    @property
+    def iterations_used(self) -> int:
+        return len(self.traces)
+
+    @property
+    def diverged(self) -> bool:
+        return bool(self.traces) and self.traces[-1].diverged
 
 
 def select_direction(extremes: numerics.EigenExtremes, mu_hat: np.ndarray,
@@ -146,7 +152,7 @@ def _next_law(est, cfg: SchemeConfig, extremes: numerics.EigenExtremes) -> Gauss
     """Build the next sampling law; exceptions signal divergence upstream."""
     if cfg.projected:
         v = select_direction(extremes, est.mu_hat, cfg.strategy)
-        spiked = proj_r(est.sigma_hat, v[None, :])
+        spiked = proj_r(est.sigma_hat, v)
         return GaussianLaw.with_spiked(spiked, mean=est.mu_hat)
     return GaussianLaw.dense(est.mu_hat, est.sigma_hat, extremes)
 
@@ -301,6 +307,5 @@ def run_scheme(cfg: SchemeConfig, target: LimitState,
     else:
         rel = math.nan
     return RunResult(p_hat=p_hat, relative_error=rel, traces=tuple(traces),
-                     converged=converged, iterations_used=len(traces),
-                     diverged=bool(traces) and traces[-1].diverged)
+                     converged=converged)
 

@@ -6,11 +6,12 @@ phase (dimension sweep of the known-truth covariance estimate), gamma
 CSV plus JSON summaries plus standalone SVG figures.
 
 Configs are parsed, validated and translated into library objects by
-``config``. Cells run through ``seeding.map_cells``, over a process pool
-when there is more than one worker. Every cell draws from a random stream
-keyed by (seed, kind, cell, rep), and results are merged in cell order, so
-output files are byte-identical for any worker count. Partial results are
-flushed if a run dies midway.
+``config``. All cells of a command run through one ``seeding.map_cells``
+call, over one process pool when there is more than one worker. Every cell
+draws from a random stream keyed by (seed, kind, cell, rep), and results are
+merged in cell order, so output files are byte-identical for any worker
+count. If a cell raises, every output file is still written, with the cells
+that finished.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error.
 """
@@ -84,25 +85,62 @@ def _quartiles(values: list[float]) -> dict:
     return {"q25": float(q25), "median": float(med), "q75": float(q75)}
 
 
-# ---------------------------------------------------------------- benchmark
+def _run_groups(fn, groups: list[list[tuple]], workers: int, write) -> None:
+    """Run fn over the cells of every group, then pass write the results.
 
-
-def run_benchmark_cell(target: LimitState, scheme_cfg: SchemeConfig, reps: int,
-                       workers: int, out_dir: Path) -> dict:
-    """Run one (target, scheme) cell and write its output files."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cells = [
-        (scheme_cfg, target, (scheme_cfg.seed, "benchmark", target.name,
-                              scheme_cfg.scheme, scheme_cfg.strategy, rep))
-        for rep in range(reps)
-    ]
-    results: list[RunResult] = []
+    All cells go through one map_cells call, so a pool starts once per
+    command. write gets one list of results per group, in group order. It is
+    called also when a cell raises: each group then holds the cells that
+    finished before the failure, and a group the failure never reached is
+    empty.
+    """
+    results: list = []
     try:
-        for res in map_cells(run_scheme, cells, workers):
+        for res in map_cells(fn, [cell for group in groups for cell in group], workers):
             results.append(res)
     finally:
-        summary = _write_benchmark_outputs(out_dir, results, target, scheme_cfg)
-    return summary
+        split, start = [], 0
+        for group in groups:
+            split.append(results[start:start + len(group)])
+            start += len(group)
+        write(split)
+
+
+# ---------------------------------------------------------------- benchmark, table1
+
+
+def run_scheme_grid(cfg: ExperimentConfig) -> None:
+    """benchmark writes its one cell to the output directory; table1 writes
+    each of its cells to a subdirectory and every cell's summary to the top
+    summary.json."""
+    out = Path(cfg.output_dir)
+    cells = scheme_cells(cfg)
+    table1 = cfg.kind == "table1"
+    dirs = [out / _cell_name(target, scheme_cfg) if table1 else out
+            for target, scheme_cfg in cells]
+    for cell_dir in dirs:
+        cell_dir.mkdir(parents=True, exist_ok=True)
+    groups = [
+        [(scheme_cfg, target, (scheme_cfg.seed, "benchmark", target.name,
+                               scheme_cfg.scheme, scheme_cfg.strategy, rep))
+         for rep in range(cfg.N)]
+        for target, scheme_cfg in cells
+    ]
+
+    def write(results: list[list[RunResult]]) -> None:
+        summaries = {cell_dir.name: _write_benchmark_outputs(cell_dir, res, target, scheme_cfg)
+                     for cell_dir, res, (target, scheme_cfg) in zip(dirs, results, cells)}
+        if table1:
+            write_json(out / "summary.json", summaries)
+
+    _run_groups(run_scheme, groups, cfg.workers, write)
+
+
+def _cell_name(target: LimitState, scheme_cfg: SchemeConfig) -> str:
+    name = f"{target.name}_{scheme_cfg.scheme}"
+    if scheme_cfg.strategy != "none":
+        name += f"_{scheme_cfg.strategy}"
+    return name
 
 
 def _write_benchmark_outputs(out: Path, results: list[RunResult], target: LimitState,
@@ -184,63 +222,26 @@ def _write_benchmark_figures(out: Path, results: list[RunResult]) -> None:
     (out / "spectrum.svg").write_text(svg.render([lo_panel, hi_panel]))
 
 
-def run_benchmark(cfg: ExperimentConfig) -> dict:
-    [(target, scheme_cfg)] = scheme_cells(cfg)
-    return run_benchmark_cell(target, scheme_cfg, cfg.N, cfg.workers, Path(cfg.output_dir))
-
-
-# ---------------------------------------------------------------- table1
-
-
-def run_table1(cfg: ExperimentConfig) -> dict:
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    summaries = {}
-    try:
-        for target, scheme_cfg in scheme_cells(cfg):
-            cell = f"{target.name}_{scheme_cfg.scheme}"
-            if scheme_cfg.strategy != "none":
-                cell += f"_{scheme_cfg.strategy}"
-            summaries[cell] = run_benchmark_cell(target, scheme_cfg, cfg.N, cfg.workers,
-                                                 out / cell)
-    finally:
-        write_json(out / "summary.json", summaries)
-    return summaries
-
-
 # ---------------------------------------------------------------- phase
 
 
-def run_phase(cfg: ExperimentConfig) -> dict:
+def run_phase(cfg: ExperimentConfig) -> None:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     configs = sweep_configs(cfg)
-    # The cells of every kappa branch go through one map_cells call, so a
-    # pool starts once per command; each cell carries its branch's config.
-    # Rows come back in cell order, so each branch owns a contiguous run.
-    per_branch = [sweep_cells(sweep_cfg) for sweep_cfg in configs]
-    cells = [cell for branch in per_branch for cell in branch]
-    rows: list = []
-    try:
-        for row in map_cells(sweep_cell, cells, cfg.workers):
-            rows.append(row)
-    finally:
-        sweeps = []
-        start = 0
-        for sweep_cfg, branch in zip(configs, per_branch):
-            sweeps.append(SweepResult(config=sweep_cfg,
-                                      rows=tuple(rows[start:start + len(branch)])))
-            start += len(branch)
-        summary = _write_phase_outputs(out, cfg, sweeps)
-    return summary
+
+    def write(rows: list[list]) -> None:
+        _write_phase_outputs(out, cfg, [SweepResult(config=sweep_cfg, rows=tuple(branch))
+                                        for sweep_cfg, branch in zip(configs, rows)])
+
+    _run_groups(sweep_cell, [sweep_cells(sweep_cfg) for sweep_cfg in configs],
+                cfg.workers, write)
 
 
 def _write_phase_outputs(out: Path, cfg: ExperimentConfig,
-                         sweeps: list[SweepResult]) -> dict:
+                         sweeps: list[SweepResult]) -> None:
     header = ["d", "rep", "n", "op_error", "lambda_max_hat", "max_weight", "q_hat"]
     single = len(sweeps) == 1
-    summary: dict = {"kind": "phase", "target": cfg.target, "alignment": cfg.alignment,
-                     "lambda1": cfg.lambda1, "branches": {}}
     err_panel = svg.Panel(title="median operator-norm error",
                           xlabel="dimension d", ylabel="op error", ylog=True)
     lam_panel = svg.Panel(title="median top eigenvalue of the estimate",
@@ -261,32 +262,21 @@ def _write_phase_outputs(out: Path, cfg: ExperimentConfig,
         err_panel.scatter(dims, med_err)
         lam_panel.line(dims, med_lam, label=label)
         lam_panel.scatter(dims, med_lam)
-        summary["branches"][f"kappa={kappa:g}"] = {
-            "file": name,
-            "median_op_error": dict(zip(map(str, dims), med_err)),
-            "median_lambda_max": dict(zip(map(str, dims), med_lam)),
-        }
     (out / "phase.svg").write_text(svg.render([err_panel, lam_panel]))
-    return summary
 
 
 # ---------------------------------------------------------------- gamma
 
 
-def run_gamma(cfg: ExperimentConfig) -> dict:
+def run_gamma(cfg: ExperimentConfig) -> None:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     cells = gamma_cell_args(cfg)
-    values: list[float] = []
-    try:
-        for v in map_cells(gamma_cell, cells, cfg.workers):
-            values.append(v)
-    finally:
-        summary = _finish_gamma(out, cfg, cells, values)
-    return summary
+    _run_groups(gamma_cell, [cells], cfg.workers,
+                lambda values: _write_gamma_outputs(out, cfg, cells, values[0]))
 
 
-def _finish_gamma(out: Path, cfg: ExperimentConfig, cells, values) -> dict:
+def _write_gamma_outputs(out: Path, cfg: ExperimentConfig, cells, values) -> None:
     rows = [(c[4], c[5], math.exp(v) if math.isfinite(v) else 0.0)
             for c, v in zip(cells, values)]
     write_csv(out / "gamma.csv", ["n", "rep", "max_weight"], rows)
@@ -308,7 +298,6 @@ def _finish_gamma(out: Path, cfg: ExperimentConfig, cells, values) -> dict:
         })
         _write_gamma_figure(out, rows, est)
     write_json(out / "gamma.json", summary)
-    return summary
 
 
 def _write_gamma_figure(out: Path, rows, est: GammaEstimate) -> None:
@@ -349,8 +338,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     overrides = {"seed": args.seed, "workers": args.workers, "output_dir": args.out}
-    runners = {"benchmark": run_benchmark, "phase": run_phase,
-               "gamma": run_gamma, "table1": run_table1}
+    runners = {"benchmark": run_scheme_grid, "phase": run_phase,
+               "gamma": run_gamma, "table1": run_scheme_grid}
     try:
         cfg = load_config(args.config, overrides=overrides, expected_kind=args.command)
         runners[args.command](cfg)

@@ -38,7 +38,8 @@ _LOG_2PI = 1.8378770664093454836
 
 
 class CollapsedEstimateError(ValueError):
-    """Every projected variance fell below the floor; the estimate is gone."""
+    """A projection is unusable: its variance fell below the floor, or it
+    has no direction to project onto."""
 
 
 @dataclass(frozen=True)
@@ -268,27 +269,17 @@ def log_ratio_to_standard(law: GaussianLaw, x: np.ndarray, z: np.ndarray) -> np.
     return 0.5 * (law.log_det + np.einsum("ij,ij->i", z, z) - np.einsum("ij,ij->i", x, x))
 
 
-def proj_r(sigma_hat: np.ndarray, directions: np.ndarray) -> SpikedCovariance:
-    """Project a dense covariance estimate onto given spike directions.
+def proj_r(sigma_hat: np.ndarray, v: np.ndarray) -> SpikedCovariance:
+    """Project a dense covariance estimate onto one unit spike direction v.
 
-    Returns I + sum_k (lambda_k - 1) v_k v_k^T with lambda_k the quadratic
-    form v_k^T sigma_hat v_k, identity on the orthogonal complement.
-    Variances below LAMBDA_FLOOR are clamped to it so a degenerating run
-    keeps sampling long enough to record its blow-up; when every variance
-    is below the floor the estimate is unusable and CollapsedEstimateError
-    is raised.
+    Returns I + (lambda - 1) v v^T with lambda the quadratic form
+    v^T sigma_hat v, identity on the orthogonal complement. A variance below
+    LAMBDA_FLOOR leaves no usable estimate and raises CollapsedEstimateError.
     """
     sigma_hat = numerics.require_symmetric(sigma_hat)
-    vecs = np.atleast_2d(np.asarray(directions, dtype=float))
-    gram = vecs @ vecs.T
-    if not np.allclose(gram, np.eye(vecs.shape[0]), atol=ORTHO_TOL):
-        raise ValueError("projection directions must be orthonormal")
-    lam = np.einsum("kd,de,ke->k", vecs, sigma_hat, vecs)
-    if np.all(lam < LAMBDA_FLOOR):
+    lam = np.einsum("d,de,e->", v, sigma_hat, v)
+    if lam < LAMBDA_FLOOR:
         raise CollapsedEstimateError(
-            f"all projected variances below floor {LAMBDA_FLOOR:.1e}: {lam}"
+            f"projected variance {lam:.6e} below floor {LAMBDA_FLOOR:.1e}"
         )
-    lam = np.maximum(lam, LAMBDA_FLOOR)
-    order = np.argsort(lam, kind="stable")
-    return SpikedCovariance(dim=sigma_hat.shape[0], lambdas=lam[order], directions=vecs[order])
-
+    return SpikedCovariance(dim=sigma_hat.shape[0], lambdas=lam, directions=v)

@@ -284,21 +284,18 @@ def _check_csv(path, header, int_cols, flag_cols):
 
 def test_10_invariant_suite(tmp_path):
     @_invariant_settings
-    @given(st.integers(0, 10**6), st.integers(2, 12), st.integers(1, 4))
-    def projection_round_trip(seed, d, r):
-        assume(r < d)
-        rng, v = _orthonormal_rows(seed, d, r)
-        lambdas = np.sort(rng.uniform(0.2, 5.0, r))
-        spiked = SpikedCovariance(dim=d, lambdas=lambdas, directions=v)
-        back = proj_r(spiked.dense(), v)
+    @given(st.integers(0, 10**6), st.integers(2, 12))
+    def projection_round_trip(seed, d):
+        rng, v = _orthonormal_rows(seed, d, 1)
+        spiked = SpikedCovariance(dim=d, lambdas=rng.uniform(0.2, 5.0, 1), directions=v)
+        back = proj_r(spiked.dense(), v[0])
         assert np.allclose(back.dense(), spiked.dense(), atol=1e-10)
 
     @_invariant_settings
-    @given(st.integers(0, 10**6), st.integers(2, 12), st.integers(1, 4))
-    def identity_is_fixed_point(seed, d, r):
-        assume(r < d)
-        _, v = _orthonormal_rows(seed, d, r)
-        back = proj_r(np.eye(d), v)
+    @given(st.integers(0, 10**6), st.integers(2, 12))
+    def identity_is_fixed_point(seed, d):
+        _, v = _orthonormal_rows(seed, d, 1)
+        back = proj_r(np.eye(d), v[0])
         assert np.allclose(back.dense(), np.eye(d), atol=1e-12)
         assert np.allclose(back.lambdas, 1.0)
 

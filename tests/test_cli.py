@@ -8,7 +8,14 @@ import pytest
 
 from ce_spectra import cli
 from ce_spectra.cli import main
-from ce_spectra.config import GAMMA_N_GRID, ConfigError, benchmark_sizes, load_config
+from ce_spectra.config import (
+    GAMMA_N_GRID,
+    TABLE1_CELLS,
+    TABLE1_TARGETS,
+    ConfigError,
+    benchmark_sizes,
+    load_config,
+)
 from ce_spectra.phase_lab import (
     SweepConfig,
     build_alignment,
@@ -198,6 +205,20 @@ output_dir = {out}
 """
 
 
+TABLE1_TEMPLATE = """
+kind = table1
+N = 1
+dims = 12
+m = 400
+n = 400
+n_p = 200
+t_max = 6
+seed = 5
+workers = {workers}
+output_dir = {out}
+"""
+
+
 TEMPLATES = {"benchmark": BENCH_TEMPLATE, "phase": PHASE_TEMPLATE, "gamma": GAMMA_TEMPLATE}
 
 
@@ -233,10 +254,15 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not strict JSON")
 
 
-@pytest.mark.parametrize("failing_call", [3, 1], ids=["third_cell", "first_cell"])
-def test_cli_flushes_finished_cells_when_a_cell_fails(tmp_path, monkeypatch, failing_call):
-    real = cli.run_scheme
-    calls = []
+@pytest.mark.parametrize("kind,failing_call", [("benchmark", 3), ("benchmark", 1),
+                                                ("table1", 3)],
+                         ids=["third_cell", "first_cell", "table1_third_cell"])
+def test_cli_flushes_finished_cells_when_a_cell_fails(tmp_path, monkeypatch, kind,
+                                                      failing_call):
+    # Every cell of the command goes through one map_cells call; when a cell
+    # raises, every output is still written with the repetitions that finished.
+    real, real_map = cli.run_scheme, cli.map_cells
+    calls, maps = [], []
 
     def cell_fails(*args, **kwargs):
         calls.append(args)
@@ -244,12 +270,33 @@ def test_cli_flushes_finished_cells_when_a_cell_fails(tmp_path, monkeypatch, fai
             raise RuntimeError("cell failed")
         return real(*args, **kwargs)
 
+    def counted_map(*args):
+        maps.append(args)
+        return real_map(*args)
+
     monkeypatch.setattr(cli, "run_scheme", cell_fails)
+    monkeypatch.setattr(cli, "map_cells", counted_map)
     out = tmp_path / "partial"
-    cfg = write_cfg(tmp_path / "f.cfg",
-                    BENCH_TEMPLATE.format(workers=1, out=out).replace("N = 2", "N = 4"))
+    if kind == "benchmark":
+        text = BENCH_TEMPLATE.format(workers=1, out=out).replace("N = 2", "N = 4")
+    else:
+        text = TABLE1_TEMPLATE.format(workers=1, out=out)
+    cfg = write_cfg(tmp_path / "f.cfg", text)
     with pytest.raises(RuntimeError, match="cell failed"):
-        run_cli(["benchmark", "--config", cfg])
+        run_cli([kind, "--config", cfg])
+    assert len(maps) == 1
+    if kind == "table1":
+        # N = 1: the first two cells finished, the third failed, and the
+        # other fifteen never started; all 18 are written.
+        cells = json.loads((out / "summary.json").read_text(),
+                           parse_constant=_reject_constant)
+        order = [f"{target}_{scheme}" + ("" if strategy == "none" else f"_{strategy}")
+                 for target in TABLE1_TARGETS for scheme, strategy in TABLE1_CELLS]
+        assert sorted(cells) == sorted(order)
+        assert [cells[name]["reps_completed"] for name in order] == [1, 1] + [0] * 16
+        for name in order:
+            assert (out / name / "runs.csv").exists(), name
+        return
     completed = failing_call - 1
     rows = (out / "runs.csv").read_text().splitlines()[1:]
     assert [row.split(",")[0] for row in rows] == [str(rep) for rep in range(completed)]
@@ -392,18 +439,7 @@ def test_cli_gamma_prediction_spike_off_the_slab(tmp_path):
 
 def test_cli_table1_reduced_grid(tmp_path):
     out = tmp_path / "t1"
-    cfg = write_cfg(tmp_path / "t.cfg", f"""
-kind = table1
-N = 1
-dims = 12
-m = 400
-n = 400
-n_p = 200
-t_max = 6
-seed = 5
-workers = 4
-output_dir = {out}
-""")
+    cfg = write_cfg(tmp_path / "t.cfg", TABLE1_TEMPLATE.format(workers=4, out=out))
     assert run_cli(["table1", "--config", cfg]) == 0
     cells = json.loads((out / "summary.json").read_text())
     assert len(cells) == 18

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lapack
 
@@ -27,6 +27,8 @@ from ce_spectra.numerics import (
     sym_eigenvalues,
 )
 from ce_spectra.seeding import stream
+
+EPS = np.finfo(float).eps
 
 # mpmath, 30 significant digits.
 PHI_TABLE = {
@@ -294,35 +296,89 @@ def test_cholesky_pivot_tolerance_beyond_lapack():
     assert err.value.tol == pytest.approx(PIVOT_RTOL * (1.0 + 1e-14) / 2.0, rel=1e-12)
 
 
-def loop_pivot_failure(m: np.ndarray) -> int | None:
-    """First pivot index at or below tolerance, by the textbook column loop."""
-    d = m.shape[0]
-    tol = PIVOT_RTOL * max(float(np.trace(m)), 0.0) / d
-    lower = np.zeros_like(m)
-    for j in range(d):
-        s = m[j, j] - lower[j, :j] @ lower[j, :j]
-        if not s > tol:
-            return j
-        lower[j, j] = math.sqrt(s)
-        lower[j + 1:, j] = (m[j + 1:, j] - lower[j + 1:, :j] @ lower[j, :j]) / lower[j, j]
-    return None
-
-
-@given(st.integers(min_value=2, max_value=12), st.integers(min_value=0, max_value=10 ** 6))
-@settings(max_examples=50)
-def test_cholesky_fails_where_the_loop_fails(d, seed):
-    # Rank-deficient positive semidefinite matrices: the pivot after the
-    # rank is rounding noise, far below tolerance, for both factorizations.
+def rank_deficient(d: int, seed: int) -> tuple[int, np.ndarray]:
+    """(rank, b b^T) for a Gaussian (d, rank) matrix b, 1 <= rank < d."""
     rng = stream(seed, "numerics", "rank")
     rank = int(rng.integers(1, d))
     b = rng.standard_normal((d, rank))
     m = b @ b.T
-    m = 0.5 * (m + m.T)
-    want = loop_pivot_failure(m)
-    assert want == rank
-    with pytest.raises(NotPositiveDefiniteError) as err:
+    return rank, 0.5 * (m + m.T)
+
+
+def first_unclear_pivot(m: np.ndarray) -> tuple[int, float, float, float]:
+    """(j, pivot, bound, tol) at the first pivot of the textbook column loop
+    that is not above tolerance by more than its rounding bound.
+
+    A computed Cholesky factor is the exact one of m + E with
+    |E| <= gamma_{d+1} |L| |L^T| (Higham, Thm 10.3), and |L| |L^T| is at most
+    r r^T with r = sqrt(diag m). Through the Schur complement, pivot j then
+    lies within gamma_{d+1} (r_j + |x| . r_{<j})^2 of m's exact pivot, where
+    x solves m_{<j,<j} x = m_{<j,j}. Any two factorizations, this loop and
+    LAPACK's ``dpotrf`` included, so agree on a pivot's side of the
+    tolerance unless it lies within twice that bound.
+    """
+    d = m.shape[0]
+    tol = PIVOT_RTOL * max(float(np.trace(m)), 0.0) / d
+    gamma = (d + 1) * EPS / (1.0 - (d + 1) * EPS)
+    r = np.sqrt(np.abs(np.diagonal(m)))
+    lower = np.zeros_like(m)
+    for j in range(d):
+        pivot = m[j, j] - lower[j, :j] @ lower[j, :j]
+        x = np.linalg.solve(m[:j, :j], m[:j, j]) if j else np.zeros(0)
+        bound = 2.0 * gamma * (r[j] + np.abs(x) @ r[:j]) ** 2
+        if not pivot > tol + bound:
+            return j, pivot, bound, tol
+        lower[j, j] = math.sqrt(pivot)
+        lower[j + 1:, j] = (m[j + 1:, j] - lower[j + 1:, :j] @ lower[j, :j]) / lower[j, j]
+    raise AssertionError("every pivot is clearly above tolerance")
+
+
+# (d, seed) of rank-deficient matrices whose pivot after the rank is
+# rounding noise that reaches PIVOT_RTOL: b's leading rank x rank block has
+# a condition number of 136 to 1600, and the noise grows with its square.
+# With the OpenBLAS that NumPy and SciPy bundle, the loop and ``cholesky``
+# stopped at different pivots (11, 41192: loop at 4, ``cholesky`` at 3;
+# 5, 1020: loop 3, ``cholesky`` 4), or ``cholesky`` accepted every pivot
+# (4, 640 and 5, 23). Both answers are within rounding.
+CHOLESKY_NOISE_CASES = [(11, 41192), (5, 1020), (4, 640), (5, 23)]
+
+
+@given(st.integers(min_value=2, max_value=12), st.integers(min_value=0, max_value=10 ** 6))
+@settings(max_examples=50)
+@example(11, 41192)
+@example(5, 1020)
+@example(4, 640)
+@example(5, 23)
+def test_cholesky_fails_where_the_loop_fails(d, seed):
+    # Rank-deficient positive semidefinite matrices: the pivot after the rank
+    # is rounding noise. Where the loop's pivot is below tolerance by more
+    # than its rounding bound, ``cholesky`` fails exactly there; within the
+    # bound either answer is right, but no pivot clearly above tolerance
+    # may fail.
+    rank, m = rank_deficient(d, seed)
+    j, pivot, bound, tol = first_unclear_pivot(m)
+    assert j <= rank
+    if pivot <= tol - bound:
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            cholesky(m)
+        assert err.value.pivot_index == j
+        return
+    try:
         cholesky(m)
-    assert err.value.pivot_index == want
+    except NotPositiveDefiniteError as err:
+        assert err.pivot_index >= j
+
+
+@pytest.mark.parametrize("d,seed", CHOLESKY_NOISE_CASES)
+def test_cholesky_noise_cases_lie_within_rounding(d, seed):
+    # PIVOT_RTOL sits below the rounding noise of these inputs: the pivot
+    # after the rank is within its rounding bound of the tolerance.
+    rank, m = rank_deficient(d, seed)
+    j, pivot, bound, tol = first_unclear_pivot(m)
+    assert j == rank
+    assert tol - bound < pivot <= tol + bound
+    assert bound > tol
+
 
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=10 ** 6))
 @settings(max_examples=100)
