@@ -1,9 +1,9 @@
 """Plain-text experiment configuration: key=value lines, validated strictly.
 
 The key set is closed: an unknown key is an error, not a warning, so a
-typoed parameter cannot silently fall back to a default. Values are typed
-per key; lists are comma separated. Lines starting with # and inline
-#-comments are ignored.
+typoed parameter cannot silently fall back to a default, and so is a key
+the experiment kind does not read. Values are typed per key; lists are
+comma separated. Lines starting with # and inline #-comments are ignored.
 
 This module also translates a configuration into the library objects each
 experiment runs on (scheme configs and targets, sweep configs, gamma
@@ -32,6 +32,17 @@ _REQUIRED = {
     "phase": ("target", "alignment", "lambda1", "kappa", "dims"),
     "gamma": ("target", "alignment", "lambda1"),
     "table1": (),
+}
+# Scheme options a file may set; unset ones take SchemeConfig's defaults.
+# table1 fixes its own strategies, so it reads all but the first.
+_SCHEME_KEYS = ("strategy", "rho", "delta_target", "n_p", "t_max", "divergence_lambda_cap")
+_COMMON_KEYS = ("kind", "seed", "workers", "output_dir", "N")
+# The keys each kind reads; any other key is an error.
+_KEYS = {
+    "benchmark": _COMMON_KEYS + ("target", "scheme", "m", "n", "dims") + _SCHEME_KEYS,
+    "table1": _COMMON_KEYS + ("m", "n", "dims") + _SCHEME_KEYS[1:],
+    "phase": _COMMON_KEYS + ("target", "alignment", "lambda1", "kappa", "dims", "alpha"),
+    "gamma": _COMMON_KEYS + ("target", "alignment", "lambda1", "dims", "alpha"),
 }
 
 TABLE1_TARGETS = ("lin", "quad", "fin")
@@ -116,10 +127,6 @@ class ExperimentConfig:
     output_dir: str = "."
     divergence_lambda_cap: float | None = None
 
-    def __post_init__(self):
-        if self.workers <= 0:
-            self.workers = os.cpu_count() or 1
-
 
 def parse_file(path: str | Path) -> dict:
     """Read and type the raw key=value pairs; no cross-field checks yet."""
@@ -165,8 +172,14 @@ def load_config(path: str | Path, overrides: dict | None = None,
                 f"config kind {values['kind']!r} conflicts with command {expected_kind!r}"
             )
         values["kind"] = expected_kind
-    if "kind" not in values:
+    kind = values.get("kind")
+    if kind is None:
         raise ConfigError("missing required key 'kind'")
+    if kind not in KINDS:
+        raise ConfigError(f"unknown kind {kind!r}; expected one of {KINDS}")
+    unread = [k for k in values if k not in _KEYS[kind]]
+    if unread:
+        raise ConfigError(f"kind={kind} does not read keys: {', '.join(unread)}")
     cfg = ExperimentConfig(**values)
     _validate(cfg)
     return cfg
@@ -174,13 +187,9 @@ def load_config(path: str | Path, overrides: dict | None = None,
 
 def _validate(cfg: ExperimentConfig) -> None:
     """Rules no library type knows, then the library objects themselves."""
-    if cfg.kind not in KINDS:
-        raise ConfigError(f"unknown kind {cfg.kind!r}; expected one of {KINDS}")
     missing = [k for k in _REQUIRED[cfg.kind] if getattr(cfg, k) in (None, ())]
     if missing:
         raise ConfigError(f"kind={cfg.kind} requires keys: {', '.join(missing)}")
-    if cfg.kind == "table1" and (cfg.target, cfg.scheme, cfg.strategy) != (None,) * 3:
-        raise ConfigError("table1 fixes its own targets, schemes and strategies")
     if cfg.kind == "phase":
         if len(cfg.dims) < 2:
             raise ConfigError("phase needs an ascending dims grid with >= 2 entries")
@@ -192,6 +201,10 @@ def _validate(cfg: ExperimentConfig) -> None:
         cfg.N = 200 if cfg.kind in ("benchmark", "table1") else 30
     if cfg.N < 1:
         raise ConfigError(f"N must be positive, got {cfg.N}")
+    if cfg.workers < 0:
+        raise ConfigError(f"workers must be 0 (all cores) or positive, got {cfg.workers}")
+    if cfg.workers == 0:
+        cfg.workers = os.cpu_count() or 1
     try:
         _TRANSLATIONS[cfg.kind](cfg)
     except ValueError as exc:
@@ -207,10 +220,6 @@ def benchmark_sizes(cfg: ExperimentConfig) -> tuple[int, int, int]:
     n = cfg.n if cfg.n is not None else (10000 if cfg.target == "lin" else 5000)
     m = cfg.m if cfg.m is not None else n
     return d, m, n
-
-
-# Scheme options a file may set; unset ones take SchemeConfig's defaults.
-_SCHEME_KEYS = ("strategy", "rho", "delta_target", "n_p", "t_max", "divergence_lambda_cap")
 
 
 def scheme_cells(cfg: ExperimentConfig) -> list[tuple[LimitState, SchemeConfig]]:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.linalg.blas import dtrmm
+from scipy.linalg.blas import dgemm, dtrmm
 
 from . import numerics
 
@@ -212,23 +212,48 @@ def _batch(x: np.ndarray, d: int) -> np.ndarray:
 def sample(law: GaussianLaw, z: np.ndarray) -> np.ndarray:
     """Map a standard-normal (n, d) batch z to the law: mean + A z.
 
-    A is Sigma^{1/2} for spiked laws (O(n d r)) and the lower Cholesky factor
-    for dense ones (one triangular multiply). z is left unchanged; the
-    result is a new array.
+    A is Sigma^{1/2} for spiked laws and the lower Cholesky factor for dense
+    ones (one triangular multiply). z is left unchanged; the result is a new
+    array, and a zero mean is not added.
     """
     z = _batch(z, law.dim)
-    if law.spiked is not None:
-        sp = law.spiked
-        x = ((z @ sp.directions.T) * (np.sqrt(sp.lambdas) - 1.0)) @ sp.directions
-        x += z
-    elif law.dense_chol is not None:
+    if law.dense_chol is not None:
         # x^T = L z^T; z^T is Fortran-ordered, so BLAS copies nothing but the
         # output it writes.
         x = dtrmm(1.0, law.dense_chol, z.T, lower=1).T
     else:
-        return z + law.mean
-    x += law.mean
+        x = z.copy()
+        if law.spiked is not None:
+            _add_spike(x, z, law.spiked)
+    if law.mean.any():
+        x += law.mean
     return x
+
+
+def _add_spike(x: np.ndarray, z: np.ndarray, sp: SpikedCovariance) -> None:
+    """x += ((z V^T) * (sqrt(lambdas) - 1)) V in place, V = sp.directions.
+
+    When every direction has a single nonzero entry (an axis), the update
+    touches only those columns: two strided passes of n values each. Other
+    directions cost one O(n d r) coordinate product and one dgemm that adds
+    into x. Either way the bytes equal the product written out, for axis
+    entries of +-1.
+    """
+    vecs = sp.directions
+    scale = np.sqrt(sp.lambdas) - 1.0
+    # Orthonormal rows have a nonzero each, so rank nonzeros means one a row.
+    rows, cols = np.nonzero(vecs)
+    if rows.size == sp.rank:
+        for k, j in zip(rows, cols):
+            col = x[:, j]
+            np.multiply(z[:, j], scale[k] * vecs[k, j] * vecs[k, j], out=col)
+            col += z[:, j]
+        return
+    coords = z @ vecs.T
+    coords *= scale
+    # x^T += V^T coords^T: all three are Fortran-ordered views, so dgemm
+    # writes straight into x.
+    dgemm(1.0, vecs.T, coords.T, beta=1.0, c=x.T, overwrite_c=1)
 
 
 def log_density(law: GaussianLaw, x: np.ndarray) -> np.ndarray:
@@ -250,10 +275,20 @@ def log_likelihood_ratio(sigma: SpikedCovariance, x: np.ndarray) -> np.ndarray:
     """log of f/g for f standard normal and g zero-mean with covariance sigma.
 
     Depends on x only through the spike coordinates, so the cost is
-    O(n d r) with no dense algebra.
+    O(n d r) with no dense algebra. A rank-one ratio squares and scales its
+    one coordinate in place.
     """
-    coords = _batch(x, sigma.dim) @ sigma.directions.T
-    return 0.5 * (sigma.log_det() + coords * coords @ (1.0 / sigma.lambdas - 1.0))
+    x = _batch(x, sigma.dim)
+    if sigma.rank == 1:
+        quad = x @ sigma.directions[0]
+        np.square(quad, out=quad)
+        quad *= 1.0 / sigma.lambdas[0] - 1.0
+    else:
+        coords = x @ sigma.directions.T
+        quad = coords * coords @ (1.0 / sigma.lambdas - 1.0)
+    quad += sigma.log_det()
+    quad *= 0.5
+    return quad
 
 
 def log_ratio_to_standard(law: GaussianLaw, x: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 small workloads. Worker-count independence is asserted byte for byte."""
 import json
 import math
+import os
 from pathlib import Path
 
 import pytest
@@ -71,9 +72,25 @@ def test_parse_rejects_malformed_lines(tmp_path, line, fragment):
 def test_validation_per_kind(tmp_path):
     with pytest.raises(ConfigError, match="requires keys"):
         load_config(write_cfg(tmp_path / "a.cfg", "kind = benchmark\n"))
-    for key in ("target = lin", "scheme = ce", "strategy = mean"):
-        with pytest.raises(ConfigError, match="fixes its own"):
+    # Each kind rejects the keys it does not read, instead of ignoring them.
+    for key in ("target = lin", "scheme = ce", "strategy = mean", "alignment = v_in_u"):
+        with pytest.raises(ConfigError, match=f"kind=table1 does not read keys: {key.split()[0]}$"):
             load_config(write_cfg(tmp_path / "b.cfg", f"kind = table1\n{key}\n"))
+    for text, unread in (
+        (PHASE_BASE + "lambda1 = 0.5\nkappa = 2.0\nscheme = ce\nm = 7\nrho = 0.3\n",
+         "phase does not read keys: scheme, m, rho"),
+        ("kind = benchmark\ntarget = lin\nscheme = ce\n"
+         "kappa = 2.0\nlambda1 = 0.5\nalignment = v_in_u\n",
+         "benchmark does not read keys: kappa, lambda1, alignment"),
+        (GAMMA_BASE + "lambda1 = 0.5\nkappa = 2.0\nn = 1000\n",
+         "gamma does not read keys: kappa, n"),
+    ):
+        with pytest.raises(ConfigError, match=unread):
+            load_config(write_cfg(tmp_path / "k.cfg", text))
+    bench = write_cfg(tmp_path / "w.cfg", "kind = benchmark\ntarget = lin\nscheme = ce\n")
+    with pytest.raises(ConfigError, match="workers must be 0"):
+        load_config(bench, overrides={"workers": -4})
+    assert load_config(bench, overrides={"workers": 0}).workers == (os.cpu_count() or 1)
     with pytest.raises(ConfigError, match="dims grid"):
         load_config(write_cfg(
             tmp_path / "c.cfg",

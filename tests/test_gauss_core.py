@@ -213,6 +213,24 @@ def test_likelihood_ratio_depends_only_on_projections():
     assert log_likelihood_ratio(sp, x2) == pytest.approx(base, rel=1e-14)
 
 
+def test_rank_one_ratio_matches_squared_coordinate():
+    # Rank one squares and scales the coordinate x @ v in place; the bytes
+    # equal the formula written out, for an axis and a dense direction.
+    # Rank two keeps the product and still matches the density oracle.
+    d = 50
+    x = stream(6, "r1").standard_normal((500, d)) * 2.0
+    dense_v = random_orthonormal(stream(6, "r1v"), d, 1)
+    for sp in (spike(d, [0.4], [7]),
+               SpikedCovariance(dim=d, lambdas=[3.0], directions=dense_v)):
+        v, lam = sp.directions[0], sp.lambdas[0]
+        want = 0.5 * (sp.log_det() + (1.0 / lam - 1.0) * (x @ v) ** 2)
+        assert np.array_equal(log_likelihood_ratio(sp, x), want)
+    sp2 = spike(d, [0.4, 3.0], [7, 2])
+    want = (log_density(GaussianLaw.identity(d), x)
+            - log_density(GaussianLaw.with_spiked(sp2), x))
+    assert np.max(np.abs(log_likelihood_ratio(sp2, x) - want)) < 1e-10
+
+
 @pytest.mark.parametrize("lam", [0.6, 0.8])
 def test_likelihood_ratio_integrates_to_one(lam):
     # E_g[l] = 1; lam < 1 keeps the variance of l finite (needs lam > 1/2).
@@ -272,9 +290,12 @@ def test_log_ratio_to_standard_rejects_mismatched_draws():
         log_ratio_to_standard(law, np.zeros((4, 3)), np.zeros((5, 3)))
 
 
-@pytest.mark.parametrize("kind", ["identity", "spiked", "dense"])
+@pytest.mark.parametrize("kind", ["identity", "spiked", "axis", "dense"])
 def test_sample_leaves_draws_unchanged(kind):
-    law = whitened_laws(5)[kind]
+    if kind == "axis":
+        law = GaussianLaw.with_spiked(spike(5, [0.5, 2.0], [3, 1]), np.arange(5.0))
+    else:
+        law = whitened_laws(5)[kind]
     z = stream(8, "keep").standard_normal((50, 5))
     before = z.copy()
     x = sample(law, z)
@@ -284,14 +305,26 @@ def test_sample_leaves_draws_unchanged(kind):
 
 def test_sample_bytes_match_rank_update_formula():
     # Spiked and identity draws are z + update + mean, in that order, so a
-    # seed gives the same points as the formula written out.
-    law = whitened_laws(6)["spiked"]
-    sp = law.spiked
-    z = stream(8, "bytes").standard_normal((40, 6))
-    coords = z @ sp.directions.T
-    want = z + (coords * (np.sqrt(sp.lambdas) - 1.0)) @ sp.directions
-    assert np.array_equal(sample(law, z), want + law.mean)
+    # seed gives the same points as the formula written out. Axis-aligned
+    # spikes update their own columns, other directions go through dgemm;
+    # both must keep these bytes, with a zero mean and a nonzero one.
+    laws = [whitened_laws(6)["spiked"]]
+    for d in (2, 50):
+        for lambdas, cols in (([0.5], [1]), ([0.3, 4.0], [d - 1, 0])):
+            sp = spike(d, lambdas, cols)
+            laws += [GaussianLaw.with_spiked(sp),
+                     GaussianLaw.with_spiked(sp, np.linspace(-2.0, 1.0, d))]
+    dense_v = random_orthonormal(stream(8, "bytes-v"), 50, 1)
+    laws.append(GaussianLaw.with_spiked(
+        SpikedCovariance(dim=50, lambdas=[0.7], directions=dense_v), np.full(50, 0.25)))
+    for law in laws:
+        sp = law.spiked
+        z = stream(8, "bytes", law.dim).standard_normal((40, law.dim))
+        coords = z @ sp.directions.T
+        want = z + (coords * (np.sqrt(sp.lambdas) - 1.0)) @ sp.directions
+        assert np.array_equal(sample(law, z), want + law.mean)
     ident = whitened_laws(6)["identity"]
+    z = stream(8, "bytes").standard_normal((40, 6))
     assert np.array_equal(sample(ident, z), z + ident.mean)
 
 
