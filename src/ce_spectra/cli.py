@@ -31,6 +31,7 @@ from .config import (
     ConfigError,
     ExperimentConfig,
     gamma_cell_args,
+    lab_geometry,
     load_config,
     scheme_cells,
     sweep_configs,
@@ -41,7 +42,6 @@ from .phase_lab import (
     gamma_cell,
     gamma_fit,
     kappa_conjecture_report,
-    predicted_gamma_star,
     sweep_cell,
     sweep_cells,
 )
@@ -292,8 +292,7 @@ def _write_gamma_outputs(out: Path, cfg: ExperimentConfig, cells, values) -> Non
             "slope": est.slope,
             "intercept": est.intercept,
             "band": list(est.band),
-            "predicted_gamma_star": predicted_gamma_star(cfg.target, cfg.alignment,
-                                                         cfg.lambda1, cfg.alpha),
+            "predicted_gamma_star": lab_geometry(cfg).predicted_gamma_star(),
             "dropped_points": list(est.dropped),
         })
         _write_gamma_figure(out, rows, est)

@@ -18,7 +18,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .ce_schemes import SchemeConfig
-from .phase_lab import SweepConfig, build_alignment, gamma_cells, widened_alignment
+from .phase_lab import LabGeometry, SweepConfig, gamma_cells
+from .seeding import KEY_WORDS
 from .targets import TABLE_DIMS, LimitState, benchmark_target
 
 
@@ -195,12 +196,12 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ConfigError("phase needs an ascending dims grid with >= 2 entries")
     elif len(cfg.dims) > 1:
         raise ConfigError(f"{cfg.kind} takes at most one dimension in 'dims'")
-    if cfg.kind in ("phase", "gamma") and cfg.alpha is not None and cfg.target != "slab":
-        raise ConfigError("alpha applies to the slab target only")
     if cfg.N is None:
         cfg.N = 200 if cfg.kind in ("benchmark", "table1") else 30
     if cfg.N < 1:
         raise ConfigError(f"N must be positive, got {cfg.N}")
+    if not 0 <= cfg.seed < KEY_WORDS:
+        raise ConfigError(f"seed must lie in [0, 2^32), got {cfg.seed}")
     if cfg.workers < 0:
         raise ConfigError(f"workers must be 0 (all cores) or positive, got {cfg.workers}")
     if cfg.workers == 0:
@@ -238,23 +239,21 @@ def scheme_cells(cfg: ExperimentConfig) -> list[tuple[LimitState, SchemeConfig]]
     return cells
 
 
+def lab_geometry(cfg: ExperimentConfig) -> LabGeometry:
+    """The law of a phase or gamma config."""
+    return LabGeometry(cfg.target, cfg.alignment, cfg.lambda1, cfg.alpha)
+
+
 def sweep_configs(cfg: ExperimentConfig) -> list[SweepConfig]:
     """One sweep per kappa of a phase config."""
-    return [SweepConfig(target=cfg.target, alignment=cfg.alignment, lambda1=cfg.lambda1,
-                        kappa=kappa, dims=cfg.dims, reps=cfg.N, alpha=cfg.alpha,
-                        seed=cfg.seed)
-            for kappa in cfg.kappa]
+    geometry = lab_geometry(cfg)
+    return [SweepConfig(geometry, kappa, cfg.dims, cfg.N, cfg.seed) for kappa in cfg.kappa]
 
 
 def gamma_cell_args(cfg: ExperimentConfig) -> list[tuple]:
     """gamma_cell arguments of a gamma config over GAMMA_N_GRID x N."""
     d = cfg.dims[0] if cfg.dims else GAMMA_DEFAULT_DIM
-    _, cov = build_alignment(cfg.target, cfg.alignment, cfg.lambda1, d)
-
-    def state_at(n: int) -> LimitState:
-        return widened_alignment(cfg.target, cfg.alignment, cfg.lambda1, d, n, cfg.alpha)[0]
-
-    return gamma_cells(state_at, cov, GAMMA_N_GRID, cfg.N, cfg.seed)
+    return gamma_cells(lab_geometry(cfg), d, GAMMA_N_GRID, cfg.N, cfg.seed)
 
 
 _TRANSLATIONS = {"benchmark": scheme_cells, "table1": scheme_cells,

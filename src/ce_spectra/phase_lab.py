@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,11 +28,11 @@ from .gauss_core import (
     sample,
 )
 from .seeding import map_cells, stream
-from .targets import LimitState, check_lambda1, halfspace_target, prop_range_width, slab_target
+from .targets import LimitState, check_lab_law, halfspace_target, prop_range_width, slab_target
 
 ALIGNMENTS = ("v_in_u", "v_in_u_perp")
-TARGET_KINDS = ("slab", "halfspace")
-DEFAULT_WIDTHS = {"slab": 1.0, "halfspace": 0.0}
+# Target kind -> (builder, default width).
+_TARGETS = {"slab": (slab_target, 1.0), "halfspace": (halfspace_target, 0.0)}
 
 
 def check_reps(reps: int) -> None:
@@ -41,15 +41,65 @@ def check_reps(reps: int) -> None:
         raise ValueError(f"at least 10 repetitions required, got {reps}")
 
 
+def check_dim(d: int) -> None:
+    """The two alignments need a second axis for the orthogonal spike."""
+    if d < 2:
+        raise ValueError("alignment layouts need d >= 2")
+
+
 @dataclass(frozen=True)
-class SweepConfig:
+class LabGeometry:
+    """One phase-lab law: target kind, spike placement, spike variance and,
+    for a slab widening with n as prop_range_width, alpha. All four are
+    checked here, once; a cell can then be built at any d >= 2 and n >= 2.
+    """
+
     target: str
     alignment: str
     lambda1: float
+    alpha: float | None = None
+
+    def __post_init__(self):
+        if self.target not in _TARGETS:
+            raise ValueError(f"unknown target kind {self.target!r}")
+        if self.alignment not in ALIGNMENTS:
+            raise ValueError(f"unknown alignment {self.alignment!r}")
+        if self.alpha is not None and self.target != "slab":
+            raise ValueError("alpha applies to the slab target only")
+        check_lab_law(self.lambda1, self.alpha)
+
+    def at(self, d: int, n: int) -> tuple[LimitState, SpikedCovariance]:
+        """Target and sampling covariance of a cell of n samples in dimension d."""
+        width = None if self.alpha is None else prop_range_width(self.alpha, self.lambda1, n)
+        return self._layout(d, width)
+
+    def _layout(self, d: int, width: float | None) -> tuple[LimitState, SpikedCovariance]:
+        check_dim(d)
+        build, default_width = _TARGETS[self.target]
+        spike = np.zeros(d)
+        spike[0 if self.alignment == "v_in_u" else 1] = 1.0
+        cov = SpikedCovariance(dim=d, lambdas=np.array([self.lambda1]), directions=spike[None, :])
+        return build(d, default_width if width is None else width), cov
+
+    def predicted_gamma_star(self) -> float:
+        """Weight-growth exponent the max-weight regression should find.
+
+        The weight depends on the spike coordinate only. With the spike on a
+        slab's direction (v_in_u) a hit bounds it by the half-width: the
+        exponent is alpha (1 - lambda1), or 0 for a fixed slab. Every other
+        case gives 1 - lambda1. Both are 0 at lambda1 = 1, plain Monte Carlo.
+        """
+        if self.target == "slab" and self.alignment == "v_in_u":
+            return self.alpha * (1.0 - self.lambda1) if self.alpha is not None else 0.0
+        return 1.0 - self.lambda1
+
+
+@dataclass(frozen=True)
+class SweepConfig:
+    geometry: LabGeometry
     kappa: float
     dims: tuple[int, ...]
     reps: int
-    alpha: float | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -57,15 +107,10 @@ class SweepConfig:
             raise ValueError(f"kappa must be positive, got {self.kappa}")
         dims = tuple(int(d) for d in self.dims)
         object.__setattr__(self, "dims", dims)
-        if not dims:
-            raise ValueError("dims must be non-empty")
-        if any(b <= a for a, b in zip(dims, dims[1:])):
-            raise ValueError("dims must be strictly ascending")
+        if not dims or any(b <= a for a, b in zip(dims, dims[1:])):
+            raise ValueError("dims must be non-empty and strictly ascending")
+        check_dim(dims[0])
         check_reps(self.reps)
-        # Target, alignment, lambda1, alpha and d >= 2 are checked where they
-        # are used, by building the smallest cell's geometry.
-        widened_alignment(self.target, self.alignment, self.lambda1, dims[0],
-                          sample_size(dims[0], self.kappa), self.alpha)
 
 
 @dataclass(frozen=True)
@@ -101,36 +146,7 @@ def build_alignment(target: str, alignment: str, lambda1: float, d: int,
     (v_in_u) or e_2 (v_in_u_perp) with variance lambda1. lambda1 = 1 makes
     the sampling law the standard normal, the plain Monte Carlo case.
     """
-    if target not in TARGET_KINDS:
-        raise ValueError(f"unknown target kind {target!r}")
-    if alignment not in ALIGNMENTS:
-        raise ValueError(f"unknown alignment {alignment!r}")
-    check_lambda1(lambda1)
-    if d < 2:
-        raise ValueError("alignment layouts need d >= 2")
-    if width is None:
-        width = DEFAULT_WIDTHS[target]
-    if target == "slab":
-        state = slab_target(d, width)
-    else:
-        state = halfspace_target(d, width)
-    spike = np.zeros(d)
-    spike[0 if alignment == "v_in_u" else 1] = 1.0
-    cov = SpikedCovariance(dim=d, lambdas=np.array([lambda1]), directions=spike[None, :])
-    return state, cov
-
-
-def widened_alignment(target: str, alignment: str, lambda1: float, d: int, n: int,
-                      alpha: float | None = None) -> tuple[LimitState, SpikedCovariance]:
-    """build_alignment for a cell of n samples.
-
-    With alpha the slab half-width grows with n as prop_range_width; alpha
-    is ignored for the halfspace.
-    """
-    width = None
-    if target == "slab" and alpha is not None:
-        width = prop_range_width(alpha, lambda1, n)
-    return build_alignment(target, alignment, lambda1, d, width)
+    return LabGeometry(target, alignment, lambda1)._layout(d, width)
 
 
 def sample_size(d: int, kappa: float) -> int:
@@ -142,16 +158,21 @@ def sweep_cells(cfg: SweepConfig) -> list[tuple[SweepConfig, int, int]]:
     return [(cfg, d, rep) for d in cfg.dims for rep in range(cfg.reps)]
 
 
+def _weighted_draws(geometry: LabGeometry, d: int, n: int,
+                    rng: np.random.Generator) -> tuple[LimitState, WeightedSample]:
+    """The cell's target, and n draws of its sampling law from rng with their
+    log likelihood ratios and scores."""
+    state, cov = geometry.at(d, n)
+    x = sample(GaussianLaw.with_spiked(cov), rng.standard_normal((n, d)))
+    return state, WeightedSample(x, log_likelihood_ratio(cov, x), state(x))
+
+
 def sweep_cell(cfg: SweepConfig, d: int, rep: int) -> SweepRow:
     """One (dimension, repetition) cell; pure function of (cfg.seed, d, rep)."""
     n = sample_size(d, cfg.kappa)
-    state, cov = widened_alignment(cfg.target, cfg.alignment, cfg.lambda1, d, n, cfg.alpha)
-    rng = stream(cfg.seed, "phase", cfg.target, cfg.alignment, d, rep)
-
-    law = GaussianLaw.with_spiked(cov)
-    x = sample(law, rng.standard_normal((n, d)))
-    ws = WeightedSample(x, log_likelihood_ratio(cov, x), state(x))
-
+    geo = cfg.geometry
+    rng = stream(cfg.seed, "phase", geo.target, geo.alignment, d, rep)
+    state, ws = _weighted_draws(geo, d, n, rng)
     analytic = state.analytic
     sigma_hat = sigma_a_estimator(ws, analytic.p, analytic.mu)
     return SweepRow(
@@ -183,17 +204,14 @@ class GammaEstimate:
     dropped: tuple[int, ...]
 
 
-def gamma_cell(state: LimitState, g: SpikedCovariance, seed: int,
+def gamma_cell(geometry: LabGeometry, d: int, seed: int,
                grid_index: int, n: int, rep: int) -> float:
     """log max_i xi_i l_i for one (grid point, repetition) cell.
 
-    Pure function of (seed, grid_index, rep) given the geometry, so
+    Pure function of (seed, grid_index, rep) given the geometry and d, so
     estimate_gamma_star and the gamma command produce identical numbers.
     """
-    rng = stream(seed, "gamma", grid_index, rep)
-    law = GaussianLaw.with_spiked(g)
-    x = sample(law, rng.standard_normal((n, g.dim)))
-    ws = WeightedSample(x, log_likelihood_ratio(g, x), state(x))
+    _, ws = _weighted_draws(geometry, d, n, stream(seed, "gamma", grid_index, rep))
     return log_max_hit_ratio(ws)
 
 
@@ -236,51 +254,29 @@ def gamma_fit(n_grid: Sequence[int], log_max: Sequence[Sequence[float]],
                          dropped=dropped)
 
 
-def gamma_cells(target: LimitState | Callable[[int], LimitState], g: SpikedCovariance,
-                n_grid: Sequence[int], reps: int, seed: int = 0) -> list[tuple]:
-    """gamma_cell arguments over n_grid x reps, grid-point major.
-
-    ``target`` is either a fixed limit state or a callable n -> limit state
-    for families whose geometry widens with the sample size.
-    """
+def gamma_cells(geometry: LabGeometry, d: int, n_grid: Sequence[int], reps: int,
+                seed: int = 0) -> list[tuple]:
+    """gamma_cell arguments over n_grid x reps, grid-point major."""
     n_grid = tuple(int(n) for n in n_grid)
-    if len(n_grid) < 2 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
-        raise ValueError("n_grid must be ascending with at least two points")
+    if len(n_grid) < 2 or n_grid[0] < 2 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
+        raise ValueError("n_grid must be ascending from n >= 2 with at least two points")
+    check_dim(d)
     check_reps(reps)
-    cells = []
-    for i, n in enumerate(n_grid):
-        state = target if isinstance(target, LimitState) else target(n)
-        cells += [(state, g, seed, i, n, rep) for rep in range(reps)]
-    return cells
+    return [(geometry, d, seed, i, n, rep) for i, n in enumerate(n_grid)
+            for rep in range(reps)]
 
 
-def estimate_gamma_star(target: LimitState | Callable[[int], LimitState],
-                        g: SpikedCovariance, n_grid: Sequence[int], reps: int,
+def estimate_gamma_star(geometry: LabGeometry, d: int, n_grid: Sequence[int], reps: int,
                         seed: int = 0) -> GammaEstimate:
     """Weight-growth exponent from the max-weight regression.
 
-    ``target`` is as in gamma_cells. The band is a 95% bootstrap interval
-    from resampling repetitions within each grid point.
+    The band is a 95% bootstrap interval from resampling repetitions within
+    each grid point.
     """
-    cells = gamma_cells(target, g, n_grid, reps, seed)
+    cells = gamma_cells(geometry, d, n_grid, reps, seed)
     values = list(map_cells(gamma_cell, cells, 1))
     log_max = [values[i:i + reps] for i in range(0, len(values), reps)]
     return gamma_fit(n_grid, log_max, seed=seed)
-
-
-def predicted_gamma_star(target: str, alignment: str, lambda1: float,
-                         alpha: float | None) -> float:
-    """Weight-growth exponent the max-weight regression should find.
-
-    The weight depends on the spike coordinate only. For a slab with the
-    spike inside its direction (v_in_u), a hit bounds that coordinate by the
-    half-width, so the exponent is alpha (1 - lambda1) when the half-width
-    grows as prop_range_width, and 0 for a fixed slab. Every other case
-    gives 1 - lambda1. Both are 0 at lambda1 = 1, plain Monte Carlo.
-    """
-    if target == "slab" and alignment == "v_in_u":
-        return alpha * (1.0 - lambda1) if alpha is not None else 0.0
-    return 1.0 - lambda1
 
 
 def kappa_conjecture_report(traces: Sequence) -> float:

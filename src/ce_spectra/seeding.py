@@ -15,14 +15,19 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-_MASK32 = 0xFFFFFFFF
+KEY_WORDS = 2 ** 32  # integer key components, the seed among them, are below this
 
 
 def key_word(part: int | str) -> int:
-    """Map one key component to a stable 32-bit word."""
+    """Map one key component to a stable 32-bit word: a string to its CRC-32,
+    an integer to itself. An integer outside [0, 2^32) is an error, not
+    masked, so two distinct seeds never share a stream."""
     if isinstance(part, str):
-        return zlib.crc32(part.encode("utf-8")) & _MASK32
-    return int(part) & _MASK32
+        return zlib.crc32(part.encode("utf-8"))
+    word = int(part)
+    if not 0 <= word < KEY_WORDS:
+        raise ValueError(f"integer key component must lie in [0, 2^32), got {word}")
+    return word
 
 
 def stream(*key: int | str) -> np.random.Generator:

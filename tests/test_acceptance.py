@@ -24,13 +24,8 @@ from ce_spectra.gauss_core import (
     log_likelihood_ratio,
     proj_r,
 )
-from ce_spectra.phase_lab import (
-    SweepConfig,
-    build_alignment,
-    estimate_gamma_star,
-    phase_sweep,
-)
-from ce_spectra.targets import benchmark_target, halfspace_target, prop_range_width, slab_target
+from ce_spectra.phase_lab import LabGeometry, SweepConfig, estimate_gamma_star, phase_sweep
+from ce_spectra.targets import benchmark_target, halfspace_target, slab_target
 
 # Frozen with mpmath at 50 digits: 1 - Phi(5).
 TAIL_5 = 2.8665157187919391167e-7
@@ -92,7 +87,7 @@ def test_03_conditional_moments_match_monte_carlo():
 
 
 def _sweep_medians(lambda1, kappa, attr, seed=1):
-    cfg = SweepConfig(target="halfspace", alignment="v_in_u_perp", lambda1=lambda1,
+    cfg = SweepConfig(LabGeometry("halfspace", "v_in_u_perp", lambda1),
                       kappa=kappa, dims=(20, 40, 80), reps=30, seed=seed)
     return phase_sweep(cfg).medians(attr)
 
@@ -115,20 +110,14 @@ def test_05_monte_carlo_error_decay():
 
 def test_06_weight_growth_exponent():
     d = 2
-
-    def growing(n):
-        width = prop_range_width(1.0, 0.5, n)
-        state, _ = build_alignment("slab", "v_in_u", 0.5, d, width=width)
-        return state
-
-    _, g = build_alignment("slab", "v_in_u", 0.5, d, width=1.0)
-    est = estimate_gamma_star(growing, g, GAMMA_GRID, reps=30, seed=1)
+    growing = LabGeometry("slab", "v_in_u", 0.5, alpha=1.0)
+    est = estimate_gamma_star(growing, d, GAMMA_GRID, reps=30, seed=1)
     assert abs(est.slope - 0.5) <= 0.1, est.slope
     assert est.band[0] <= est.slope <= est.band[1]
 
     # identical sampling and nominal laws on a fixed set: weights stay at 1
-    state, g_flat = build_alignment("slab", "v_in_u", 1.0, d, width=1.0)
-    flat = estimate_gamma_star(state, g_flat, GAMMA_GRID, reps=30, seed=1)
+    flat = estimate_gamma_star(LabGeometry("slab", "v_in_u", 1.0), d, GAMMA_GRID,
+                               reps=30, seed=1)
     assert abs(flat.slope) <= 0.05, flat.slope
 
 

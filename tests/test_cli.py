@@ -17,13 +17,7 @@ from ce_spectra.config import (
     benchmark_sizes,
     load_config,
 )
-from ce_spectra.phase_lab import (
-    SweepConfig,
-    build_alignment,
-    estimate_gamma_star,
-    phase_sweep,
-    widened_alignment,
-)
+from ce_spectra.phase_lab import LabGeometry, SweepConfig, estimate_gamma_star, phase_sweep
 
 
 def write_cfg(path: Path, text: str) -> str:
@@ -91,6 +85,11 @@ def test_validation_per_kind(tmp_path):
     with pytest.raises(ConfigError, match="workers must be 0"):
         load_config(bench, overrides={"workers": -4})
     assert load_config(bench, overrides={"workers": 0}).workers == (os.cpu_count() or 1)
+    # A seed outside [0, 2^32) would alias an in-range one in the streams.
+    for seed in (-1, 2 ** 32):
+        with pytest.raises(ConfigError, match=r"seed must lie in \[0, 2\^32\)"):
+            load_config(bench, overrides={"seed": seed})
+    assert load_config(bench, overrides={"seed": 2 ** 32 - 1}).seed == 2 ** 32 - 1
     with pytest.raises(ConfigError, match="dims grid"):
         load_config(write_cfg(
             tmp_path / "c.cfg",
@@ -111,6 +110,9 @@ def test_validation_per_kind(tmp_path):
         (phase.replace("halfspace", "lin") + "kappa = 2.0\n", "unknown target kind"),
         (gamma + "N = 3\n", "at least 10 repetitions"),
         (gamma + "alpha = 2.0\n", "alpha must lie"),
+        (phase + "kappa = 2.0\nalpha = 0.5\n", "alpha applies to the slab target only"),
+        (gamma.replace("slab", "halfspace") + "alpha = 0.5\n",
+         "alpha applies to the slab target only"),
         (GAMMA_BASE + "lambda1 = 1.5\n", "lambda1 must lie"),
         ("kind = benchmark\ntarget = quad\nscheme = ce\ndims = 1\n", "needs d >= 2"),
         ("kind = benchmark\ntarget = fin\nscheme = ce\ndims = 2\n", "needs d >= 3"),
@@ -260,7 +262,7 @@ def test_cli_phase_rows_match_library_sweep(tmp_path):
     assert run_cli(["phase", "--config", cfg]) == 0
     lines = (out / "sweep_1.csv").read_text().splitlines()[1:]
     got = [tuple(float(v) for v in line.split(",")) for line in lines]
-    res = phase_sweep(SweepConfig(target="halfspace", alignment="v_in_u_perp", lambda1=0.5,
+    res = phase_sweep(SweepConfig(LabGeometry("halfspace", "v_in_u_perp", 0.5),
                                   kappa=1.5, dims=(4, 8), reps=10, seed=3))
     want = [(r.d, r.rep, r.n, r.op_error, r.lambda_max_hat, r.max_weight, r.q_hat)
             for r in res.rows]
@@ -433,10 +435,8 @@ def test_cli_gamma_fit_matches_library_estimate(tmp_path):
     cfg = write_cfg(tmp_path / "g.cfg", GAMMA_TEMPLATE.format(workers=2, out=out))
     assert run_cli(["gamma", "--config", cfg]) == 0
     payload = json.loads((out / "gamma.json").read_text())
-    _, cov = build_alignment("slab", "v_in_u", 0.5, 2)
-    est = estimate_gamma_star(
-        lambda n: widened_alignment("slab", "v_in_u", 0.5, 2, n, 1.0)[0],
-        cov, GAMMA_N_GRID, reps=10, seed=11)
+    est = estimate_gamma_star(LabGeometry("slab", "v_in_u", 0.5, alpha=1.0), 2,
+                              GAMMA_N_GRID, reps=10, seed=11)
     assert payload["slope"] == est.slope
     assert payload["intercept"] == est.intercept
     assert payload["band"] == list(est.band)

@@ -26,7 +26,7 @@ from ce_spectra.numerics import (
     sym_eigen_extremes,
     sym_eigenvalues,
 )
-from ce_spectra.seeding import stream
+from ce_spectra.seeding import key_word, stream
 
 EPS = np.finfo(float).eps
 
@@ -407,3 +407,17 @@ def test_stream_reproducible_and_key_sensitive():
 def test_stream_rejects_empty_key():
     with pytest.raises(ValueError):
         stream()
+
+
+def test_stream_rejects_integer_key_outside_32_bits():
+    # Masking would alias -1 with 2^32 - 1 and 2^32 with 0; both edges of
+    # the range still draw.
+    for part in (-1, 2 ** 32):
+        with pytest.raises(ValueError, match=r"\[0, 2\^32\)"):
+            stream(part, "x")
+    assert key_word(0) == 0 and key_word(2 ** 32 - 1) == 2 ** 32 - 1
+    # In-range keys keep the draws they gave when integers were masked.
+    assert stream(2 ** 32 - 1, "x", 0).standard_normal(2).tolist() == [
+        -1.6270920357942937, -1.0061719624463867]
+    assert stream(0, "phase", "slab", 7).standard_normal(2).tolist() == [
+        0.20635644466931455, -0.21956312592735858]

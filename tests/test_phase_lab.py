@@ -7,6 +7,7 @@ import pytest
 
 from ce_spectra.gauss_core import GaussianLaw, sample
 from ce_spectra.phase_lab import (
+    LabGeometry,
     SweepConfig,
     build_alignment,
     estimate_gamma_star,
@@ -14,16 +15,15 @@ from ce_spectra.phase_lab import (
     gamma_fit,
     kappa_conjecture_report,
     phase_sweep,
-    predicted_gamma_star,
     sample_size,
     sweep_cell,
 )
 from ce_spectra.seeding import stream
-from ce_spectra.targets import slab_target
+from ce_spectra.targets import prop_range_width
 
 
 def sweep_config(**kw) -> SweepConfig:
-    base = dict(target="halfspace", alignment="v_in_u_perp", lambda1=0.5,
+    base = dict(geometry=LabGeometry("halfspace", "v_in_u_perp", 0.5),
                 kappa=2.0, dims=(5, 10), reps=10, seed=0)
     base.update(kw)
     return SweepConfig(**base)
@@ -57,6 +57,49 @@ def test_alignment_validation():
         build_alignment("slab", "v_in_u", 1.5, 4)
     with pytest.raises(ValueError):
         build_alignment("slab", "v_in_u", 0.5, 1)
+
+
+def test_geometry_validation():
+    with pytest.raises(ValueError, match="unknown target kind"):
+        LabGeometry("disk", "v_in_u", 0.5)
+    with pytest.raises(ValueError, match="unknown alignment"):
+        LabGeometry("slab", "diag", 0.5)
+    with pytest.raises(ValueError, match="lambda1 must lie"):
+        LabGeometry("slab", "v_in_u", 0.0)
+    with pytest.raises(ValueError, match="alpha must lie"):
+        LabGeometry("slab", "v_in_u", 0.5, alpha=1.5)
+    # alpha widens the slab only; on a halfspace it is rejected, not ignored,
+    # so neither pipeline can be built from such a geometry.
+    for build in (
+        lambda: LabGeometry("halfspace", "v_in_u_perp", 0.5, alpha=0.5),
+        lambda: sweep_config(geometry=LabGeometry("halfspace", "v_in_u_perp", 0.5, alpha=0.5)),
+        lambda: estimate_gamma_star(LabGeometry("halfspace", "v_in_u", 0.5, alpha=0.5), 2,
+                                    (100, 1000), reps=10),
+    ):
+        with pytest.raises(ValueError, match="alpha applies to the slab target only"):
+            build()
+    with pytest.raises(ValueError, match="d >= 2"):
+        LabGeometry("slab", "v_in_u", 0.5).at(1, 100)
+
+
+def test_geometry_cell_matches_build_alignment():
+    # With alpha, the cell of n samples is the slab of half-width
+    # prop_range_width(alpha, lambda1, n); without, the default layout.
+    for geometry, width in (
+        (LabGeometry("slab", "v_in_u", 0.7, alpha=0.5), prop_range_width(0.5, 0.7, 1000)),
+        (LabGeometry("slab", "v_in_u_perp", 0.7), None),
+        (LabGeometry("halfspace", "v_in_u", 0.7), None),
+    ):
+        state, cov = geometry.at(5, 1000)
+        want_state, want_cov = build_alignment(geometry.target, geometry.alignment,
+                                               geometry.lambda1, 5, width=width)
+        assert state.analytic.p == want_state.analytic.p
+        assert np.array_equal(state.analytic.mu, want_state.analytic.mu)
+        assert np.array_equal(state.analytic.sigma.dense(), want_state.analytic.sigma.dense())
+        x = stream(0, "pl", "geo").standard_normal((64, 5))
+        assert np.array_equal(state(x), want_state(x))
+        assert np.array_equal(cov.lambdas, want_cov.lambdas)
+        assert np.array_equal(cov.directions, want_cov.directions)
 
 
 def test_sweep_config_validation():
@@ -121,10 +164,10 @@ def test_convergent_regime_error_shrinks_with_dimension():
 
 
 def test_gamma_cell_deterministic_given_key():
-    state, cov = build_alignment("slab", "v_in_u", 0.5, 2)
-    a = gamma_cell(state, cov, 7, 0, 500, 1)
-    b = gamma_cell(state, cov, 7, 0, 500, 1)
-    c = gamma_cell(state, cov, 7, 1, 500, 1)
+    geometry = LabGeometry("slab", "v_in_u", 0.5)
+    a = gamma_cell(geometry, 2, 7, 0, 500, 1)
+    b = gamma_cell(geometry, 2, 7, 0, 500, 1)
+    c = gamma_cell(geometry, 2, 7, 1, 500, 1)
     assert a == b and a != c
     assert math.isfinite(a)
 
@@ -155,23 +198,15 @@ def test_gamma_fit_too_few_points():
 
 def test_estimate_gamma_star_monte_carlo_is_flat():
     # lambda1 = 1: weights are constant one, so the exponent is zero.
-    state, cov = build_alignment("slab", "v_in_u", 1.0, 2)
-    est = estimate_gamma_star(state, cov, (100, 1000, 10000), reps=10, seed=0)
+    est = estimate_gamma_star(LabGeometry("slab", "v_in_u", 1.0), 2, (100, 1000, 10000),
+                              reps=10, seed=0)
     assert est.slope == pytest.approx(0.0, abs=1e-12)
 
 
 def test_estimate_gamma_star_slab_growth():
     # Slab with a width that scales with n: gamma* = alpha (1 - lambda1).
-    lam = 0.5
-
-    def family(n):
-        from ce_spectra.targets import prop_range_width
-
-        return slab_target(2, prop_range_width(1.0, lam, n))
-
-    _, cov = build_alignment("slab", "v_in_u", lam, 2)
-    est = estimate_gamma_star(family, cov, (1000, 10000, 100000, 1000000),
-                              reps=30, seed=2)
+    geometry = LabGeometry("slab", "v_in_u", 0.5, alpha=1.0)
+    est = estimate_gamma_star(geometry, 2, (1000, 10000, 100000, 1000000), reps=30, seed=2)
     assert est.slope == pytest.approx(0.5, abs=0.1)
     assert est.band[0] < est.slope < est.band[1]
 
@@ -179,27 +214,36 @@ def test_estimate_gamma_star_slab_growth():
 def test_predicted_gamma_star_branches():
     # Slab with the spike on its direction: the weight sees only the bounded
     # coordinate, so only a widening slab (alpha) lets it grow.
-    assert predicted_gamma_star("slab", "v_in_u", 0.5, 0.5) == 0.25
-    assert predicted_gamma_star("slab", "v_in_u", 0.5, None) == 0.0
+    def predicted(*args):
+        return LabGeometry(*args).predicted_gamma_star()
+
+    assert predicted("slab", "v_in_u", 0.5, 0.5) == 0.25
+    assert predicted("slab", "v_in_u", 0.5, None) == 0.0
     # Otherwise the unbounded spike coordinate gives 1 - lambda1.
-    assert predicted_gamma_star("slab", "v_in_u_perp", 0.5, 0.5) == 0.5
-    assert predicted_gamma_star("slab", "v_in_u_perp", 0.25, None) == 0.75
-    assert predicted_gamma_star("halfspace", "v_in_u", 0.5, None) == 0.5
-    assert predicted_gamma_star("halfspace", "v_in_u_perp", 0.5, None) == 0.5
+    assert predicted("slab", "v_in_u_perp", 0.5, 0.5) == 0.5
+    assert predicted("slab", "v_in_u_perp", 0.25, None) == 0.75
+    assert predicted("halfspace", "v_in_u", 0.5, None) == 0.5
+    assert predicted("halfspace", "v_in_u_perp", 0.5, None) == 0.5
     # Plain Monte Carlo.
     for target, alignment, alpha in (("slab", "v_in_u", 1.0), ("slab", "v_in_u_perp", None),
                                      ("halfspace", "v_in_u", None)):
-        assert predicted_gamma_star(target, alignment, 1.0, alpha) == 0.0
+        assert predicted(target, alignment, 1.0, alpha) == 0.0
 
 
 def test_estimate_gamma_star_validation():
-    state, cov = build_alignment("slab", "v_in_u", 0.5, 2)
+    geometry = LabGeometry("slab", "v_in_u", 0.5)
     with pytest.raises(ValueError):
-        estimate_gamma_star(state, cov, (100,), reps=10)
+        estimate_gamma_star(geometry, 2, (100,), reps=10)
     with pytest.raises(ValueError):
-        estimate_gamma_star(state, cov, (100, 100), reps=10)
+        estimate_gamma_star(geometry, 2, (100, 100), reps=10)
     with pytest.raises(ValueError):
-        estimate_gamma_star(state, cov, (100, 1000), reps=5)
+        estimate_gamma_star(geometry, 2, (100, 1000), reps=5)
+    # Checked when the cells are listed, before any draw: the widening slab
+    # needs n >= 2, and both alignments need d >= 2.
+    with pytest.raises(ValueError, match="n >= 2"):
+        estimate_gamma_star(geometry, 2, (1, 1000), reps=10)
+    with pytest.raises(ValueError, match="d >= 2"):
+        estimate_gamma_star(geometry, 1, (100, 1000), reps=10)
 
 
 # ------------------------------------------------------- kappa diagnostic

@@ -7,15 +7,15 @@ Usage:
     python3 tools/output_digests.py --compare OLD_OUT_DIR NEW_OUT_DIR
 
 OUT_DIR must not exist yet. Writes the four workload configs of
-bench/run.py (through its ``WORKLOADS`` and ``write_config``) and the
-reduced table1 config of the CLI test ``test_cli_table1_reduced_grid``
-under OUT_DIR. Runs each with the ``ce-spectra`` CLI from this checkout's
-``src/``, with BLAS pinned to one thread, at ``--workers 1`` and
-``--workers 2`` for every seed (default 1 and 5). Prints
-``sha256  relative/path`` for every output file, sorted by path. Run it in
-two checkouts and diff the listings to check that a change leaves the
-output bytes alone; within one listing, the ``w1`` and ``w2`` files of a
-run must agree too.
+bench/run.py (through its ``WORKLOADS`` and ``write_config``), the
+reduced table1 config of the CLI test ``test_cli_table1_reduced_grid`` and
+the two lab geometries of ``LAB_BRANCHES`` under OUT_DIR. Runs each with
+the ``ce-spectra`` CLI from this checkout's ``src/``, with BLAS pinned to
+one thread, at ``--workers 1`` and ``--workers 2`` for every seed
+(default 1 and 5). Prints ``sha256  relative/path`` for every output
+file, sorted by path. Run it in two checkouts and diff the listings to
+check that a change leaves the output bytes alone; within one listing,
+the ``w1`` and ``w2`` files of a run must agree too.
 
 ``--compare`` takes two OUT_DIRs this tool wrote, say in the parent
 checkout and in a changed one. It lists every file whose bytes differ. For
@@ -50,6 +50,17 @@ FLAG_COLUMNS = ("rep", "t", "d", "n", "diverged", "converged", "iterations")
 # The reduced table1 grid of tests/test_cli.py::test_cli_table1_reduced_grid;
 # the seed comes from the command line.
 TABLE1_REDUCED = {"N": 1, "dims": 12, "m": 400, "n": 400, "n_p": 200, "t_max": 6}
+
+# Lab geometries the workloads leave out: a widening slab with the spike on
+# its direction in phase, and a halfspace with the spike orthogonal to it in
+# gamma. The seed comes from the command line.
+LAB_BRANCHES = {
+    "phase_slab_alpha": ("phase", {"target": "slab", "alignment": "v_in_u", "alpha": 0.5,
+                                   "lambda1": 0.7, "kappa": "1.5, 2.5", "dims": "4, 8",
+                                   "N": 10}),
+    "gamma_halfspace_perp": ("gamma", {"target": "halfspace", "alignment": "v_in_u_perp",
+                                       "lambda1": 0.7, "dims": 3, "N": 10}),
+}
 
 
 def load_bench_run():
@@ -176,6 +187,7 @@ def main(argv: list[str]) -> int:
     bench = load_bench_run()
     configs = dict(bench.WORKLOADS)
     configs["table1_reduced"] = ("table1", TABLE1_REDUCED)
+    configs.update(LAB_BRANCHES)
 
     runs = out / "runs"
     (out / "configs").mkdir(parents=True)
