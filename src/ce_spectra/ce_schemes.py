@@ -47,7 +47,7 @@ from .gauss_core import (
     proj_r,
     sample,
 )
-from .seeding import stream
+from .seeding import check_seed, stream
 from .targets import LimitState
 
 SCHEMES = ("ce", "ce_proj", "ice", "ice_proj")
@@ -93,6 +93,7 @@ class SchemeConfig:
                 raise ValueError(f"{name} must be positive")
         if self.divergence_lambda_cap <= 0.0:
             raise ValueError("divergence_lambda_cap must be positive")
+        check_seed(self.seed)
 
     @property
     def projected(self) -> bool:

@@ -19,7 +19,6 @@ from pathlib import Path
 
 from .ce_schemes import SchemeConfig
 from .phase_lab import LabGeometry, SweepConfig, gamma_cells
-from .seeding import KEY_WORDS
 from .targets import TABLE_DIMS, LimitState, benchmark_target
 
 
@@ -200,8 +199,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         cfg.N = 200 if cfg.kind in ("benchmark", "table1") else 30
     if cfg.N < 1:
         raise ConfigError(f"N must be positive, got {cfg.N}")
-    if not 0 <= cfg.seed < KEY_WORDS:
-        raise ConfigError(f"seed must lie in [0, 2^32), got {cfg.seed}")
     if cfg.workers < 0:
         raise ConfigError(f"workers must be 0 (all cores) or positive, got {cfg.workers}")
     if cfg.workers == 0:

@@ -159,7 +159,9 @@ def sigma_a_estimator(sample: WeightedSample, p: float, mu: np.ndarray) -> np.nd
     peak = float(np.max(lw))
     scale = numerics.exp_saturated(peak) / (sample.size * p)
     second = _weighted_gram(sample.points[ind], np.exp(lw - peak))
-    return scale * second - np.outer(mu, mu)
+    second *= scale
+    second -= np.outer(mu, mu)
+    return second
 
 
 def ice_delta(sample: WeightedSample, bandwidth: float) -> float:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -27,10 +27,14 @@ from .gauss_core import (
     log_likelihood_ratio,
     sample,
 )
-from .seeding import map_cells, stream
+from .seeding import check_seed, map_cells, stream
 from .targets import LimitState, check_lab_law, halfspace_target, prop_range_width, slab_target
 
 ALIGNMENTS = ("v_in_u", "v_in_u_perp")
+# A lab cell draws, weighs and scores its n x d batch in row blocks of at
+# most this many values (4 MB a block array), so its memory is
+# O(BLOCK_VALUES + d^2) at any n.
+BLOCK_VALUES = 2 ** 19
 # Target kind -> (builder, default width).
 _TARGETS = {"slab": (slab_target, 1.0), "halfspace": (halfspace_target, 0.0)}
 
@@ -111,6 +115,7 @@ class SweepConfig:
             raise ValueError("dims must be non-empty and strictly ascending")
         check_dim(dims[0])
         check_reps(self.reps)
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -158,31 +163,54 @@ def sweep_cells(cfg: SweepConfig) -> list[tuple[SweepConfig, int, int]]:
     return [(cfg, d, rep) for d in cfg.dims for rep in range(cfg.reps)]
 
 
-def _weighted_draws(geometry: LabGeometry, d: int, n: int,
-                    rng: np.random.Generator) -> tuple[LimitState, WeightedSample]:
-    """The cell's target, and n draws of its sampling law from rng with their
-    log likelihood ratios and scores."""
-    state, cov = geometry.at(d, n)
-    x = sample(GaussianLaw.with_spiked(cov), rng.standard_normal((n, d)))
-    return state, WeightedSample(x, log_likelihood_ratio(cov, x), state(x))
+def _weighted_blocks(state: LimitState, cov: SpikedCovariance, n: int,
+                     rng: np.random.Generator) -> Iterator[WeightedSample]:
+    """n draws of the sampling law cov from rng, with their log likelihood
+    ratios and scores under state, in consecutive row blocks of at most
+    BLOCK_VALUES values (at least one row). Consecutive standard-normal
+    blocks from one generator are the bytes of one (n, d) draw, so the
+    blocks hold that draw's rows in order, whatever their size."""
+    law = GaussianLaw.with_spiked(cov)
+    rows = max(BLOCK_VALUES // cov.dim, 1)
+    for start in range(0, n, rows):
+        x = sample(law, rng.standard_normal((min(rows, n - start), cov.dim)))
+        yield WeightedSample(x, log_likelihood_ratio(cov, x), state(x))
 
 
 def sweep_cell(cfg: SweepConfig, d: int, rep: int) -> SweepRow:
-    """One (dimension, repetition) cell; pure function of (cfg.seed, d, rep)."""
+    """One (dimension, repetition) cell; pure function of (cfg.seed, d, rep).
+
+    Sigma-hat_A is linear in the sample, so the cell's estimate is the
+    size-weighted mean of its blocks' estimates (a one-block cell takes its
+    block's as is). The scaled peak weight is monotone in the peak, so its
+    maximum over blocks is the batch's exactly, as is the hit fraction.
+    """
     n = sample_size(d, cfg.kappa)
     geo = cfg.geometry
-    rng = stream(cfg.seed, "phase", geo.target, geo.alignment, d, rep)
-    state, ws = _weighted_draws(geo, d, n, rng)
+    state, cov = geo.at(d, n)
     analytic = state.analytic
-    sigma_hat = sigma_a_estimator(ws, analytic.p, analytic.mu)
+    rng = stream(cfg.seed, "phase", geo.target, geo.alignment, d, rep)
+    sigma_hat = None
+    max_weight = 0.0
+    hits = 0
+    for ws in _weighted_blocks(state, cov, n, rng):
+        part = sigma_a_estimator(ws, analytic.p, analytic.mu)
+        if ws.size < n:
+            part *= ws.size / n
+        if sigma_hat is None:
+            sigma_hat = part
+        else:
+            sigma_hat += part
+        max_weight = max(max_weight, max_weight_statistic(ws, d, n))
+        hits += int(np.count_nonzero(ws.indicators))
     return SweepRow(
         d=d,
         rep=rep,
         n=n,
         op_error=numerics.operator_norm_diff(sigma_hat, analytic.sigma.dense()),
         lambda_max_hat=float(numerics.sym_eigenvalues(sigma_hat)[-1]),
-        max_weight=max_weight_statistic(ws, d, n),
-        q_hat=float(np.mean(ws.indicators)),
+        max_weight=max_weight,
+        q_hat=hits / n,
     )
 
 
@@ -211,8 +239,9 @@ def gamma_cell(geometry: LabGeometry, d: int, seed: int,
     Pure function of (seed, grid_index, rep) given the geometry and d, so
     estimate_gamma_star and the gamma command produce identical numbers.
     """
-    _, ws = _weighted_draws(geometry, d, n, stream(seed, "gamma", grid_index, rep))
-    return log_max_hit_ratio(ws)
+    state, cov = geometry.at(d, n)
+    rng = stream(seed, "gamma", grid_index, rep)
+    return max(log_max_hit_ratio(ws) for ws in _weighted_blocks(state, cov, n, rng))
 
 
 def gamma_fit(n_grid: Sequence[int], log_max: Sequence[Sequence[float]],
@@ -262,6 +291,7 @@ def gamma_cells(geometry: LabGeometry, d: int, n_grid: Sequence[int], reps: int,
         raise ValueError("n_grid must be ascending from n >= 2 with at least two points")
     check_dim(d)
     check_reps(reps)
+    check_seed(seed)
     return [(geometry, d, seed, i, n, rep) for i, n in enumerate(n_grid)
             for rep in range(reps)]
 

@@ -30,6 +30,12 @@ def key_word(part: int | str) -> int:
     return word
 
 
+def check_seed(seed: int) -> None:
+    """A master seed is one integer key word, so it lies in [0, 2^32)."""
+    if not 0 <= seed < KEY_WORDS:
+        raise ValueError(f"seed must lie in [0, 2^32), got {seed}")
+
+
 def stream(*key: int | str) -> np.random.Generator:
     """Independent counter-based generator for the given key.
 

@@ -64,6 +64,14 @@ def test_config_validation():
     assert cfg_for("ice").smoothed and not cfg_for("ce").smoothed
 
 
+def test_config_rejects_seed_outside_key_range():
+    # Checked when the config is built, not when the first run draws.
+    for seed in (-1, 2 ** 32):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^32\)"):
+            cfg_for("ce", seed=seed)
+    assert cfg_for("ce", seed=2 ** 32 - 1).seed == 2 ** 32 - 1
+
+
 # -------------------------------------------------------- select_direction
 
 

@@ -1,10 +1,15 @@
 """Phase-transition laboratory: alignment layouts, sweep cells, and the
 weight-growth regression on problems with known exponents."""
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ce_spectra import phase_lab
 from ce_spectra.gauss_core import GaussianLaw, sample
 from ce_spectra.phase_lab import (
     LabGeometry,
@@ -12,6 +17,7 @@ from ce_spectra.phase_lab import (
     build_alignment,
     estimate_gamma_star,
     gamma_cell,
+    gamma_cells,
     gamma_fit,
     kappa_conjecture_report,
     phase_sweep,
@@ -111,6 +117,11 @@ def test_sweep_config_validation():
         sweep_config(reps=3)
     with pytest.raises(ValueError):
         sweep_config(kappa=0.0)
+    # A seed is one stream key word; checked here, not at the first draw.
+    for seed in (-1, 2 ** 32):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^32\)"):
+            sweep_config(seed=seed)
+    assert sweep_config(seed=2 ** 32 - 1).seed == 2 ** 32 - 1
 
 
 # --------------------------------------------------------------- sweeps
@@ -158,6 +169,104 @@ def test_convergent_regime_error_shrinks_with_dimension():
     res = phase_sweep(cfg)
     meds = res.medians("op_error")
     assert meds[25] < meds[5]
+
+
+# ------------------------------------------------------------ row blocks
+
+
+def test_consecutive_draw_blocks_are_one_draw():
+    # What streaming rests on: row blocks of any sizes, drawn one after
+    # another from one stream, are the bytes of one (n, d) draw.
+    n, d = 1000, 7
+    whole = stream(3, "pl", "blocks").standard_normal((n, d))
+    for rows in (3, 7, 64, 333, 999):
+        assert n % rows
+        rng = stream(3, "pl", "blocks")
+        parts = [rng.standard_normal((min(rows, n - s), d)) for s in range(0, n, rows)]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
+# Cells whose tiny blocks do not divide n: a halfspace with the spike
+# orthogonal to it, and a slab widening with n, its spike on the slab's axis.
+TINY_BLOCK_CELLS = (
+    (sweep_config(), 10, 70),
+    (sweep_config(geometry=LabGeometry("slab", "v_in_u", 0.7, alpha=0.5), kappa=2.5,
+                  dims=(6,)), 6, 30),
+)
+
+
+@pytest.mark.parametrize("cfg, d, values", TINY_BLOCK_CELLS)
+def test_tiny_blocks_keep_sweep_cell(monkeypatch, cfg, d, values):
+    whole = [sweep_cell(cfg, d, rep) for rep in range(cfg.reps)]
+    monkeypatch.setattr(phase_lab, "BLOCK_VALUES", values)
+    n = sample_size(d, cfg.kappa)
+    assert values // d < n and n % (values // d)
+    blocked = [sweep_cell(cfg, d, rep) for rep in range(cfg.reps)]
+    for one, many in zip(whole, blocked):
+        # Exact over blocks: the sample size, the peak weight, the hit fraction.
+        assert (one.n, one.max_weight, one.q_hat) == (many.n, many.max_weight, many.q_hat)
+        # The estimate sums the same terms in another order.
+        assert many.op_error == pytest.approx(one.op_error, rel=1e-12)
+        assert many.lambda_max_hat == pytest.approx(one.lambda_max_hat, rel=1e-12)
+    assert len({row.max_weight for row in blocked}) > 1
+
+
+def test_tiny_blocks_keep_gamma_cell(monkeypatch):
+    geometry = LabGeometry("slab", "v_in_u_perp", 0.5, alpha=1.0)
+    n_grid = (50, 302)
+    assert all(n % 7 for n in n_grid)
+    cells = [(geometry, 3, 7, i, n, rep) for i, n in enumerate(n_grid) for rep in range(4)]
+    whole = [gamma_cell(*cell) for cell in cells]
+    monkeypatch.setattr(phase_lab, "BLOCK_VALUES", 3 * 7)  # 7 rows a block
+    assert [gamma_cell(*cell) for cell in cells] == whole
+
+
+def test_tiny_blocks_keep_kappa_prefix(monkeypatch):
+    # The kappa branches of a phase run share a stream per (d, rep), so the
+    # smaller batch is the first rows of the larger one, in blocks or not.
+    geometry = LabGeometry("halfspace", "v_in_u_perp", 0.5)
+    d = 8
+    small, large = sample_size(d, 1.2), sample_size(d, 1.6)
+    assert (small, large) == (13, 28)
+
+    def rows(n):
+        state, cov = geometry.at(d, n)
+        blocks = list(phase_lab._weighted_blocks(state, cov, n, stream(1, "pl", "prefix")))
+        return blocks, np.concatenate([ws.points for ws in blocks])
+
+    _, whole = rows(large)
+    monkeypatch.setattr(phase_lab, "BLOCK_VALUES", 5 * d)
+    blocks, small_rows = rows(small)
+    assert [ws.size for ws in blocks] == [5, 5, 3]
+    _, large_rows = rows(large)
+    assert large_rows.tobytes() == whole.tobytes()
+    assert small_rows.tobytes() == large_rows[:small].tobytes()
+
+
+def test_sweep_cell_memory_is_bounded():
+    # d = 100, kappa = 2.8: n = 398 108 rows, 320 MB per (n, d) array if the
+    # batch were drawn whole. Streamed, the cell stays near the interpreter's
+    # own footprint.
+    measure = (
+        "import resource\n"
+        "from ce_spectra.phase_lab import LabGeometry, SweepConfig, sweep_cell\n"
+        "cfg = SweepConfig(LabGeometry('halfspace', 'v_in_u_perp', 0.5), 2.8, (100,), 10)\n"
+        "row = sweep_cell(cfg, 100, 0)\n"
+        "print(row.n, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    # A spawned process's ru_maxrss starts at its spawner's high-water mark
+    # (vfork shares the spawner's memory until exec), so the measured
+    # interpreter is started by a bare one rather than by the test runner.
+    launch = "import subprocess, sys; sys.exit(subprocess.call([sys.executable, '-c', sys.argv[1]]))"
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", launch, measure], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    n, peak_kb = (int(v) for v in proc.stdout.split())
+    assert n == 398_108
+    assert peak_kb < 200 * 1024
 
 
 # ---------------------------------------------------------------- gamma
@@ -244,6 +353,14 @@ def test_estimate_gamma_star_validation():
         estimate_gamma_star(geometry, 2, (1, 1000), reps=10)
     with pytest.raises(ValueError, match="d >= 2"):
         estimate_gamma_star(geometry, 1, (100, 1000), reps=10)
+
+
+def test_gamma_cells_reject_seed_outside_key_range():
+    geometry = LabGeometry("slab", "v_in_u", 0.5)
+    for seed in (-1, 2 ** 32):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^32\)"):
+            gamma_cells(geometry, 2, (100, 1000), 10, seed)
+    assert len(gamma_cells(geometry, 2, (100, 1000), 10, 2 ** 32 - 1)) == 20
 
 
 # ------------------------------------------------------- kappa diagnostic
