@@ -5,13 +5,14 @@ phase (dimension sweep of the known-truth covariance estimate), gamma
 (max-weight growth regression), table1 (the full benchmark grid). Output is
 CSV plus JSON summaries plus standalone SVG figures.
 
-Configs are parsed, validated and translated into library objects by
-``config``. All cells of a command run through one ``seeding.map_cells``
-call, over one process pool when there is more than one worker. Every cell
-draws from a random stream keyed by (seed, kind, cell, rep), and results are
-merged in cell order, so output files are byte-identical for any worker
-count. If a cell raises, every output file is still written, with the cells
-that finished.
+``config`` parses and validates a config and builds the command's cell
+groups, once. ``run`` makes the output directories, sends every cell of
+every group through one ``seeding.map_cells`` call, over one process pool
+when there is more than one worker, and hands the results to the writer of
+the command's kind. Every cell draws from a random stream keyed by (seed,
+kind, cell, rep), and results are merged in cell order, so output files are
+byte-identical for any worker count. If a cell raises, every output file is
+still written, with the cells that finished.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error.
 """
@@ -26,16 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .ce_schemes import RunResult, SchemeConfig, run_scheme
-from .config import (
-    GAMMA_N_GRID,
-    ConfigError,
-    ExperimentConfig,
-    gamma_cell_args,
-    lab_geometry,
-    load_config,
-    scheme_cells,
-    sweep_configs,
-)
+from .config import GAMMA_N_GRID, ConfigError, ExperimentConfig, load_config
 from .phase_lab import (
     GammaEstimate,
     SweepResult,
@@ -43,7 +35,6 @@ from .phase_lab import (
     gamma_fit,
     kappa_conjecture_report,
     sweep_cell,
-    sweep_cells,
 )
 from .seeding import map_cells
 from .targets import LimitState
@@ -85,66 +76,65 @@ def _quartiles(values: list[float]) -> dict:
     return {"q25": float(q25), "median": float(med), "q75": float(q75)}
 
 
-def _run_groups(fn, groups: list[list[tuple]], workers: int, write) -> None:
-    """Run fn over the cells of every group, then pass write the results.
+# ---------------------------------------------------------------- run
 
-    All cells go through one map_cells call, so a pool starts once per
-    command. write gets one list of results per group, in group order. It is
-    called also when a cell raises: each group then holds the cells that
-    finished before the failure, and a group the failure never reached is
-    empty.
+
+def run(cfg: ExperimentConfig) -> None:
+    """Run every cell of cfg.groups and write the command's outputs.
+
+    The output directories are made before the first cell. All cells go
+    through one map_cells call, so a pool starts once per command. The
+    writer gets one list of results per group, in group order. It is called
+    also when a cell raises: each group then holds the cells that finished
+    before the failure, and a group the failure never reached is empty.
     """
+    # Looked up here, not at import, so a test can replace a cell function.
+    cell, write = {"benchmark": (run_scheme, _write_scheme_grid),
+                   "table1": (run_scheme, _write_scheme_grid),
+                   "phase": (sweep_cell, _write_phase_outputs),
+                   "gamma": (gamma_cell, _write_gamma_outputs)}[cfg.kind]
+    out = Path(cfg.output_dir)
+    # One directory per group: table1 writes each cell to a subdirectory.
+    # A scheme group's cells share run_scheme's first two arguments.
+    dirs = [out / _cell_name(*group[0][:2]) if cfg.kind == "table1" else out
+            for group in cfg.groups]
+    for cell_dir in dirs:
+        cell_dir.mkdir(parents=True, exist_ok=True)
     results: list = []
     try:
-        for res in map_cells(fn, [cell for group in groups for cell in group], workers):
+        for res in map_cells(cell, [c for group in cfg.groups for c in group], cfg.workers):
             results.append(res)
     finally:
         split, start = [], 0
-        for group in groups:
+        for group in cfg.groups:
             split.append(results[start:start + len(group)])
             start += len(group)
-        write(split)
+        write(cfg, dirs, split)
 
 
 # ---------------------------------------------------------------- benchmark, table1
 
 
-def run_scheme_grid(cfg: ExperimentConfig) -> None:
+def _write_scheme_grid(cfg: ExperimentConfig, dirs: list[Path],
+                       results: list[list[RunResult]]) -> None:
     """benchmark writes its one cell to the output directory; table1 writes
     each of its cells to a subdirectory and every cell's summary to the top
     summary.json."""
-    out = Path(cfg.output_dir)
-    cells = scheme_cells(cfg)
-    table1 = cfg.kind == "table1"
-    dirs = [out / _cell_name(target, scheme_cfg) if table1 else out
-            for target, scheme_cfg in cells]
-    for cell_dir in dirs:
-        cell_dir.mkdir(parents=True, exist_ok=True)
-    groups = [
-        [(scheme_cfg, target, (scheme_cfg.seed, "benchmark", target.name,
-                               scheme_cfg.scheme, scheme_cfg.strategy, rep))
-         for rep in range(cfg.N)]
-        for target, scheme_cfg in cells
-    ]
-
-    def write(results: list[list[RunResult]]) -> None:
-        summaries = {cell_dir.name: _write_benchmark_outputs(cell_dir, res, target, scheme_cfg)
-                     for cell_dir, res, (target, scheme_cfg) in zip(dirs, results, cells)}
-        if table1:
-            write_json(out / "summary.json", summaries)
-
-    _run_groups(run_scheme, groups, cfg.workers, write)
+    summaries = {cell_dir.name: _write_benchmark_outputs(cell_dir, res, *group[0][:2])
+                 for cell_dir, res, group in zip(dirs, results, cfg.groups)}
+    if cfg.kind == "table1":
+        write_json(Path(cfg.output_dir) / "summary.json", summaries)
 
 
-def _cell_name(target: LimitState, scheme_cfg: SchemeConfig) -> str:
+def _cell_name(scheme_cfg: SchemeConfig, target: LimitState) -> str:
     name = f"{target.name}_{scheme_cfg.scheme}"
     if scheme_cfg.strategy != "none":
         name += f"_{scheme_cfg.strategy}"
     return name
 
 
-def _write_benchmark_outputs(out: Path, results: list[RunResult], target: LimitState,
-                             scheme_cfg: SchemeConfig) -> dict:
+def _write_benchmark_outputs(out: Path, results: list[RunResult], scheme_cfg: SchemeConfig,
+                             target: LimitState) -> dict:
     run_rows = []
     trace_rows = []
     for rep, res in enumerate(results):
@@ -225,21 +215,10 @@ def _write_benchmark_figures(out: Path, results: list[RunResult]) -> None:
 # ---------------------------------------------------------------- phase
 
 
-def run_phase(cfg: ExperimentConfig) -> None:
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    configs = sweep_configs(cfg)
-
-    def write(rows: list[list]) -> None:
-        _write_phase_outputs(out, cfg, [SweepResult(config=sweep_cfg, rows=tuple(branch))
-                                        for sweep_cfg, branch in zip(configs, rows)])
-
-    _run_groups(sweep_cell, [sweep_cells(sweep_cfg) for sweep_cfg in configs],
-                cfg.workers, write)
-
-
-def _write_phase_outputs(out: Path, cfg: ExperimentConfig,
-                         sweeps: list[SweepResult]) -> None:
+def _write_phase_outputs(cfg: ExperimentConfig, dirs: list[Path], rows: list[list]) -> None:
+    out = dirs[0]
+    sweeps = [SweepResult(config=group[0][0], rows=tuple(branch))
+              for group, branch in zip(cfg.groups, rows)]
     header = ["d", "rep", "n", "op_error", "lambda_max_hat", "max_weight", "q_hat"]
     single = len(sweeps) == 1
     err_panel = svg.Panel(title="median operator-norm error",
@@ -268,15 +247,9 @@ def _write_phase_outputs(out: Path, cfg: ExperimentConfig,
 # ---------------------------------------------------------------- gamma
 
 
-def run_gamma(cfg: ExperimentConfig) -> None:
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    cells = gamma_cell_args(cfg)
-    _run_groups(gamma_cell, [cells], cfg.workers,
-                lambda values: _write_gamma_outputs(out, cfg, cells, values[0]))
-
-
-def _write_gamma_outputs(out: Path, cfg: ExperimentConfig, cells, values) -> None:
+def _write_gamma_outputs(cfg: ExperimentConfig, dirs: list[Path],
+                         results: list[list[float]]) -> None:
+    out, cells, values = dirs[0], cfg.groups[0], results[0]
     rows = [(c[4], c[5], math.exp(v) if math.isfinite(v) else 0.0)
             for c, v in zip(cells, values)]
     write_csv(out / "gamma.csv", ["n", "rep", "max_weight"], rows)
@@ -292,7 +265,7 @@ def _write_gamma_outputs(out: Path, cfg: ExperimentConfig, cells, values) -> Non
             "slope": est.slope,
             "intercept": est.intercept,
             "band": list(est.band),
-            "predicted_gamma_star": lab_geometry(cfg).predicted_gamma_star(),
+            "predicted_gamma_star": cells[0][0].predicted_gamma_star(),
             "dropped_points": list(est.dropped),
         })
         _write_gamma_figure(out, rows, est)
@@ -337,11 +310,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     overrides = {"seed": args.seed, "workers": args.workers, "output_dir": args.out}
-    runners = {"benchmark": run_scheme_grid, "phase": run_phase,
-               "gamma": run_gamma, "table1": run_scheme_grid}
     try:
-        cfg = load_config(args.config, overrides=overrides, expected_kind=args.command)
-        runners[args.command](cfg)
+        run(load_config(args.config, overrides=overrides, expected_kind=args.command))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -5,21 +5,21 @@ typoed parameter cannot silently fall back to a default, and so is a key
 the experiment kind does not read. Values are typed per key; lists are
 comma separated. Lines starting with # and inline #-comments are ignored.
 
-This module also translates a configuration into the library objects each
-experiment runs on (scheme configs and targets, sweep configs, gamma
-cells). Range and membership rules live in those objects; building them
-in load_config is the validation, and their ValueError becomes a
-ConfigError.
+load_config also builds the cell groups a command runs: the argument
+tuples of its cells, stream keys included, grouped per output (one benchmark
+cell, one kappa branch, the gamma grid). Range and membership rules live in
+the library objects those tuples hold; building them is the validation, and
+their ValueError becomes a ConfigError.
 """
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .ce_schemes import SchemeConfig
-from .phase_lab import LabGeometry, SweepConfig, gamma_cells
-from .targets import TABLE_DIMS, LimitState, benchmark_target
+from .phase_lab import LabGeometry, SweepConfig, gamma_cells, sweep_cells
+from .targets import TABLE_DIMS, benchmark_target
 
 
 class ConfigError(ValueError):
@@ -59,48 +59,32 @@ GAMMA_N_GRID = (1000, 10000, 100000, 1000000)
 GAMMA_DEFAULT_DIM = 2
 
 
-def _parse_int(raw: str) -> int:
-    return int(raw.strip())
+def _comma_list(item):
+    return lambda raw: tuple(item(p) for p in raw.split(",") if p.strip())
 
 
-def _parse_float(raw: str) -> float:
-    return float(raw.strip())
-
-
-def _parse_str(raw: str) -> str:
-    return raw.strip()
-
-
-def _parse_int_list(raw: str) -> tuple[int, ...]:
-    return tuple(int(p.strip()) for p in raw.split(",") if p.strip())
-
-
-def _parse_float_list(raw: str) -> tuple[float, ...]:
-    return tuple(float(p.strip()) for p in raw.split(",") if p.strip())
-
-
-# key -> parser
+# key -> parser of the stripped value
 _PARSERS = {
-    "kind": _parse_str,
-    "target": _parse_str,
-    "scheme": _parse_str,
-    "strategy": _parse_str,
-    "rho": _parse_float,
-    "delta_target": _parse_float,
-    "m": _parse_int,
-    "n": _parse_int,
-    "n_p": _parse_int,
-    "t_max": _parse_int,
-    "N": _parse_int,
-    "lambda1": _parse_float,
-    "kappa": _parse_float_list,
-    "dims": _parse_int_list,
-    "alpha": _parse_float,
-    "alignment": _parse_str,
-    "seed": _parse_int,
-    "workers": _parse_int,
-    "output_dir": _parse_str,
-    "divergence_lambda_cap": _parse_float,
+    "kind": str,
+    "target": str,
+    "scheme": str,
+    "strategy": str,
+    "rho": float,
+    "delta_target": float,
+    "m": int,
+    "n": int,
+    "n_p": int,
+    "t_max": int,
+    "N": int,
+    "lambda1": float,
+    "kappa": _comma_list(float),
+    "dims": _comma_list(int),
+    "alpha": float,
+    "alignment": str,
+    "seed": int,
+    "workers": int,
+    "output_dir": str,
+    "divergence_lambda_cap": float,
 }
 
 
@@ -126,6 +110,9 @@ class ExperimentConfig:
     workers: int = 0
     output_dir: str = "."
     divergence_lambda_cap: float | None = None
+    # Set by load_config: the cells of the command, as lists of map_cells
+    # argument tuples, one list per output.
+    groups: list[list[tuple]] = field(init=False, repr=False, compare=False)
 
 
 def parse_file(path: str | Path) -> dict:
@@ -148,7 +135,7 @@ def parse_file(path: str | Path) -> dict:
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         try:
-            values[key] = _PARSERS[key](raw)
+            values[key] = _PARSERS[key](raw.strip())
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values
@@ -186,7 +173,8 @@ def load_config(path: str | Path, overrides: dict | None = None,
 
 
 def _validate(cfg: ExperimentConfig) -> None:
-    """Rules no library type knows, then the library objects themselves."""
+    """Rules no library type knows, then the cell groups, which build the
+    library objects themselves."""
     missing = [k for k in _REQUIRED[cfg.kind] if getattr(cfg, k) in (None, ())]
     if missing:
         raise ConfigError(f"kind={cfg.kind} requires keys: {', '.join(missing)}")
@@ -204,7 +192,7 @@ def _validate(cfg: ExperimentConfig) -> None:
     if cfg.workers == 0:
         cfg.workers = os.cpu_count() or 1
     try:
-        _TRANSLATIONS[cfg.kind](cfg)
+        cfg.groups = _GROUP_BUILDERS[cfg.kind](cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -220,38 +208,39 @@ def benchmark_sizes(cfg: ExperimentConfig) -> tuple[int, int, int]:
     return d, m, n
 
 
-def scheme_cells(cfg: ExperimentConfig) -> list[tuple[LimitState, SchemeConfig]]:
-    """(target, scheme config) for each benchmark or table1 cell, in run order."""
+def _scheme_groups(cfg: ExperimentConfig) -> list[list[tuple]]:
+    """run_scheme arguments of each benchmark or table1 cell, in run order:
+    N repetitions keyed (seed, "benchmark", target, scheme, strategy, rep)."""
     if cfg.kind == "table1":
         grid = [(t, {"scheme": s, "strategy": st}) for t in TABLE1_TARGETS
                 for s, st in TABLE1_CELLS]
     else:
         grid = [(cfg.target, {"scheme": cfg.scheme})]
     options = {k: getattr(cfg, k) for k in _SCHEME_KEYS if getattr(cfg, k) is not None}
-    cells = []
+    groups = []
     for name, cell in grid:
         d, m, n = benchmark_sizes(replace(cfg, target=name))
         scheme_cfg = SchemeConfig(**{**options, **cell}, m=m, n=n, seed=cfg.seed)
-        cells.append((benchmark_target(name, d), scheme_cfg))
-    return cells
+        target = benchmark_target(name, d)
+        groups.append([(scheme_cfg, target, (scheme_cfg.seed, "benchmark", target.name,
+                                             scheme_cfg.scheme, scheme_cfg.strategy, rep))
+                       for rep in range(cfg.N)])
+    return groups
 
 
-def lab_geometry(cfg: ExperimentConfig) -> LabGeometry:
-    """The law of a phase or gamma config."""
-    return LabGeometry(cfg.target, cfg.alignment, cfg.lambda1, cfg.alpha)
+def _phase_groups(cfg: ExperimentConfig) -> list[list[tuple]]:
+    """sweep_cell arguments of each kappa branch of a phase config."""
+    geometry = LabGeometry(cfg.target, cfg.alignment, cfg.lambda1, cfg.alpha)
+    return [sweep_cells(SweepConfig(geometry, kappa, cfg.dims, cfg.N, cfg.seed))
+            for kappa in cfg.kappa]
 
 
-def sweep_configs(cfg: ExperimentConfig) -> list[SweepConfig]:
-    """One sweep per kappa of a phase config."""
-    geometry = lab_geometry(cfg)
-    return [SweepConfig(geometry, kappa, cfg.dims, cfg.N, cfg.seed) for kappa in cfg.kappa]
-
-
-def gamma_cell_args(cfg: ExperimentConfig) -> list[tuple]:
-    """gamma_cell arguments of a gamma config over GAMMA_N_GRID x N."""
+def _gamma_groups(cfg: ExperimentConfig) -> list[list[tuple]]:
+    """gamma_cell arguments of a gamma config over GAMMA_N_GRID x N, as one group."""
+    geometry = LabGeometry(cfg.target, cfg.alignment, cfg.lambda1, cfg.alpha)
     d = cfg.dims[0] if cfg.dims else GAMMA_DEFAULT_DIM
-    return gamma_cells(lab_geometry(cfg), d, GAMMA_N_GRID, cfg.N, cfg.seed)
+    return [gamma_cells(geometry, d, GAMMA_N_GRID, cfg.N, cfg.seed)]
 
 
-_TRANSLATIONS = {"benchmark": scheme_cells, "table1": scheme_cells,
-                 "phase": sweep_configs, "gamma": gamma_cell_args}
+_GROUP_BUILDERS = {"benchmark": _scheme_groups, "table1": _scheme_groups,
+                   "phase": _phase_groups, "gamma": _gamma_groups}

@@ -10,6 +10,7 @@ output independent of the worker count.
 """
 from __future__ import annotations
 
+import operator
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 
@@ -18,22 +19,30 @@ import numpy as np
 KEY_WORDS = 2 ** 32  # integer key components, the seed among them, are below this
 
 
-def key_word(part: int | str) -> int:
-    """Map one key component to a stable 32-bit word: a string to its CRC-32,
-    an integer to itself. An integer outside [0, 2^32) is an error, not
-    masked, so two distinct seeds never share a stream."""
-    if isinstance(part, str):
-        return zlib.crc32(part.encode("utf-8"))
-    word = int(part)
+def _word(value, what: str) -> int:
+    """value as one 32-bit key word. It must be an integer (NumPy integers
+    included) in [0, 2^32): a float is not truncated and an integer outside
+    the range is not masked, so two distinct keys never share a stream."""
+    try:
+        word = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
     if not 0 <= word < KEY_WORDS:
-        raise ValueError(f"integer key component must lie in [0, 2^32), got {word}")
+        raise ValueError(f"{what} must lie in [0, 2^32), got {word}")
     return word
 
 
+def key_word(part: int | str) -> int:
+    """Map one key component to a stable 32-bit word: a string to its CRC-32,
+    an integer to itself."""
+    if isinstance(part, str):
+        return zlib.crc32(part.encode("utf-8"))
+    return _word(part, "integer key component")
+
+
 def check_seed(seed: int) -> None:
-    """A master seed is one integer key word, so it lies in [0, 2^32)."""
-    if not 0 <= seed < KEY_WORDS:
-        raise ValueError(f"seed must lie in [0, 2^32), got {seed}")
+    """A master seed is one integer key word."""
+    _word(seed, "seed")
 
 
 def stream(*key: int | str) -> np.random.Generator:

@@ -60,6 +60,9 @@ def test_config_validation():
         cfg_for("ice", delta_target=0.5)
     with pytest.raises(ValueError):
         cfg_for("ce", m=0)
+    # A float seed would otherwise run the streams of its integer part.
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        cfg_for("ce", seed=1.9)
     assert cfg_for("ice_proj", strategy="eig_min").projected
     assert cfg_for("ice").smoothed and not cfg_for("ce").smoothed
 

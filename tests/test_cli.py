@@ -430,6 +430,32 @@ def test_cli_gamma_outputs(tmp_path):
     assert (out / "gamma.svg").exists()
 
 
+def test_cli_gamma_writes_finished_cells_when_a_cell_fails(tmp_path, monkeypatch):
+    # The 13th of 40 cells raises: the first grid point's 10 repetitions and
+    # two of the second's are written, without a fit or a figure.
+    real = cli.gamma_cell
+    calls = []
+
+    def cell_fails(*args):
+        calls.append(args)
+        if len(calls) == 13:
+            raise RuntimeError("cell failed")
+        return real(*args)
+
+    monkeypatch.setattr(cli, "gamma_cell", cell_fails)
+    out = tmp_path / "partial"
+    cfg = write_cfg(tmp_path / "g.cfg", GAMMA_TEMPLATE.format(workers=1, out=out))
+    with pytest.raises(RuntimeError, match="cell failed"):
+        run_cli(["gamma", "--config", cfg])
+    rows = [line.split(",")[:2] for line in (out / "gamma.csv").read_text().splitlines()[1:]]
+    assert rows == ([[str(GAMMA_N_GRID[0]), str(rep)] for rep in range(10)]
+                    + [[str(GAMMA_N_GRID[1]), str(rep)] for rep in range(2)])
+    payload = json.loads((out / "gamma.json").read_text(), parse_constant=_reject_constant)
+    assert payload["complete"] is False
+    assert "slope" not in payload
+    assert not (out / "gamma.svg").exists()
+
+
 def test_cli_gamma_fit_matches_library_estimate(tmp_path):
     out = tmp_path / "gamma"
     cfg = write_cfg(tmp_path / "g.cfg", GAMMA_TEMPLATE.format(workers=2, out=out))
@@ -469,15 +495,6 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert run_cli(["benchmark", "--config", bad]) == 2
     assert "unknown key" in capsys.readouterr().err
     assert run_cli(["benchmark", "--config", tmp_path / "missing.cfg"]) == 2
-    io_cfg = write_cfg(tmp_path / "io.cfg", """
-kind = gamma
-target = slab
-alignment = v_in_u
-lambda1 = 0.5
-N = 10
-output_dir = /proc/definitely/not/writable
-""")
-    assert run_cli(["gamma", "--config", io_cfg]) == 3
     # Library-level rules are config errors too, raised before any output.
     for kind, text in (
         ("phase", PHASE_BASE + "lambda1 = 0.5\nkappa = 2.0\nN = 5\n"),
@@ -490,6 +507,20 @@ output_dir = /proc/definitely/not/writable
         assert run_cli([kind, "--config", cfg]) == 2
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("kind,cell", [("benchmark", "run_scheme"), ("phase", "sweep_cell"),
+                                       ("gamma", "gamma_cell"), ("table1", "run_scheme")])
+def test_cli_unwritable_out_exits_3_before_any_cell(tmp_path, monkeypatch, kind, cell):
+    calls = []
+    monkeypatch.setattr(cli, cell, lambda *args: calls.append(args))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    # mkdir below a regular file raises NotADirectoryError.
+    text = dict(TEMPLATES, table1=TABLE1_TEMPLATE)[kind]
+    cfg = write_cfg(tmp_path / "io.cfg", text.format(workers=1, out=blocker / "out"))
+    assert run_cli([kind, "--config", cfg]) == 3
+    assert calls == []
 
 
 def test_cli_requires_subcommand():

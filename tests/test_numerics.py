@@ -421,3 +421,14 @@ def test_stream_rejects_integer_key_outside_32_bits():
         -1.6270920357942937, -1.0061719624463867]
     assert stream(0, "phase", "slab", 7).standard_normal(2).tolist() == [
         0.20635644466931455, -0.21956312592735858]
+
+
+def test_stream_takes_integer_key_components_only():
+    # Truncating would make stream(1.5) draw the bytes of stream(1).
+    for part in (1.5, 2.0, np.float64(3.0)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            stream(part, "x")
+    # NumPy integers are integers: same word, same stream.
+    assert key_word(np.int64(3)) == 3
+    assert np.array_equal(stream(np.int64(3), "x", np.uint32(1)).standard_normal(4),
+                          stream(3, "x", 1).standard_normal(4))

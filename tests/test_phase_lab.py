@@ -117,6 +117,9 @@ def test_sweep_config_validation():
         sweep_config(reps=3)
     with pytest.raises(ValueError):
         sweep_config(kappa=0.0)
+    # A float seed would otherwise run the streams of its integer part.
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        sweep_config(seed=1.5)
     # A seed is one stream key word; checked here, not at the first draw.
     for seed in (-1, 2 ** 32):
         with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^32\)"):
@@ -353,6 +356,8 @@ def test_estimate_gamma_star_validation():
         estimate_gamma_star(geometry, 2, (1, 1000), reps=10)
     with pytest.raises(ValueError, match="d >= 2"):
         estimate_gamma_star(geometry, 1, (100, 1000), reps=10)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        gamma_cells(geometry, 2, (100, 1000), 10, seed=2.7)
 
 
 def test_gamma_cells_reject_seed_outside_key_range():
