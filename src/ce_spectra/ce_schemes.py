@@ -77,10 +77,9 @@ class SchemeConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        projected = self.scheme.endswith("_proj")
-        if projected and self.strategy == "none":
+        if self.projected and self.strategy == "none":
             raise ValueError(f"scheme {self.scheme!r} needs a direction strategy")
-        if not projected and self.strategy != "none":
+        if not self.projected and self.strategy != "none":
             raise ValueError(f"scheme {self.scheme!r} does not take a direction strategy")
         check_rho(self.rho)
         if self.delta_target < 1.0:
@@ -225,7 +224,7 @@ def iterate(law: GaussianLaw, bandwidth: float | None, target: LimitState,
     the smoothed schemes; None means it has not been set yet, and it is
     then derived from the spread of the level scores.
     """
-    lam_min_in = law.covariance_extremes()[0]
+    lam_min_in = law.lambda_min()
 
     def record(level: float, p_hat: float = math.nan, lam_max: float = math.nan,
                n_hits: int = 0, diverged: bool = True) -> IterationTrace:

@@ -86,7 +86,8 @@ def run(cfg: ExperimentConfig) -> None:
     through one map_cells call, so a pool starts once per command. The
     writer gets one list of results per group, in group order. It is called
     also when a cell raises: each group then holds the cells that finished
-    before the failure, and a group the failure never reached is empty.
+    before the failure, and a group the failure never reached is empty. The
+    cell's exception propagates; a failure of that write only goes to stderr.
     """
     # Looked up here, not at import, so a test can replace a cell function.
     cell, write = {"benchmark": (run_scheme, _write_scheme_grid),
@@ -100,16 +101,22 @@ def run(cfg: ExperimentConfig) -> None:
             for group in cfg.groups]
     for cell_dir in dirs:
         cell_dir.mkdir(parents=True, exist_ok=True)
-    results: list = []
+    cells = [c for group in cfg.groups for c in group]
+    owners = [i for i, group in enumerate(cfg.groups) for _ in group]
+    results: list[list] = [[] for _ in cfg.groups]
+    failed = True
     try:
-        for res in map_cells(cell, [c for group in cfg.groups for c in group], cfg.workers):
-            results.append(res)
+        for res, i in zip(map_cells(cell, cells, cfg.workers), owners):
+            results[i].append(res)
+        failed = False
     finally:
-        split, start = [], 0
-        for group in cfg.groups:
-            split.append(results[start:start + len(group)])
-            start += len(group)
-        write(cfg, dirs, split)
+        try:
+            write(cfg, dirs, results)
+        except Exception as exc:
+            if not failed:
+                raise
+            print(f"writing the finished cells failed: {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
 
 
 # ---------------------------------------------------------------- benchmark, table1
@@ -225,22 +232,17 @@ def _write_phase_outputs(cfg: ExperimentConfig, dirs: list[Path], rows: list[lis
                           xlabel="dimension d", ylabel="op error", ylog=True)
     lam_panel = svg.Panel(title="median top eigenvalue of the estimate",
                           xlabel="dimension d", ylabel="lambda_max", ylog=True)
-    mc_note = " (Monte Carlo)" if cfg.lambda1 == 1.0 else ""
     for idx, sweep in enumerate(sweeps, start=1):
-        kappa = sweep.config.kappa
         name = "sweep.csv" if single else f"sweep_{idx}.csv"
         write_csv(out / name, header,
                   [(r.d, r.rep, r.n, r.op_error, r.lambda_max_hat, r.max_weight, r.q_hat)
                    for r in sweep.rows])
-        errs = sweep.medians("op_error")
-        dims = list(errs)
-        med_err = list(errs.values())
-        med_lam = list(sweep.medians("lambda_max_hat").values())
-        label = f"kappa={kappa:g}{mc_note}"
-        err_panel.line(dims, med_err, label=label)
-        err_panel.scatter(dims, med_err)
-        lam_panel.line(dims, med_lam, label=label)
-        lam_panel.scatter(dims, med_lam)
+        mc_note = " (Monte Carlo)" if sweep.config.geometry.lambda1 == 1.0 else ""
+        label = f"kappa={sweep.config.kappa:g}{mc_note}"
+        for panel, attr in ((err_panel, "op_error"), (lam_panel, "lambda_max_hat")):
+            med = sweep.medians(attr)
+            panel.line(list(med), list(med.values()), label=label)
+            panel.scatter(list(med), list(med.values()))
     (out / "phase.svg").write_text(svg.render([err_panel, lam_panel]))
 
 
@@ -250,22 +252,22 @@ def _write_phase_outputs(cfg: ExperimentConfig, dirs: list[Path], rows: list[lis
 def _write_gamma_outputs(cfg: ExperimentConfig, dirs: list[Path],
                          results: list[list[float]]) -> None:
     out, cells, values = dirs[0], cfg.groups[0], results[0]
+    geo = cells[0][0]  # gamma_cell's LabGeometry, the same for every cell
     rows = [(c[4], c[5], math.exp(v) if math.isfinite(v) else 0.0)
             for c, v in zip(cells, values)]
     write_csv(out / "gamma.csv", ["n", "rep", "max_weight"], rows)
 
-    reps = cfg.N
     complete = len(values) == len(cells)
-    summary: dict = {"kind": "gamma", "target": cfg.target, "alignment": cfg.alignment,
-                     "lambda1": cfg.lambda1, "alpha": cfg.alpha, "complete": complete}
+    summary: dict = {"kind": "gamma", "target": geo.target, "alignment": geo.alignment,
+                     "lambda1": geo.lambda1, "alpha": geo.alpha, "complete": complete}
     if complete:
-        log_max = [values[i * reps:(i + 1) * reps] for i in range(len(GAMMA_N_GRID))]
+        log_max = [values[i:i + cfg.N] for i in range(0, len(values), cfg.N)]
         est = gamma_fit(GAMMA_N_GRID, log_max, seed=cfg.seed)
         summary.update({
             "slope": est.slope,
             "intercept": est.intercept,
             "band": list(est.band),
-            "predicted_gamma_star": cells[0][0].predicted_gamma_star(),
+            "predicted_gamma_star": geo.predicted_gamma_star(),
             "dropped_points": list(est.dropped),
         })
         _write_gamma_figure(out, rows, est)

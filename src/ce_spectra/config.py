@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .ce_schemes import SchemeConfig
 from .phase_lab import LabGeometry, SweepConfig, gamma_cells, sweep_cells
-from .targets import TABLE_DIMS, benchmark_target
+from .targets import TABLE_SIZES, benchmark_target
 
 
 class ConfigError(ValueError):
@@ -200,10 +200,11 @@ def _validate(cfg: ExperimentConfig) -> None:
 def benchmark_sizes(cfg: ExperimentConfig) -> tuple[int, int, int]:
     """(d, m, n) for a benchmark cell, falling back to the published sizes.
 
-    d is None for an unknown target, which benchmark_target rejects.
+    d and n are None for an unknown target, which benchmark_target rejects.
     """
-    d = cfg.dims[0] if cfg.dims else TABLE_DIMS.get(cfg.target)
-    n = cfg.n if cfg.n is not None else (10000 if cfg.target == "lin" else 5000)
+    d, n = TABLE_SIZES.get(cfg.target, (None, None))
+    d = cfg.dims[0] if cfg.dims else d
+    n = cfg.n if cfg.n is not None else n
     m = cfg.m if cfg.m is not None else n
     return d, m, n
 
@@ -220,8 +221,8 @@ def _scheme_groups(cfg: ExperimentConfig) -> list[list[tuple]]:
     groups = []
     for name, cell in grid:
         d, m, n = benchmark_sizes(replace(cfg, target=name))
-        scheme_cfg = SchemeConfig(**{**options, **cell}, m=m, n=n, seed=cfg.seed)
         target = benchmark_target(name, d)
+        scheme_cfg = SchemeConfig(**{**options, **cell}, m=m, n=n, seed=cfg.seed)
         groups.append([(scheme_cfg, target, (scheme_cfg.seed, "benchmark", target.name,
                                              scheme_cfg.scheme, scheme_cfg.strategy, rep))
                        for rep in range(cfg.N)])

@@ -119,6 +119,13 @@ def weighted_mean_cov(sample: WeightedSample, threshold: float) -> EstimationRes
     return EstimationResult(p_hat=float(p_hat), mu_hat=mu, sigma_hat=sigma, n_hits=n_hits)
 
 
+def _log_smoothed_weights(sample: WeightedSample, bandwidth: float) -> np.ndarray:
+    """log w_i = log l_i + log Phi(s_i / bandwidth), the smoothed weights."""
+    if bandwidth <= 0.0 or not math.isfinite(bandwidth):
+        raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
+    return sample.log_ratios + numerics.log_std_normal_cdf(sample.scores / bandwidth)
+
+
 def smooth_weighted_mean_cov(sample: WeightedSample, bandwidth: float) -> EstimationResult:
     """Weighted moments with the indicator relaxed to Phi(score/bandwidth).
 
@@ -126,9 +133,7 @@ def smooth_weighted_mean_cov(sample: WeightedSample, bandwidth: float) -> Estima
     smooth analogue of the level probability. n_hits counts the exact
     indicator score >= 0 for diagnostics.
     """
-    if bandwidth <= 0.0 or not math.isfinite(bandwidth):
-        raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
-    log_w = sample.log_ratios + numerics.log_std_normal_cdf(sample.scores / bandwidth)
+    log_w = _log_smoothed_weights(sample, bandwidth)
     mu, sigma, norm = _log_weight_moments(sample.points, log_w, sample.size)
     return EstimationResult(p_hat=float(norm), mu_hat=mu, sigma_hat=sigma,
                             n_hits=int(np.sum(sample.scores >= 0.0)))
@@ -172,10 +177,7 @@ def ice_delta(sample: WeightedSample, bandwidth: float) -> float:
     by Cauchy-Schwarz it is never below 1. Returns +inf when every weight
     underflows to zero.
     """
-    if bandwidth <= 0.0 or not math.isfinite(bandwidth):
-        raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
-    log_w = sample.log_ratios + numerics.log_std_normal_cdf(sample.scores / bandwidth)
-    return _log_spread(log_w)
+    return _log_spread(_log_smoothed_weights(sample, bandwidth))
 
 
 def indicator_delta(sample: WeightedSample) -> float:
@@ -198,10 +200,7 @@ def max_weight_statistic(sample: WeightedSample, d: int, n: int) -> float:
     """(d/n) max_i xi_i l_i, the scaled peak weight; 0 when nothing hit."""
     if d <= 0 or n <= 0:
         raise ValueError("d and n must be positive")
-    if not np.any(sample.indicators):
-        return 0.0
-    peak = float(np.max(sample.log_ratios[sample.indicators]))
-    return (d / n) * numerics.exp_saturated(peak)
+    return (d / n) * numerics.exp_saturated(log_max_hit_ratio(sample))
 
 
 def log_max_hit_ratio(sample: WeightedSample) -> float:

@@ -85,14 +85,10 @@ class SpikedCovariance:
     def log_det(self) -> float:
         return float(np.sum(np.log(self.lambdas)))
 
-    def lambda_extremes(self) -> tuple[float, float]:
-        """Eigenvalue extremes; the identity block contributes 1 when r < d."""
+    def lambda_min(self) -> float:
+        """Smallest eigenvalue; the identity block contributes 1 when r < d."""
         lo = float(self.lambdas[0])
-        hi = float(self.lambdas[-1])
-        if self.rank < self.dim:
-            lo = min(lo, 1.0)
-            hi = max(hi, 1.0)
-        return lo, hi
+        return min(lo, 1.0) if self.rank < self.dim else lo
 
 
 @dataclass(frozen=True)
@@ -156,12 +152,13 @@ class GaussianLaw:
             return 2.0 * float(np.sum(np.log(np.diag(self.dense_chol))))
         return 0.0
 
-    def covariance_extremes(self) -> tuple[float, float]:
+    def lambda_min(self) -> float:
+        """Smallest eigenvalue of the covariance."""
         if self.spiked is not None:
-            return self.spiked.lambda_extremes()
+            return self.spiked.lambda_min()
         if self.dense_extremes is not None:
-            return self.dense_extremes.lambda_min, self.dense_extremes.lambda_max
-        return 1.0, 1.0
+            return self.dense_extremes.lambda_min
+        return 1.0
 
 
 @dataclass(frozen=True)

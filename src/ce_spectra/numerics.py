@@ -73,12 +73,17 @@ def std_normal_pdf(x):
     return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
-def std_normal_quantile(u):
-    """Inverse standard normal CDF on the open interval (0, 1)."""
+def _open_unit(u) -> np.ndarray:
+    """u as a float array, every entry strictly inside (0, 1)."""
     u = np.asarray(u, dtype=float)
     if not np.all((u > 0.0) & (u < 1.0)):
         raise DomainError("quantile argument must lie strictly inside (0, 1)")
-    return _special.ndtri(u)
+    return u
+
+
+def std_normal_quantile(u):
+    """Inverse standard normal CDF on the open interval (0, 1)."""
+    return _special.ndtri(_open_unit(u))
 
 
 def gamma_inverse_cdf(u, shape: float, scale: float):
@@ -91,10 +96,7 @@ def gamma_inverse_cdf(u, shape: float, scale: float):
         raise DomainError(f"shape must be positive, got {shape}")
     if scale <= 0.0 or not math.isfinite(scale):
         raise DomainError(f"scale must be positive, got {scale}")
-    u = np.asarray(u, dtype=float)
-    if not np.all((u > 0.0) & (u < 1.0)):
-        raise DomainError("quantile argument must lie strictly inside (0, 1)")
-    return _special.gammaincinv(shape, u) * scale
+    return _special.gammaincinv(shape, _open_unit(u)) * scale
 
 
 def require_symmetric(m) -> np.ndarray:

@@ -181,26 +181,20 @@ def sweep_cell(cfg: SweepConfig, d: int, rep: int) -> SweepRow:
     """One (dimension, repetition) cell; pure function of (cfg.seed, d, rep).
 
     Sigma-hat_A is linear in the sample, so the cell's estimate is the
-    size-weighted mean of its blocks' estimates (a one-block cell takes its
-    block's as is). The scaled peak weight is monotone in the peak, so its
-    maximum over blocks is the batch's exactly, as is the hit fraction.
+    size-weighted mean of its blocks' estimates, summed from zero. The
+    scaled peak weight is monotone in the peak, so its maximum over blocks
+    is the batch's exactly, as is the hit fraction.
     """
     n = sample_size(d, cfg.kappa)
     geo = cfg.geometry
     state, cov = geo.at(d, n)
     analytic = state.analytic
     rng = stream(cfg.seed, "phase", geo.target, geo.alignment, d, rep)
-    sigma_hat = None
+    sigma_hat = np.zeros((d, d))
     max_weight = 0.0
     hits = 0
     for ws in _weighted_blocks(state, cov, n, rng):
-        part = sigma_a_estimator(ws, analytic.p, analytic.mu)
-        if ws.size < n:
-            part *= ws.size / n
-        if sigma_hat is None:
-            sigma_hat = part
-        else:
-            sigma_hat += part
+        sigma_hat += sigma_a_estimator(ws, analytic.p, analytic.mu) * (ws.size / n)
         max_weight = max(max_weight, max_weight_statistic(ws, d, n))
         hits += int(np.count_nonzero(ws.indicators))
     return SweepRow(

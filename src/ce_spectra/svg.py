@@ -71,22 +71,35 @@ class Panel:
         self.series.append(("scatter", list(xs), list(ys), label, False))
 
     def _data_range(self):
-        xs_all, ys_all = [], []
-        for kind, xs, ys, _, _ in self.series:
-            vals = list(ys[0]) + list(ys[1]) if kind == "band" else list(ys)
-            for x, y in zip(list(xs) * (2 if kind == "band" else 1), vals):
-                if not (math.isfinite(x) and math.isfinite(y)):
-                    continue
-                if self.xlog and x <= 0.0:
-                    continue
-                if self.ylog and y <= 0.0:
-                    continue
-                xs_all.append(x)
-                ys_all.append(y)
-        if not xs_all:
-            xs_all = [0.1, 1.0] if self.xlog else [0.0, 1.0]
-            ys_all = [0.1, 1.0] if self.ylog else [0.0, 1.0]
+        pts = [(x, y) for kind, xs, ys, _, _ in self.series
+               for x, y in _pairs(kind, xs, ys) if _ok(self, x, y)]
+        if not pts:
+            pts = [(0.1 if self.xlog else 0.0, 0.1 if self.ylog else 0.0), (1.0, 1.0)]
+        xs_all, ys_all = zip(*pts)
         return min(xs_all), max(xs_all), min(ys_all), max(ys_all)
+
+
+def _pairs(kind: str, xs, ys) -> list:
+    """A series' (x, y) points in drawing order; a band runs along its lower
+    edge and back along its upper one."""
+    if kind == "band":
+        return list(zip(xs, ys[0])) + list(zip(xs, ys[1]))[::-1]
+    return list(zip(xs, ys))
+
+
+def _scale(lo: float, hi: float, log: bool, p0: float, p1: float):
+    """Map data values in [lo, hi] to pixels from p0 to p1, in log10 on a
+    log axis; an empty range widens to one unit above lo."""
+    if log:
+        lo, hi = math.log10(lo), math.log10(hi)
+    if hi <= lo:
+        hi = lo + 1.0
+
+    def to_px(v):
+        if log:
+            v = math.log10(max(v, 1e-300))
+        return p0 + (v - lo) / (hi - lo) * (p1 - p0)
+    return to_px
 
 
 def render(panels: list[Panel]) -> str:
@@ -105,24 +118,8 @@ def render(panels: list[Panel]) -> str:
         x0, x1 = pad_l, WIDTH - pad_r
         y0, y1 = oy + pad_t, oy + PANEL_HEIGHT - pad_b
         xmin, xmax, ymin, ymax = panel._data_range()
-
-        def tx(v, lo=None, hi=None):
-            lo = xmin if lo is None else lo
-            hi = xmax if hi is None else hi
-            if panel.xlog:
-                lo, hi, v = math.log10(lo), math.log10(hi), math.log10(max(v, 1e-300))
-            if hi <= lo:
-                hi = lo + 1.0
-            return x0 + (v - lo) / (hi - lo) * (x1 - x0)
-
-        def ty(v):
-            lo, hi = ymin, ymax
-            if panel.ylog:
-                lo, hi, v = math.log10(lo), math.log10(hi), math.log10(max(v, 1e-300))
-            if hi <= lo:
-                hi = lo + 1.0
-            return y1 - (v - lo) / (hi - lo) * (y1 - y0)
-
+        tx = _scale(xmin, xmax, panel.xlog, x0, x1)
+        ty = _scale(ymin, ymax, panel.ylog, y1, y0)
         out.append(f'<rect x="{x0}" y="{y0}" width="{x1 - x0}" height="{y1 - y0}" '
                    f'fill="none" stroke="#888"/>')
         xticks = _log_ticks(xmin, xmax) if panel.xlog else _nice_ticks(xmin, xmax)
@@ -153,25 +150,17 @@ def render(panels: list[Panel]) -> str:
             color = PALETTE[i % len(PALETTE)]
             if label:
                 legend.append((label, color, kind))
-            if kind == "band":
-                lo_v, hi_v = ys
-                pts = [(x, v) for x, v in zip(xs, lo_v) if _ok(panel, x, v)]
-                pts += [(x, v) for x, v in reversed(list(zip(xs, hi_v))) if _ok(panel, x, v)]
-                if len(pts) >= 3:
-                    path = " ".join(f"{_fmt(tx(x))},{_fmt(ty(y))}" for x, y in pts)
-                    out.append(f'<polygon points="{path}" fill="{color}" opacity="0.18"/>')
-            elif kind == "line":
-                pts = [(x, y) for x, y in zip(xs, ys) if _ok(panel, x, y)]
-                if len(pts) >= 2:
-                    path = " ".join(f"{_fmt(tx(x))},{_fmt(ty(y))}" for x, y in pts)
-                    extra = ' stroke-dasharray="5 4"' if dash else ""
-                    out.append(f'<polyline points="{path}" fill="none" '
-                               f'stroke="{color}" stroke-width="1.6"{extra}/>')
-            else:
-                for x, y in zip(xs, ys):
-                    if _ok(panel, x, y):
-                        out.append(f'<circle cx="{_fmt(tx(x))}" cy="{_fmt(ty(y))}" '
-                                   f'r="2.4" fill="{color}" opacity="0.65"/>')
+            pts = [(tx(x), ty(y)) for x, y in _pairs(kind, xs, ys) if _ok(panel, x, y)]
+            path = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in pts)
+            if kind == "band" and len(pts) >= 3:
+                out.append(f'<polygon points="{path}" fill="{color}" opacity="0.18"/>')
+            elif kind == "line" and len(pts) >= 2:
+                extra = ' stroke-dasharray="5 4"' if dash else ""
+                out.append(f'<polyline points="{path}" fill="none" '
+                           f'stroke="{color}" stroke-width="1.6"{extra}/>')
+            elif kind == "scatter":
+                out += [f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" '
+                        f'r="2.4" fill="{color}" opacity="0.65"/>' for px, py in pts]
         for li, (label, color, kind) in enumerate(legend):
             ly = y0 + 14 + 15 * li
             out.append(f'<rect x="{x1 - 150}" y="{ly - 8}" width="10" height="10" '

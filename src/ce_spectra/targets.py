@@ -73,7 +73,7 @@ def _affine_score(u: np.ndarray, offset: float, x: np.ndarray) -> np.ndarray:
     return x @ u - offset
 
 
-def linear_target(d: int = 100) -> LimitState:
+def linear_target(d: int) -> LimitState:
     """phi(x) = <x, 1>/sqrt(d) - 5; exact tail 1 - Phi(5) under f."""
     p = float(1.0 - numerics.std_normal_cdf(5.0))
     return LimitState(name="lin", dim=d, evaluator=partial(_affine_score, _unit_ones(d), 5.0),
@@ -85,7 +85,7 @@ def _quadratic_score(u: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x @ u - 4.0 - 1.25 * diff * diff
 
 
-def quadratic_target(d: int = 334) -> LimitState:
+def quadratic_target(d: int) -> LimitState:
     """phi(x) = <x, 1>/sqrt(d) - 4 - 1.25 (x_1 - x_2)^2."""
     if d < 2:
         raise ValueError("quadratic target needs d >= 2")
@@ -103,7 +103,7 @@ def _count_score(x: np.ndarray) -> np.ndarray:
     return np.sum(inner >= 0.5 * math.sqrt(d), axis=1) - (0.25 * d + 0.1)
 
 
-def count_target(d: int = 334) -> LimitState:
+def count_target(d: int) -> LimitState:
     """Counts coordinates j >= 3 whose mixed score clears 0.5 sqrt(d).
 
     phi(x) = sum_{j>=3} 1{ (0.25 x_1 + 3 sqrt(1 - 0.0625) x_j) / s(x_2)
@@ -118,7 +118,7 @@ def count_target(d: int = 334) -> LimitState:
     if d < 3:
         raise ValueError("count target needs d >= 3")
     return LimitState(name="fin", dim=d, evaluator=_count_score,
-                      reference_p=1.7348e-6 if d == TABLE_DIMS["fin"] else None)
+                      reference_p=1.7348e-6 if d == TABLE_SIZES["fin"][0] else None)
 
 
 def _first_axis(d: int) -> np.ndarray:
@@ -220,7 +220,8 @@ _BENCHMARK_BUILDERS = {
     "fin": count_target,
 }
 
-TABLE_DIMS = {"lin": 100, "quad": 334, "fin": 334}
+# Published (d, n) of each benchmark target: dimension and per-iteration sample size.
+TABLE_SIZES = {"lin": (100, 10000), "quad": (334, 5000), "fin": (334, 5000)}
 
 
 def benchmark_target(name: str, d: int | None = None) -> LimitState:
@@ -228,5 +229,5 @@ def benchmark_target(name: str, d: int | None = None) -> LimitState:
     if name not in _BENCHMARK_BUILDERS:
         raise ValueError(f"unknown benchmark target {name!r}")
     if d is None:
-        d = TABLE_DIMS[name]
+        d = TABLE_SIZES[name][0]
     return _BENCHMARK_BUILDERS[name](d)

@@ -204,7 +204,7 @@ def test_ce_tracks_deterministic_template():
 
 def test_first_linear_threshold_matches_quantile():
     cfg = cfg_for("ce", m=20000, n=2000, t_max=1)
-    res = run_scheme(cfg, linear_target(), seed_key=(3, "q0"))
+    res = run_scheme(cfg, linear_target(100), seed_key=(3, "q0"))
     # Initial scores are standard normal minus 5.
     se = math.sqrt(0.1 * 0.9 / 20000) / (math.exp(-0.5 * Z90 ** 2) /
                                           math.sqrt(2 * math.pi))
@@ -307,7 +307,7 @@ def test_projected_run_spiked_law_and_trace_spectra():
         law, bandwidth, target, cfg, 1, stream(2, "pi", "y"), stream(2, "pi", "x"))
     assert trace2 is not None and trace2.t == 1
     assert trace2.lambda_min_proj == pytest.approx(
-        law.covariance_extremes()[0], rel=1e-12)
+        law.lambda_min(), rel=1e-12)
 
 
 def test_divergence_cap_flags_and_keeps_last_law():

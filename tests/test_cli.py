@@ -456,6 +456,36 @@ def test_cli_gamma_writes_finished_cells_when_a_cell_fails(tmp_path, monkeypatch
     assert not (out / "gamma.svg").exists()
 
 
+@pytest.mark.parametrize("cell_fails", [True, False], ids=["cell_and_write", "write_only"])
+def test_cli_write_failure_does_not_mask_a_cell_failure(tmp_path, monkeypatch, capsys,
+                                                        cell_fails):
+    # With a cell failure the cell's exception propagates and the failed
+    # partial write is only reported; a write failure alone exits 3.
+    real = cli.gamma_cell
+    calls = []
+
+    def cell(*args):
+        calls.append(args)
+        if cell_fails and len(calls) == 13:
+            raise RuntimeError("cell failed")
+        return real(*args)
+
+    def disk_full(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "gamma_cell", cell)
+    monkeypatch.setattr(cli, "write_csv", disk_full)
+    cfg = write_cfg(tmp_path / "g.cfg", GAMMA_TEMPLATE.format(workers=1, out=tmp_path / "g"))
+    if cell_fails:
+        with pytest.raises(RuntimeError, match="cell failed"):
+            run_cli(["gamma", "--config", cfg])
+        err = capsys.readouterr().err
+        assert "disk full" in err and "i/o error" not in err
+    else:
+        assert run_cli(["gamma", "--config", cfg]) == 3
+        assert "i/o error: disk full" in capsys.readouterr().err
+
+
 def test_cli_gamma_fit_matches_library_estimate(tmp_path):
     out = tmp_path / "gamma"
     cfg = write_cfg(tmp_path / "g.cfg", GAMMA_TEMPLATE.format(workers=2, out=out))

@@ -66,14 +66,14 @@ def test_spiked_dense_and_logdet():
     dense = sp.dense()
     assert np.allclose(dense, np.diag([4.0, 1.0, 0.5]))
     assert sp.log_det() == pytest.approx(math.log(2.0), rel=1e-14)
-    assert sp.lambda_extremes() == (0.5, 4.0)
+    assert sp.lambda_min() == 0.5
 
 
 def test_spiked_extremes_include_unit_bulk():
     # With r < d the untouched directions keep variance 1.
-    assert spike(5, [2.0, 3.0], [0, 1]).lambda_extremes() == (1.0, 3.0)
-    assert spike(5, [0.25, 0.5], [0, 1]).lambda_extremes() == (0.25, 1.0)
-    assert spike(2, [0.25, 0.5], [0, 1]).lambda_extremes() == (0.25, 0.5)
+    assert spike(5, [2.0, 3.0], [0, 1]).lambda_min() == 1.0
+    assert spike(5, [0.25, 0.5], [0, 1]).lambda_min() == 0.25
+    assert spike(2, [0.25, 0.5], [0, 1]).lambda_min() == 0.25
 
 
 # ----------------------------------------------------------- GaussianLaw
@@ -81,13 +81,12 @@ def test_spiked_extremes_include_unit_bulk():
 
 def test_law_factories_and_extremes():
     law = GaussianLaw.identity(3)
-    assert law.covariance_extremes() == (1.0, 1.0)
+    assert law.lambda_min() == 1.0
     sp = spike(3, [0.5], [0])
     law2 = GaussianLaw.with_spiked(sp, np.ones(3))
-    assert law2.covariance_extremes() == (0.5, 1.0)
+    assert law2.lambda_min() == 0.5
     law3 = dense_law(np.zeros(2), np.diag([2.0, 8.0]))
-    lo, hi = law3.covariance_extremes()
-    assert (lo, hi) == (pytest.approx(2.0), pytest.approx(8.0))
+    assert law3.lambda_min() == pytest.approx(2.0)
 
 
 def test_dense_law_requires_positive_definite():

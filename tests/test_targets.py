@@ -11,7 +11,7 @@ from scipy import integrate, special, stats
 from ce_spectra.gauss_core import GaussianLaw, SpikedCovariance, sample
 from ce_spectra.seeding import stream
 from ce_spectra.targets import (
-    TABLE_DIMS,
+    TABLE_SIZES,
     benchmark_target,
     count_target,
     halfspace_target,
@@ -35,7 +35,7 @@ HS_MEAN_Z90 = 1.7549833193248680663
 
 
 def test_linear_values_and_reference():
-    t = linear_target()
+    t = linear_target(100)
     assert t.dim == 100 and t.name == "lin"
     assert t.reference_p == pytest.approx(TAIL_5, rel=1e-12)
     x = np.stack([np.zeros(100), np.full(100, 0.5)])
@@ -47,7 +47,7 @@ def test_quadratic_values():
     x = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
     # <x, 1>/sqrt(d) - 4 - 1.25 (x_1 - x_2)^2
     assert t(x) == pytest.approx([0.5 - 4.0 - 1.25, -4.0])
-    assert quadratic_target().reference_p == 6.6206e-6
+    assert benchmark_target("quad").reference_p == 6.6206e-6
 
 
 def test_quadratic_reference_by_quadrature():
@@ -59,7 +59,7 @@ def test_quadratic_reference_by_quadrature():
 
     p, _ = integrate.quad(integrand, -math.inf, math.inf, epsabs=0.0, epsrel=1e-12)
     assert p == pytest.approx(6.6206e-6, rel=1e-4)
-    assert quadratic_target().reference_p == pytest.approx(p, rel=0.01)
+    assert benchmark_target("quad").reference_p == pytest.approx(p, rel=0.01)
 
 
 def test_count_values():
@@ -69,7 +69,7 @@ def test_count_values():
     # Row 1: huge positive coordinates push every count to one.
     x = np.stack([np.zeros(d), np.full(d, 40.0)])
     assert t(x) == pytest.approx([-(0.25 * d + 0.1), (d - 2) - (0.25 * d + 0.1)])
-    assert count_target().reference_p == 1.7348e-6
+    assert benchmark_target("fin").reference_p == 1.7348e-6
     # The reference holds at the published dimension only.
     assert t.reference_p is None
 
@@ -95,11 +95,11 @@ def count_probability_by_quadrature(d: int, nodes: int = 200) -> float:
 
 
 def test_count_reference_by_quadrature():
-    p = count_probability_by_quadrature(TABLE_DIMS["fin"])
+    d = TABLE_SIZES["fin"][0]
+    p = count_probability_by_quadrature(d)
     assert p == pytest.approx(1.73484e-6, rel=1e-4)
-    assert count_probability_by_quadrature(TABLE_DIMS["fin"], nodes=300) == pytest.approx(
-        p, rel=1e-6)
-    assert count_target().reference_p == pytest.approx(p, rel=0.01)
+    assert count_probability_by_quadrature(d, nodes=300) == pytest.approx(p, rel=1e-6)
+    assert count_target(d).reference_p == pytest.approx(p, rel=0.01)
 
 
 @pytest.mark.parametrize("d", [8, 12])
@@ -136,7 +136,7 @@ def test_dimension_checks():
     # Scores take (n, d) batches only.
     for bad in (np.zeros(7), np.zeros((1, 7)), np.zeros(100), np.zeros((1, 1, 100))):
         with pytest.raises(ValueError):
-            linear_target()(bad)
+            linear_target(100)(bad)
     with pytest.raises(ValueError):
         quadratic_target(d=1)
     with pytest.raises(ValueError):
@@ -144,7 +144,7 @@ def test_dimension_checks():
 
 
 def test_benchmark_registry():
-    for name, d in TABLE_DIMS.items():
+    for name, (d, _) in TABLE_SIZES.items():
         t = benchmark_target(name)
         assert t.dim == d and t.name == name
     assert benchmark_target("lin", d=10).dim == 10
