@@ -94,6 +94,13 @@ def run(cfg: ExperimentConfig) -> None:
                    "table1": (run_scheme, _write_scheme_grid),
                    "phase": (sweep_cell, _write_phase_outputs),
                    "gamma": (gamma_cell, _write_gamma_outputs)}[cfg.kind]
+    if cfg.kind in ("benchmark", "table1"):
+        # The scheme kernels import scipy on first call. Importing it here
+        # (scipy.linalg loads its BLAS and LAPACK modules), before map_cells
+        # forks its pool, lets every worker inherit this copy instead of
+        # importing its own.
+        import scipy.linalg  # noqa: F401
+        import scipy.special  # noqa: F401
     out = Path(cfg.output_dir)
     # One directory per group: table1 writes each cell to a subdirectory.
     # A scheme group's cells share run_scheme's first two arguments.

@@ -26,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.blas import dgemm, dtrmm
 
 from . import numerics
 
@@ -215,6 +213,8 @@ def sample(law: GaussianLaw, z: np.ndarray) -> np.ndarray:
     """
     z = _batch(z, law.dim)
     if law.dense_chol is not None:
+        from scipy.linalg.blas import dtrmm
+
         # x^T = L z^T; z^T is Fortran-ordered, so BLAS copies nothing but the
         # output it writes.
         x = dtrmm(1.0, law.dense_chol, z.T, lower=1).T
@@ -246,6 +246,8 @@ def _add_spike(x: np.ndarray, z: np.ndarray, sp: SpikedCovariance) -> None:
             np.multiply(z[:, j], scale[k] * vecs[k, j] * vecs[k, j], out=col)
             col += z[:, j]
         return
+    from scipy.linalg.blas import dgemm
+
     coords = z @ vecs.T
     coords *= scale
     # x^T += V^T coords^T: all three are Fortran-ordered views, so dgemm
@@ -263,6 +265,8 @@ def log_density(law: GaussianLaw, x: np.ndarray) -> np.ndarray:
         quad += coords * coords @ (1.0 / sp.lambdas - 1.0)
         return -0.5 * (d * _LOG_2PI + sp.log_det() + quad)
     if law.dense_chol is not None:
+        from scipy.linalg import solve_triangular
+
         half = solve_triangular(law.dense_chol, y.T, lower=True).T
         return -0.5 * (d * _LOG_2PI + law.log_det + np.sum(half * half, axis=1))
     return -0.5 * (d * _LOG_2PI + np.sum(y * y, axis=1))

@@ -4,6 +4,9 @@ All routines are deterministic: identical inputs produce identical floats
 regardless of call order or process count. Matrix arguments are validated
 at this boundary (square, finite, symmetric to tolerance) so callers can
 assume well-formed inputs downstream.
+
+scipy is imported inside the functions that call it, never at module level,
+so a process that calls none of them (the phase lab) never loads it.
 """
 from __future__ import annotations
 
@@ -11,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _special
-from scipy.linalg import lapack as _lapack
 
 # Entry-pair symmetry tolerance for accepting a matrix as symmetric.
 SYM_RTOL = 1e-12
@@ -58,14 +59,24 @@ def exp_saturated(x: float) -> float:
         return math.inf
 
 
+def std_normal_tail(x: float) -> float:
+    """1 - Phi(x) for a scalar x, from the standard library's erfc: no
+    cancellation in the upper tail, and no scipy import."""
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
+
+
 def std_normal_cdf(x):
     """Standard normal CDF, vectorized, absolute error below 1e-12."""
-    return _special.ndtr(x)
+    from scipy.special import ndtr
+
+    return ndtr(x)
 
 
 def log_std_normal_cdf(x):
     """log(Phi(x)), accurate far into the left tail."""
-    return _special.log_ndtr(x)
+    from scipy.special import log_ndtr
+
+    return log_ndtr(x)
 
 
 def std_normal_pdf(x):
@@ -83,7 +94,9 @@ def _open_unit(u) -> np.ndarray:
 
 def std_normal_quantile(u):
     """Inverse standard normal CDF on the open interval (0, 1)."""
-    return _special.ndtri(_open_unit(u))
+    from scipy.special import ndtri
+
+    return ndtri(_open_unit(u))
 
 
 def gamma_inverse_cdf(u, shape: float, scale: float):
@@ -96,7 +109,9 @@ def gamma_inverse_cdf(u, shape: float, scale: float):
         raise DomainError(f"shape must be positive, got {shape}")
     if scale <= 0.0 or not math.isfinite(scale):
         raise DomainError(f"scale must be positive, got {scale}")
-    return _special.gammaincinv(shape, _open_unit(u)) * scale
+    from scipy.special import gammaincinv
+
+    return gammaincinv(shape, _open_unit(u)) * scale
 
 
 def require_symmetric(m) -> np.ndarray:
@@ -186,10 +201,12 @@ def cholesky(m) -> np.ndarray:
     pivots are the squared diagonal of the factor; the failing one is
     recomputed from the factor's row only on the error path.
     """
+    from scipy.linalg.lapack import dpotrf
+
     m = require_symmetric(m)
     d = m.shape[0]
     tol = PIVOT_RTOL * max(float(np.trace(m)), 0.0) / max(d, 1)
-    lower, info = _lapack.dpotrf(m, lower=1)
+    lower, info = dpotrf(m, lower=1)
     # LAPACK stops at the first non-positive pivot (info is its 1-based
     # index); pivots before it still face the tolerance.
     done = info - 1 if info > 0 else d

@@ -39,17 +39,26 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
 
 
 def _log_ticks(lo: float, hi: float) -> list[float]:
-    lo_e = math.floor(math.log10(lo))
-    hi_e = math.ceil(math.log10(hi))
-    return [10.0 ** e for e in range(int(lo_e), int(hi_e) + 1)
-            if lo <= 10.0 ** e <= hi]
+    """The powers of ten in [lo, hi]; with fewer than two of them, the
+    1-2-5 mantissas in it; with none of those, its two ends."""
+    decades = [10.0 ** e for e in range(math.floor(math.log10(lo)),
+                                        math.ceil(math.log10(hi)) + 1)]
+    ticks = [t for t in decades if lo <= t <= hi]
+    if len(ticks) < 2:
+        ticks = [m * t for t in decades for m in (1.0, 2.0, 5.0) if lo <= m * t <= hi]
+    return ticks or sorted({lo, hi})
 
 
 def _tick_label(v: float, log: bool) -> str:
-    if log:
-        e = round(math.log10(v))
-        return f"1e{e}" if not -3 <= e <= 3 else f"{v:g}"
-    return f"{v:g}"
+    """A log-axis value rounds to three significant digits, written with a
+    power of ten outside [1e-3, 1e4): 1e-5, 2.5e6."""
+    if not log:
+        return f"{v:g}"
+    rounded = f"{v:.2e}"
+    mantissa, _, e = rounded.partition("e")
+    if -3 <= int(e) <= 3:
+        return f"{float(rounded):g}"
+    return f"{float(mantissa):g}e{int(e)}"
 
 
 @dataclass

@@ -75,7 +75,7 @@ def _affine_score(u: np.ndarray, offset: float, x: np.ndarray) -> np.ndarray:
 
 def linear_target(d: int) -> LimitState:
     """phi(x) = <x, 1>/sqrt(d) - 5; exact tail 1 - Phi(5) under f."""
-    p = float(1.0 - numerics.std_normal_cdf(5.0))
+    p = numerics.std_normal_tail(5.0)
     return LimitState(name="lin", dim=d, evaluator=partial(_affine_score, _unit_ones(d), 5.0),
                       reference_p=p)
 
@@ -137,11 +137,11 @@ def _slab_score(u: np.ndarray, width: float, x: np.ndarray) -> np.ndarray:
 
 
 def _slab_q(u: np.ndarray, width: float, g: SpikedCovariance) -> float:
-    return float(2.0 * numerics.std_normal_cdf(width / math.sqrt(_variance_along(g, u))) - 1.0)
+    return 2.0 * (1.0 - numerics.std_normal_tail(width / math.sqrt(_variance_along(g, u)))) - 1.0
 
 
 def _halfspace_q(u: np.ndarray, offset: float, g: SpikedCovariance) -> float:
-    return float(numerics.std_normal_cdf(-offset / math.sqrt(_variance_along(g, u))))
+    return numerics.std_normal_tail(offset / math.sqrt(_variance_along(g, u)))
 
 
 def slab_target(d: int, width: float) -> LimitState:
@@ -154,7 +154,7 @@ def slab_target(d: int, width: float) -> LimitState:
         raise ValueError(f"slab half-width must be positive, got {width}")
     u = _first_axis(d)
 
-    big_phi = float(numerics.std_normal_cdf(width))
+    big_phi = 1.0 - numerics.std_normal_tail(width)
     p = 2.0 * big_phi - 1.0
     pdf = math.exp(-0.5 * width * width) / _SQRT_2PI
     var_u = 1.0 - 2.0 * width * pdf / p
@@ -179,7 +179,7 @@ def halfspace_target(d: int, offset: float) -> LimitState:
         raise ValueError(f"halfspace offset must be finite, got {offset}")
     u = _first_axis(d)
 
-    p = float(numerics.std_normal_cdf(-offset))
+    p = numerics.std_normal_tail(offset)
     pdf = math.exp(-0.5 * offset * offset) / _SQRT_2PI
     hazard = pdf / p
     var_u = 1.0 - hazard * (hazard - offset)

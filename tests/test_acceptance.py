@@ -39,7 +39,7 @@ def _invariant_settings(fn):
 
 def test_01_linear_tail_reference_probability():
     t = benchmark_target("lin")
-    assert t.reference_p == pytest.approx(TAIL_5, rel=1e-12)
+    assert t.reference_p == pytest.approx(TAIL_5, rel=1e-12, abs=0)
     assert f"{t.reference_p:.1e}" == "2.9e-07"
 
 

@@ -167,13 +167,13 @@ def test_halfspace_path_first_update_moments():
     tail = float(std_normal_cdf(-c0))
     h = math.exp(-0.5 * c0 * c0) / math.sqrt(2.0 * math.pi) / tail
     assert path.means[1] == pytest.approx(h, rel=1e-12)
-    assert path.variances[1] == pytest.approx(1.0 - h * (h - c0), rel=1e-12)
+    assert path.variances[1] == pytest.approx(1.0 - h * (h - c0), rel=1e-12, abs=0)
 
 
 def test_halfspace_path_trivial_offset_converges_immediately():
     path = deterministic_halfspace_path(0.5, 0.1)
     assert path.converged
-    assert path.thresholds[0] == pytest.approx(-0.5 + Z90, rel=1e-12)
+    assert path.thresholds[0] == pytest.approx(-0.5 + Z90, rel=1e-12, abs=0)
     assert path.iterations == 1
 
 
@@ -307,7 +307,7 @@ def test_projected_run_spiked_law_and_trace_spectra():
         law, bandwidth, target, cfg, 1, stream(2, "pi", "y"), stream(2, "pi", "x"))
     assert trace2 is not None and trace2.t == 1
     assert trace2.lambda_min_proj == pytest.approx(
-        law.lambda_min(), rel=1e-12)
+        law.lambda_min(), rel=1e-12, abs=0)
 
 
 def test_divergence_cap_flags_and_keeps_last_law():

@@ -3,6 +3,8 @@ small workloads. Worker-count independence is asserted byte for byte."""
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -556,3 +558,58 @@ def test_cli_unwritable_out_exits_3_before_any_cell(tmp_path, monkeypatch, kind,
 def test_cli_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])
+
+
+# ---------------------------------------------------------------- start-up
+
+
+def fresh_python(code: str, *args) -> list[str]:
+    """Run code in a new interpreter on this checkout's package; its
+    standard output lines. The test runner has scipy loaded already."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+LAB_WITHOUT_SCIPY = """
+import sys
+from ce_spectra import cli
+cli.benchmark_target("lin")
+cli.benchmark_target("quad")
+for kind, cfg in zip(("phase", "gamma"), sys.argv[1:]):
+    assert cli.main([kind, "--config", cfg, "--workers", "1"]) == 0
+    print(kind, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_lab_commands_never_import_scipy(tmp_path):
+    # Importing scipy takes longer than a small lab command; only the scheme
+    # kernels need it, so building targets, phase and gamma load none of it.
+    cfgs = [write_cfg(tmp_path / f"{kind}.cfg",
+                      TEMPLATES[kind].format(workers=1, out=tmp_path / kind))
+            for kind in ("phase", "gamma")]
+    assert fresh_python(LAB_WITHOUT_SCIPY, *cfgs) == ["phase []", "gamma []"]
+
+
+SCHEME_POOL_IMPORTS = """
+import sys
+from ce_spectra import cli
+real_map = cli.map_cells
+loaded = []
+def recording_map(*args):
+    loaded.append([m for m in ("scipy.linalg", "scipy.special") if m in sys.modules])
+    return real_map(*args)
+cli.map_cells = recording_map
+assert cli.main(["benchmark", "--config", sys.argv[1]]) == 0
+print(loaded)
+"""
+
+
+def test_scheme_commands_import_scipy_before_the_pool(tmp_path):
+    # Forked workers inherit the parent's scipy instead of importing their own.
+    cfg = write_cfg(tmp_path / "b.cfg", BENCH_TEMPLATE.format(workers=2, out=tmp_path / "b"))
+    assert fresh_python(SCHEME_POOL_IMPORTS, cfg) == ["[['scipy.linalg', 'scipy.special']]"]

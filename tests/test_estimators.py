@@ -43,7 +43,7 @@ def test_is_probability_matches_direct_sum():
     rng = stream(0, "est", "p")
     ws = make_sample(rng)
     want = float(np.sum(np.exp(ws.log_ratios) * ws.indicators)) / ws.size
-    assert is_probability(ws) == pytest.approx(want, rel=1e-12)
+    assert is_probability(ws) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_is_probability_no_hits_is_zero():
@@ -115,7 +115,7 @@ def test_weighted_mean_cov_matches_textbook():
     mu, sigma = textbook_moments(ws.points, w)
     assert np.allclose(res.mu_hat, mu, atol=1e-12)
     assert np.allclose(res.sigma_hat, sigma, atol=1e-12)
-    assert res.p_hat == pytest.approx(w.sum() / ws.size, rel=1e-12)
+    assert res.p_hat == pytest.approx(w.sum() / ws.size, rel=1e-12, abs=0)
     assert res.n_hits == int(ws.indicators.sum())
 
 
@@ -132,7 +132,7 @@ def test_weighted_mean_cov_hit_rows_match_full_batch():
     res = weighted_mean_cov(ws, threshold)
     assert np.max(np.abs(res.mu_hat - mu)) < 1e-12
     assert np.max(np.abs(res.sigma_hat - sigma)) < 1e-12
-    assert res.p_hat == pytest.approx(p_hat, rel=1e-12)
+    assert res.p_hat == pytest.approx(p_hat, rel=1e-12, abs=0)
     assert res.n_hits == int(ind.sum()) == 100
 
 def test_weighted_mean_cov_rederives_indicators():
@@ -310,7 +310,7 @@ def test_max_weight_statistic():
     ws = WeightedSample(x, lr, scores)
     # Largest hitting log ratio is 2.0; the 5.0 entry missed the set.
     assert max_weight_statistic(ws, d=10, n=100) == pytest.approx(
-        0.1 * math.exp(2.0), rel=1e-12)
+        0.1 * math.exp(2.0), rel=1e-12, abs=0)
     assert log_max_hit_ratio(ws) == pytest.approx(2.0)
 
 

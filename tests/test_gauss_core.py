@@ -65,7 +65,7 @@ def test_spiked_dense_and_logdet():
     sp = spike(3, [0.5, 4.0], [2, 0])
     dense = sp.dense()
     assert np.allclose(dense, np.diag([4.0, 1.0, 0.5]))
-    assert sp.log_det() == pytest.approx(math.log(2.0), rel=1e-14)
+    assert sp.log_det() == pytest.approx(math.log(2.0), rel=1e-14, abs=0)
     assert sp.lambda_min() == 0.5
 
 
@@ -142,7 +142,7 @@ def test_dense_law_sampling_matches_spiked():
 
 def test_log_density_standard_normal_at_zero():
     law = GaussianLaw.identity(2)
-    assert log_density(law, np.zeros((1, 2)))[0] == pytest.approx(-LOG_2PI, rel=1e-14)
+    assert log_density(law, np.zeros((1, 2)))[0] == pytest.approx(-LOG_2PI, rel=1e-14, abs=0)
 
 
 def test_log_density_spiked_matches_dense_formula():
@@ -183,9 +183,9 @@ def test_likelihood_ratio_at_origin():
     # At x = 0 the ratio is |Sigma|^(1/2).
     sp = spike(4, [0.25], [1])
     origin = np.zeros((1, 4))
-    assert np.exp(log_likelihood_ratio(sp, origin))[0] == pytest.approx(0.5, rel=1e-14)
+    assert np.exp(log_likelihood_ratio(sp, origin))[0] == pytest.approx(0.5, rel=1e-14, abs=0)
     sp2 = spike(4, [4.0], [1])
-    assert np.exp(log_likelihood_ratio(sp2, origin))[0] == pytest.approx(2.0, rel=1e-14)
+    assert np.exp(log_likelihood_ratio(sp2, origin))[0] == pytest.approx(2.0, rel=1e-14, abs=0)
 
 
 def test_likelihood_ratio_matches_density_ratio():
@@ -209,7 +209,7 @@ def test_likelihood_ratio_depends_only_on_projections():
     base = log_likelihood_ratio(sp, x)
     x2 = x.copy()
     x2[0, 3] = 17.0
-    assert log_likelihood_ratio(sp, x2) == pytest.approx(base, rel=1e-14)
+    assert log_likelihood_ratio(sp, x2) == pytest.approx(base, rel=1e-14, abs=0)
 
 
 def test_rank_one_ratio_matches_squared_coordinate():
@@ -346,7 +346,7 @@ def test_proj_r_general_direction():
     sigma = np.diag([2.0, 1.0, 1.0])
     sp = proj_r(sigma, v)
     want = float(v @ sigma @ v)
-    assert sp.lambdas[0] == pytest.approx(want, rel=1e-14)
+    assert sp.lambdas[0] == pytest.approx(want, rel=1e-14, abs=0)
 
 
 def test_proj_r_floor_and_collapse():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lapack
+from scipy.special import ndtr
 
 from ce_spectra import numerics
 from ce_spectra.numerics import (
@@ -23,6 +24,7 @@ from ce_spectra.numerics import (
     std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,
+    std_normal_tail,
     sym_eigen_extremes,
     sym_eigenvalues,
 )
@@ -68,7 +70,20 @@ def test_cdf_vectorizes():
     got = std_normal_cdf(xs)
     assert got.shape == xs.shape
     for x, g in zip(xs, got):
-        assert g == pytest.approx(PHI_TABLE[float(x)], rel=1e-14)
+        assert g == pytest.approx(PHI_TABLE[float(x)], rel=1e-14, abs=0)
+
+
+def test_tail_matches_reference_table_and_scipy():
+    # The stdlib erfc against the mpmath table and scipy's ndtr. Past x = 8
+    # the rounded argument x / sqrt(2) costs digits, so the deep-tail bound
+    # is looser; it stops where ndtr leaves the normal double range.
+    for x, want in PHI_TABLE.items():
+        assert std_normal_tail(-x) == pytest.approx(want, rel=1e-14, abs=0)
+    xs = np.linspace(-8.0, 8.0, 3201)
+    assert [std_normal_tail(-x) for x in xs] == pytest.approx(ndtr(xs), rel=2e-14, abs=0)
+    deep = np.linspace(-37.5, -8.0, 5901)
+    deep = deep[ndtr(deep) > 1e-300]
+    assert [std_normal_tail(-x) for x in deep] == pytest.approx(ndtr(deep), rel=1e-12, abs=0)
 
 
 def test_log_cdf_deep_tail():
@@ -82,13 +97,13 @@ def test_log_cdf_deep_tail():
 
 def test_pdf_at_zero():
     assert std_normal_pdf(0.0) == pytest.approx(1.0 / math.sqrt(2.0 * math.pi),
-                                                rel=1e-14)
+                                                rel=1e-14, abs=0)
 
 
 def test_quantile_frozen_points():
-    assert std_normal_quantile(0.9) == pytest.approx(Z90, rel=1e-13)
+    assert std_normal_quantile(0.9) == pytest.approx(Z90, rel=1e-13, abs=0)
     assert std_normal_quantile(0.025) == pytest.approx(-1.9599639845400542355,
-                                                       rel=1e-13)
+                                                       rel=1e-13, abs=0)
     assert std_normal_quantile(0.5) == 0.0
 
 
@@ -292,8 +307,8 @@ def test_cholesky_pivot_tolerance_beyond_lapack():
     with pytest.raises(NotPositiveDefiniteError) as err:
         cholesky(m)
     assert err.value.pivot_index == 1
-    assert err.value.value == pytest.approx(1e-14, rel=1e-12)
-    assert err.value.tol == pytest.approx(PIVOT_RTOL * (1.0 + 1e-14) / 2.0, rel=1e-12)
+    assert err.value.value == pytest.approx(1e-14, rel=1e-12, abs=0)
+    assert err.value.tol == pytest.approx(PIVOT_RTOL * (1.0 + 1e-14) / 2.0, rel=1e-12, abs=0)
 
 
 def rank_deficient(d: int, seed: int) -> tuple[int, np.ndarray]:

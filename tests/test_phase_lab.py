@@ -209,7 +209,7 @@ def test_tiny_blocks_keep_sweep_cell(monkeypatch, cfg, d, values):
         # Exact over blocks: the sample size, the peak weight, the hit fraction.
         assert (one.n, one.max_weight, one.q_hat) == (many.n, many.max_weight, many.q_hat)
         # The estimate sums the same terms in another order.
-        assert many.op_error == pytest.approx(one.op_error, rel=1e-12)
+        assert many.op_error == pytest.approx(one.op_error, rel=1e-12, abs=0)
         assert many.lambda_max_hat == pytest.approx(one.lambda_max_hat, rel=1e-12)
     assert len({row.max_weight for row in blocked}) > 1
 

@@ -99,3 +99,20 @@ def test_band_and_line_need_enough_drawable_points():
     assert out.count("<circle") == 2
     # Labels still reach the legend.
     assert ">band</text>" in out and ">line</text>" in out
+
+
+def test_log_axis_within_a_decade_gets_ticks():
+    # Fewer than two powers of ten in range: the 1-2-5 mantissas inside it,
+    # else its two ends. Two or more powers keep the decade ticks.
+    assert svg._log_ticks(2.0, 5.0) == [2.0, 5.0]
+    assert svg._log_ticks(0.5, 3.0) == [0.5, 1.0, 2.0]
+    assert svg._log_ticks(2.1, 2.9) == [2.1, 2.9]
+    assert svg._log_ticks(3.0, 3.0) == [3.0]
+    assert svg._log_ticks(0.5, 30.0) == [1.0, 10.0]
+    assert [svg._tick_label(v, True) for v in (2e-5, 0.002, 2.5e6, 1e4, 1000.0, 2.123456)] == [
+        "2e-5", "0.002", "2.5e6", "1e4", "1000", "2.12"]
+    panel = svg.Panel(ylog=True)
+    panel.line([0.0, 1.0], [2.0, 5.0])
+    out = svg.render([panel])
+    assert 'text-anchor="end">2</text>' in out
+    assert 'text-anchor="end">5</text>' in out

@@ -37,7 +37,7 @@ HS_MEAN_Z90 = 1.7549833193248680663
 def test_linear_values_and_reference():
     t = linear_target(100)
     assert t.dim == 100 and t.name == "lin"
-    assert t.reference_p == pytest.approx(TAIL_5, rel=1e-12)
+    assert t.reference_p == pytest.approx(TAIL_5, rel=1e-12, abs=0)
     x = np.stack([np.zeros(100), np.full(100, 0.5)])
     assert t(x) == pytest.approx([-5.0, 0.5 * math.sqrt(100) - 5.0])
 
@@ -98,7 +98,7 @@ def test_count_reference_by_quadrature():
     d = TABLE_SIZES["fin"][0]
     p = count_probability_by_quadrature(d)
     assert p == pytest.approx(1.73484e-6, rel=1e-4)
-    assert count_probability_by_quadrature(d, nodes=300) == pytest.approx(p, rel=1e-6)
+    assert count_probability_by_quadrature(d, nodes=300) == pytest.approx(p, rel=1e-6, abs=0)
     assert count_target(d).reference_p == pytest.approx(p, rel=0.01)
 
 
@@ -158,8 +158,8 @@ def test_benchmark_registry():
 def test_slab_frozen_constants():
     t = slab_target(3, 1.0)
     a = t.analytic
-    assert a.p == pytest.approx(SLAB_P_K1, rel=1e-12)
-    assert a.sigma.lambdas[0] == pytest.approx(SLAB_VAR_K1, rel=1e-12)
+    assert a.p == pytest.approx(SLAB_P_K1, rel=1e-12, abs=0)
+    assert a.sigma.lambdas[0] == pytest.approx(SLAB_VAR_K1, rel=1e-12, abs=0)
     assert np.array_equal(a.mu, np.zeros(3))
     assert t(np.array([[0.5, 9.0, 9.0], [-2.0, 0.0, 0.0]])) == pytest.approx([0.5, -1.0])
 
@@ -167,11 +167,11 @@ def test_slab_frozen_constants():
 def test_halfspace_frozen_constants():
     t = halfspace_target(3, 0.0)
     a = t.analytic
-    assert a.p == pytest.approx(0.5, rel=1e-14)
-    assert a.mu[0] == pytest.approx(HS_MEAN_K0, rel=1e-12)
-    assert a.sigma.lambdas[0] == pytest.approx(HS_VAR_K0, rel=1e-12)
+    assert a.p == pytest.approx(0.5, rel=1e-14, abs=0)
+    assert a.mu[0] == pytest.approx(HS_MEAN_K0, rel=1e-12, abs=0)
+    assert a.sigma.lambdas[0] == pytest.approx(HS_VAR_K0, rel=1e-12, abs=0)
     t90 = halfspace_target(2, Z90)
-    assert t90.analytic.p == pytest.approx(0.1, rel=1e-12)
+    assert t90.analytic.p == pytest.approx(0.1, rel=1e-12, abs=0)
     assert t90.analytic.mu[0] == pytest.approx(HS_MEAN_Z90, rel=1e-12)
 
 
@@ -203,11 +203,11 @@ def test_hit_probability_under_spiked_law():
     # Var along u is 0.25, so q = 1 - Phi(1 / 0.5) = Phi(-2).
     from ce_spectra.numerics import std_normal_cdf
 
-    assert t.analytic.q_of(g) == pytest.approx(float(std_normal_cdf(-2.0)), rel=1e-12)
+    assert t.analytic.q_of(g) == pytest.approx(float(std_normal_cdf(-2.0)), rel=1e-12, abs=0)
 
     s = slab_target(d, 1.0)
     q = s.analytic.q_of(g)
-    assert q == pytest.approx(float(2.0 * std_normal_cdf(2.0) - 1.0), rel=1e-12)
+    assert q == pytest.approx(float(2.0 * std_normal_cdf(2.0) - 1.0), rel=1e-12, abs=0)
 
 
 def test_hit_probability_spike_off_axis_empirical():
