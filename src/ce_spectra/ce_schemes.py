@@ -159,10 +159,15 @@ def _next_law(est, cfg: SchemeConfig, extremes: numerics.EigenExtremes) -> Gauss
 
 def _weighted_batch(law: GaussianLaw, size: int, rng: np.random.Generator,
                     target: LimitState) -> WeightedSample:
-    """size fresh points from the law with their log ratios and scores."""
+    """size fresh points from the law with their log ratios and scores.
+
+    The draws' squared norms are taken before sample writes the points over
+    them, so the batch is held once.
+    """
     z = rng.standard_normal((size, law.dim))
+    z_sq = np.einsum("ij,ij->i", z, z)
     x = sample(law, z)
-    return WeightedSample(x, log_ratio_to_standard(law, x, z), target(x))
+    return WeightedSample(x, log_ratio_to_standard(law, x, z_sq), target(x))
 
 
 def bandwidth_objective(sample_: WeightedSample, bandwidth: float, delta_target: float) -> float:
@@ -211,6 +216,30 @@ def optimize_bandwidth(sample_: WeightedSample, sigma_hi: float,
     return min(math.exp(0.5 * (a + b)), sigma_hi)
 
 
+def _smoothed_level(law: GaussianLaw, bandwidth: float | None, target: LimitState,
+                    cfg: SchemeConfig, rng: np.random.Generator
+                    ) -> tuple[float | None, float | None]:
+    """The smoothed schemes' level stage on a fresh batch of cfg.m points.
+
+    Returns (level, bandwidth). level is None when the stop criterion holds
+    (bandwidth unchanged), NaN when no bandwidth is usable, else the tuned
+    bandwidth, which is also the bandwidth returned. A bandwidth of None is
+    first derived from the spread of the scores. Only the two numbers leave
+    this function, so the level batch is gone before the learn batch is
+    drawn.
+    """
+    ws = _weighted_batch(law, cfg.m, rng, target)
+    if indicator_delta(ws) <= cfg.delta_target:
+        return None, bandwidth
+    if bandwidth is None:
+        q25, q75 = np.percentile(ws.scores, [25.0, 75.0])
+        bandwidth = max(10.0 * float(q75 - q25), BANDWIDTH_FLOOR)
+    level = optimize_bandwidth(ws, bandwidth, cfg.delta_target)
+    if level is None:
+        return math.nan, bandwidth
+    return level, level
+
+
 def iterate(law: GaussianLaw, bandwidth: float | None, target: LimitState,
             cfg: SchemeConfig, t: int, rng_level: np.random.Generator,
             rng_learn: np.random.Generator
@@ -235,16 +264,11 @@ def iterate(law: GaussianLaw, bandwidth: float | None, target: LimitState,
     # The level stage: the recorded level is the threshold actually used for
     # conditioning, the score quantile capped at 0, or the tuned bandwidth.
     if cfg.smoothed:
-        ws_y = _weighted_batch(law, cfg.m, rng_level, target)
-        if indicator_delta(ws_y) <= cfg.delta_target:
-            return law, bandwidth, None
-        if bandwidth is None:
-            q25, q75 = np.percentile(ws_y.scores, [25.0, 75.0])
-            bandwidth = max(10.0 * float(q75 - q25), BANDWIDTH_FLOOR)
-        level = optimize_bandwidth(ws_y, bandwidth, cfg.delta_target)
+        level, bandwidth = _smoothed_level(law, bandwidth, target, cfg, rng_level)
         if level is None:
-            return law, bandwidth, record(math.nan)
-        bandwidth = level
+            return law, bandwidth, None
+        if math.isnan(level):
+            return law, bandwidth, record(level)
         estimator = smooth_weighted_mean_cov
     else:
         scores = target(sample(law, rng_level.standard_normal((cfg.m, law.dim))))

@@ -67,16 +67,20 @@ def quantile_threshold(scores: np.ndarray, rho: float) -> float:
 
 
 def _weighted_gram(points: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """sum_i a_i x_i x_i^T for nonnegative weights a, formed as B^T B.
+    """sum_i a_i x_i x_i^T for nonnegative weights a; points is not written."""
+    return _scaled_gram(points * np.sqrt(a)[:, None])
 
-    B holds the rows scaled by sqrt(a_i). NumPy sends the product of a
-    matrix with its own transpose (same buffer, transposed view) to BLAS
-    syrk, which computes one triangle and mirrors it: half the flops of a
-    general product, and an exactly symmetric result. That exactness is
-    NumPy's dispatch, not a documented guarantee; the tests pin it at the
-    shapes the estimators see, and the eigen routines symmetrize anyway.
+
+def _scaled_gram(b: np.ndarray) -> np.ndarray:
+    """B^T B for B the rows already scaled by sqrt(a_i).
+
+    NumPy sends the product of a matrix with its own transpose (same
+    buffer, transposed view) to BLAS syrk, which computes one triangle and
+    mirrors it: half the flops of a general product, and an exactly
+    symmetric result. That exactness is NumPy's dispatch, not a documented
+    guarantee; the tests pin it at the shapes the estimators see, and the
+    eigen routines symmetrize anyway.
     """
-    b = points * np.sqrt(a)[:, None]
     return b.T @ b
 
 
@@ -163,7 +167,10 @@ def sigma_a_estimator(sample: WeightedSample, p: float, mu: np.ndarray) -> np.nd
     lw = sample.log_ratios[ind]
     peak = float(np.max(lw))
     scale = numerics.exp_saturated(peak) / (sample.size * p)
-    second = _weighted_gram(sample.points[ind], np.exp(lw - peak))
+    # The gather is a fresh array, so its rows are scaled in place.
+    rows = sample.points[ind]
+    rows *= np.sqrt(np.exp(lw - peak))[:, None]
+    second = _scaled_gram(rows)
     second *= scale
     second -= np.outer(mu, mu)
     return second
@@ -205,6 +212,4 @@ def max_weight_statistic(sample: WeightedSample, d: int, n: int) -> float:
 
 def log_max_hit_ratio(sample: WeightedSample) -> float:
     """log max_i xi_i l_i; -inf when no indicator is set."""
-    if not np.any(sample.indicators):
-        return -math.inf
-    return float(np.max(sample.log_ratios[sample.indicators]))
+    return float(np.max(sample.log_ratios, where=sample.indicators, initial=-math.inf))

@@ -16,8 +16,9 @@ instead of silent NaNs. Densities and ratios take an (n, d) batch of points
 and return one value per row; anything else is a ValueError.
 
 Draws are whitened: ``sample`` maps a caller-drawn standard-normal batch z
-to x = mean + A z with A A^T = Sigma, so the ratio against the standard
-normal needs no solve, for any covariance representation:
+to x = mean + A z with A A^T = Sigma, in place, so the ratio against the
+standard normal needs no solve, for any covariance representation, once
+the caller has taken |z|^2:
 
     log l(x) = 1/2 (log|Sigma| + |z|^2 - |x|^2).
 """
@@ -205,54 +206,59 @@ def _batch(x: np.ndarray, d: int) -> np.ndarray:
 
 
 def sample(law: GaussianLaw, z: np.ndarray) -> np.ndarray:
-    """Map a standard-normal (n, d) batch z to the law: mean + A z.
+    """Map a standard-normal (n, d) batch z to the law in place: mean + A z.
 
     A is Sigma^{1/2} for spiked laws and the lower Cholesky factor for dense
-    ones (one triangular multiply). z is left unchanged; the result is a new
-    array, and a zero mean is not added.
+    ones (one triangular multiply). sample takes ownership of z: the points
+    are written over the draws, and for a C-ordered float batch the result
+    is z's own buffer, so a caller that needs |z|^2 (log_ratio_to_standard)
+    takes it first. A zero mean is not added.
     """
     z = _batch(z, law.dim)
     if law.dense_chol is not None:
         from scipy.linalg.blas import dtrmm
 
-        # x^T = L z^T; z^T is Fortran-ordered, so BLAS copies nothing but the
-        # output it writes.
-        x = dtrmm(1.0, law.dense_chol, z.T, lower=1).T
-    else:
-        x = z.copy()
-        if law.spiked is not None:
-            _add_spike(x, z, law.spiked)
+        # x^T = L z^T; z^T is Fortran-ordered, so BLAS writes over it.
+        z = dtrmm(1.0, law.dense_chol, z.T, lower=1, overwrite_b=1).T
+    elif law.spiked is not None:
+        _add_spike(z, law.spiked)
     if law.mean.any():
-        x += law.mean
-    return x
+        z += law.mean
+    return z
 
 
-def _add_spike(x: np.ndarray, z: np.ndarray, sp: SpikedCovariance) -> None:
-    """x += ((z V^T) * (sqrt(lambdas) - 1)) V in place, V = sp.directions.
+def _axis_columns(sp: SpikedCovariance) -> np.ndarray | None:
+    """The column of each direction's one nonzero entry when every direction
+    is an axis, else None. Orthonormal rows have a nonzero each, so rank
+    nonzeros means one a row."""
+    rows, cols = np.nonzero(sp.directions)
+    return cols if rows.size == sp.rank else None
 
-    When every direction has a single nonzero entry (an axis), the update
-    touches only those columns: two strided passes of n values each. Other
-    directions cost one O(n d r) coordinate product and one dgemm that adds
-    into x. Either way the bytes equal the product written out, for axis
-    entries of +-1.
+
+def _add_spike(z: np.ndarray, sp: SpikedCovariance) -> None:
+    """z += ((z V^T) * (sqrt(lambdas) - 1)) V in place, V = sp.directions.
+
+    When every direction is an axis, the update touches only those
+    columns: each gains its own values times a scale, one strided pass of n
+    values. Other directions cost one O(n d r) coordinate product, taken
+    before z changes, and one dgemm that adds into z. Either way the bytes
+    equal the product written out, for axis entries of +-1.
     """
     vecs = sp.directions
     scale = np.sqrt(sp.lambdas) - 1.0
-    # Orthonormal rows have a nonzero each, so rank nonzeros means one a row.
-    rows, cols = np.nonzero(vecs)
-    if rows.size == sp.rank:
-        for k, j in zip(rows, cols):
-            col = x[:, j]
-            np.multiply(z[:, j], scale[k] * vecs[k, j] * vecs[k, j], out=col)
-            col += z[:, j]
+    cols = _axis_columns(sp)
+    if cols is not None:
+        for k, j in enumerate(cols):
+            col = z[:, j]
+            col += col * (scale[k] * vecs[k, j] * vecs[k, j])
         return
     from scipy.linalg.blas import dgemm
 
     coords = z @ vecs.T
     coords *= scale
-    # x^T += V^T coords^T: all three are Fortran-ordered views, so dgemm
-    # writes straight into x.
-    dgemm(1.0, vecs.T, coords.T, beta=1.0, c=x.T, overwrite_c=1)
+    # z^T += V^T coords^T: all three are Fortran-ordered views, so dgemm
+    # writes straight into z.
+    dgemm(1.0, vecs.T, coords.T, beta=1.0, c=z.T, overwrite_c=1)
 
 
 def log_density(law: GaussianLaw, x: np.ndarray) -> np.ndarray:
@@ -277,11 +283,15 @@ def log_likelihood_ratio(sigma: SpikedCovariance, x: np.ndarray) -> np.ndarray:
 
     Depends on x only through the spike coordinates, so the cost is
     O(n d r) with no dense algebra. A rank-one ratio squares and scales its
-    one coordinate in place.
+    one coordinate in place; when its direction is an axis, that coordinate
+    is the column itself times the direction's entry, read without a pass
+    over the other columns.
     """
     x = _batch(x, sigma.dim)
     if sigma.rank == 1:
-        quad = x @ sigma.directions[0]
+        v = sigma.directions[0]
+        cols = _axis_columns(sigma)
+        quad = x @ v if cols is None else x[:, cols[0]] * v[cols[0]]
         np.square(quad, out=quad)
         quad *= 1.0 / sigma.lambdas[0] - 1.0
     else:
@@ -292,17 +302,19 @@ def log_likelihood_ratio(sigma: SpikedCovariance, x: np.ndarray) -> np.ndarray:
     return quad
 
 
-def log_ratio_to_standard(law: GaussianLaw, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+def log_ratio_to_standard(law: GaussianLaw, x: np.ndarray, z_sq: np.ndarray) -> np.ndarray:
     """log of f/g for f the standard normal and g any Gaussian law, at the
     points x = sample(law, z): 1/2 (log|Sigma| + |z|^2 - |x|^2), O(n d).
 
-    Exactly 0 for the standard law, where x equals z.
+    z_sq holds the rows' |z|^2, taken before sample wrote the points over
+    z. Exactly 0 for the standard law, where x equals z.
     """
     x = _batch(x, law.dim)
-    z = _batch(z, law.dim)
-    if z.shape != x.shape:
-        raise ValueError(f"draws of shape {z.shape} do not match points of shape {x.shape}")
-    return 0.5 * (law.log_det + np.einsum("ij,ij->i", z, z) - np.einsum("ij,ij->i", x, x))
+    z_sq = np.asarray(z_sq, dtype=float)
+    if z_sq.shape != (x.shape[0],):
+        raise ValueError(f"squared norms of shape {z_sq.shape} do not match "
+                         f"points of shape {x.shape}")
+    return 0.5 * (law.log_det + z_sq - np.einsum("ij,ij->i", x, x))
 
 
 def proj_r(sigma_hat: np.ndarray, v: np.ndarray) -> SpikedCovariance:

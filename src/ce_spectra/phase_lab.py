@@ -194,7 +194,9 @@ def sweep_cell(cfg: SweepConfig, d: int, rep: int) -> SweepRow:
     max_weight = 0.0
     hits = 0
     for ws in _weighted_blocks(state, cov, n, rng):
-        sigma_hat += sigma_a_estimator(ws, analytic.p, analytic.mu) * (ws.size / n)
+        block = sigma_a_estimator(ws, analytic.p, analytic.mu)
+        block *= ws.size / n
+        sigma_hat += block
         max_weight = max(max_weight, max_weight_statistic(ws, d, n))
         hits += int(np.count_nonzero(ws.indicators))
     return SweepRow(

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import operator
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -69,5 +68,8 @@ def map_cells(fn, args, workers: int):
         for a in args:
             yield fn(*a)
         return
+    # Imported here: a run in this process never pays for the pool module.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(workers, len(args))) as pool:
         yield from pool.map(fn, *zip(*args))

@@ -8,7 +8,7 @@ normal given A, which the estimation lab uses as ground truth.
 
 Scores here depend on a fixed low-dimensional intrinsic subspace U (the
 span of u = e_1), so phi(x) = phi(P_U x) for slab and halfspace by
-construction.
+construction, and their scores read the first column alone.
 Score and hit-probability functions are module-level functions bound with
 functools.partial, so limit states pickle and can be sent to worker
 processes.
@@ -132,8 +132,12 @@ def _variance_along(g: SpikedCovariance, u: np.ndarray) -> float:
     return 1.0 + float((g.lambdas - 1.0) @ (coords * coords))
 
 
-def _slab_score(u: np.ndarray, width: float, x: np.ndarray) -> np.ndarray:
-    return width - np.abs(x @ u)
+def _slab_score(width: float, x: np.ndarray) -> np.ndarray:
+    return width - np.abs(x[:, 0])
+
+
+def _halfspace_score(offset: float, x: np.ndarray) -> np.ndarray:
+    return x[:, 0] - offset
 
 
 def _slab_q(u: np.ndarray, width: float, g: SpikedCovariance) -> float:
@@ -165,7 +169,7 @@ def slab_target(d: int, width: float) -> LimitState:
         sigma=SpikedCovariance(dim=d, lambdas=np.array([var_u]), directions=u[None, :]),
         q_of=partial(_slab_q, u, width),
     )
-    return LimitState(name="slab", dim=d, evaluator=partial(_slab_score, u, width),
+    return LimitState(name="slab", dim=d, evaluator=partial(_slab_score, width),
                       reference_p=p, analytic=analytic)
 
 
@@ -190,7 +194,7 @@ def halfspace_target(d: int, offset: float) -> LimitState:
         sigma=SpikedCovariance(dim=d, lambdas=np.array([var_u]), directions=u[None, :]),
         q_of=partial(_halfspace_q, u, offset),
     )
-    return LimitState(name="halfspace", dim=d, evaluator=partial(_affine_score, u, offset),
+    return LimitState(name="halfspace", dim=d, evaluator=partial(_halfspace_score, offset),
                       reference_p=p, analytic=analytic)
 
 

@@ -8,6 +8,7 @@ to get one pass/fail line per guarantee.
 import csv
 import json
 import math
+import os
 import time
 
 import numpy as np
@@ -25,6 +26,7 @@ from ce_spectra.gauss_core import (
     proj_r,
 )
 from ce_spectra.phase_lab import LabGeometry, SweepConfig, estimate_gamma_star, phase_sweep
+from ce_spectra.seeding import map_cells
 from ce_spectra.targets import benchmark_target, halfspace_target, slab_target
 
 # Frozen with mpmath at 50 digits: 1 - Phi(5).
@@ -150,19 +152,25 @@ def test_07_bandwidth_search_matches_brute_force():
 
 
 def test_08_benchmark_scheme_behavior():
+    # The 120 runs are independent and keyed, so they go through map_cells
+    # at one worker per core; gate 9 shows results do not depend on the
+    # worker count.
+    workers = os.cpu_count() or 1
+
+    def runs(cfg, target, keys):
+        return list(map_cells(run_scheme, [(cfg, target, key) for key in keys], workers))
+
     # (a) smoothed projected scheme estimates the linear tail accurately
     lin = benchmark_target("lin")
     cfg = SchemeConfig(scheme="ice_proj", strategy="mean", m=10_000, n=10_000,
                        n_p=2000, seed=1)
-    errs = [run_scheme(cfg, lin, seed_key=(1, "acc8a", rep)).relative_error
-            for rep in range(20)]
+    errs = [r.relative_error for r in runs(cfg, lin, [(1, "acc8a", rep) for rep in range(20)])]
     assert np.median(errs) <= 0.5, np.median(errs)
 
     # (b) the unprojected hard-threshold scheme diverges on the quadratic target
     quad = benchmark_target("quad")
     cfg = SchemeConfig(scheme="ce", strategy="none", m=5000, n=5000, n_p=2000, seed=1)
-    diverged = sum(run_scheme(cfg, quad, seed_key=(1, "acc8b", rep)).diverged
-                   for rep in range(20))
+    diverged = sum(r.diverged for r in runs(cfg, quad, [(1, "acc8b", rep) for rep in range(20)]))
     assert diverged > 10, diverged
 
     # (c) reduced-size spectral ordering: mean-based direction choices keep the
@@ -174,8 +182,7 @@ def test_08_benchmark_scheme_behavior():
         c = SchemeConfig(scheme=scheme, strategy=strategy, m=5000, n=5000,
                          n_p=1000, t_max=12, seed=1)
         floor3, peak3 = [], []
-        for rep in range(20):
-            r = run_scheme(c, quad_small, seed_key=(1, "acc8c", tag, rep))
+        for r in runs(c, quad_small, [(1, "acc8c", tag, rep) for rep in range(20)]):
             if len(r.traces) > 3:
                 floor3.append(r.traces[3].lambda_min_proj)
                 peak3.append(r.traces[3].lambda_max_raw)

@@ -1,6 +1,7 @@
 """Adaptive scheme drivers: the noise-free halfspace template, the
 bandwidth tuner against brute force, and full runs on small problems."""
 import math
+import tracemalloc
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -414,3 +415,31 @@ def test_missing_reference_gives_nan_error():
     res = run_scheme(cfg, t)
     assert math.isnan(res.relative_error)
     assert 0.0 < res.p_hat < 1.0
+
+
+@pytest.mark.parametrize("scheme,strategy,bound", [("ce", "none", 1.6),
+                                                   ("ice_proj", "mean", 2.5)])
+def test_iteration_peak_memory_in_batches(scheme, strategy, bound):
+    # sample writes the points over the draws, and the smoothed level batch
+    # is released before the learn batch is drawn, so one iteration holds
+    # the learn batch plus what its estimator forms: the hit rows for ce,
+    # the scaled rows for the smoothed moments. Measured from the identity
+    # start and from the law one update later (dense for ce, spiked with a
+    # mean for ice_proj), each after an untraced warm-up of the same call.
+    m = n = 2000
+    d = 50
+    batch = m * d * 8
+    target = linear_target(d)
+    cfg = cfg_for(scheme, strategy, m=m, n=n, seed=3)
+    law, bandwidth = GaussianLaw.identity(d), None
+    for t in range(2):
+        args = (law, bandwidth, target, cfg, t)
+        iterate(*args, stream(3, "y", t), stream(3, "x", t))
+        tracemalloc.start()
+        try:
+            law, bandwidth, trace = iterate(*args, stream(3, "y", t), stream(3, "x", t))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not trace.diverged
+        assert peak < bound * batch, (t, peak / batch)

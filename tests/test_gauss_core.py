@@ -214,12 +214,14 @@ def test_likelihood_ratio_depends_only_on_projections():
 
 def test_rank_one_ratio_matches_squared_coordinate():
     # Rank one squares and scales the coordinate x @ v in place; the bytes
-    # equal the formula written out, for an axis and a dense direction.
+    # equal the formula written out, for an axis read as its column (either
+    # sign) and a dense direction.
     # Rank two keeps the product and still matches the density oracle.
     d = 50
     x = stream(6, "r1").standard_normal((500, d)) * 2.0
     dense_v = random_orthonormal(stream(6, "r1v"), d, 1)
     for sp in (spike(d, [0.4], [7]),
+               SpikedCovariance(dim=d, lambdas=[0.4], directions=-np.eye(d)[None, 3]),
                SpikedCovariance(dim=d, lambdas=[3.0], directions=dense_v)):
         v, lam = sp.directions[0], sp.lambdas[0]
         want = 0.5 * (sp.log_det() + (1.0 / lam - 1.0) * (x @ v) ** 2)
@@ -242,10 +244,16 @@ def test_likelihood_ratio_integrates_to_one(lam):
     assert abs(vals.mean() - 1.0) < 4.0 * se + 1e-12
 
 
+def squared_norms(z: np.ndarray) -> np.ndarray:
+    """|z|^2 per row, taken before sample writes the points over z."""
+    return np.einsum("ij,ij->i", z, z)
+
+
 def test_log_ratio_to_standard_zero_for_standard():
     law = GaussianLaw.identity(4)
     z = stream(8, "std").standard_normal((10, 4))
-    out = log_ratio_to_standard(law, sample(law, z), z)
+    z_sq = squared_norms(z)
+    out = log_ratio_to_standard(law, sample(law, z), z_sq)
     assert np.array_equal(np.asarray(out), np.zeros(10))
 
 
@@ -253,9 +261,10 @@ def test_log_ratio_to_standard_shifted_dense():
     mean = np.array([1.0, -1.0])
     law = dense_law(mean, np.diag([2.0, 0.5]))
     z = stream(8, "sh").standard_normal((200, 2))
+    z_sq = squared_norms(z)
     x = sample(law, z)
     want = log_density(GaussianLaw.identity(2), x) - log_density(law, x)
-    got = log_ratio_to_standard(law, x, z)
+    got = log_ratio_to_standard(law, x, z_sq)
     assert np.allclose(got, want, atol=1e-10)
 
 
@@ -278,28 +287,44 @@ def test_log_ratio_to_standard_matches_densities(kind):
     d = 7
     law = whitened_laws(d)[kind]
     z = stream(8, "wz", kind).standard_normal((300, d))
+    z_sq = squared_norms(z)
     x = sample(law, z)
     want = log_density(GaussianLaw.identity(d), x) - log_density(law, x)
-    assert np.max(np.abs(log_ratio_to_standard(law, x, z) - want)) < 1e-10
+    assert np.max(np.abs(log_ratio_to_standard(law, x, z_sq) - want)) < 1e-10
 
 
 def test_log_ratio_to_standard_rejects_mismatched_draws():
     law = GaussianLaw.identity(3)
     with pytest.raises(ValueError):
-        log_ratio_to_standard(law, np.zeros((4, 3)), np.zeros((5, 3)))
+        log_ratio_to_standard(law, np.zeros((4, 3)), np.zeros(5))
+    with pytest.raises(ValueError):
+        log_ratio_to_standard(law, np.zeros((4, 3)), np.zeros((4, 3)))
 
 
 @pytest.mark.parametrize("kind", ["identity", "spiked", "axis", "dense"])
-def test_sample_leaves_draws_unchanged(kind):
+def test_sample_maps_draws_in_place(kind):
+    # sample writes the points over z and returns z's own buffer; the bytes
+    # equal the out-of-place product on a copy: z + update + mean for the
+    # identity and spiked laws (dgemm for a general direction, the columns
+    # for axes), the triangular multiply for a dense law.
     if kind == "axis":
         law = GaussianLaw.with_spiked(spike(5, [0.5, 2.0], [3, 1]), np.arange(5.0))
     else:
         law = whitened_laws(5)[kind]
     z = stream(8, "keep").standard_normal((50, 5))
-    before = z.copy()
+    if law.dense_chol is not None:
+        from scipy.linalg.blas import dtrmm
+
+        want = dtrmm(1.0, law.dense_chol, z.copy().T, lower=1).T
+    else:
+        want = z.copy()
+        if law.spiked is not None:
+            sp = law.spiked
+            want += ((z @ sp.directions.T) * (np.sqrt(sp.lambdas) - 1.0)) @ sp.directions
+    want += law.mean
     x = sample(law, z)
-    assert np.array_equal(z, before)
-    assert not np.shares_memory(x, z)
+    assert np.shares_memory(x, z)
+    assert np.array_equal(x, want)
 
 
 def test_sample_bytes_match_rank_update_formula():
@@ -324,7 +349,8 @@ def test_sample_bytes_match_rank_update_formula():
         assert np.array_equal(sample(law, z), want + law.mean)
     ident = whitened_laws(6)["identity"]
     z = stream(8, "bytes").standard_normal((40, 6))
-    assert np.array_equal(sample(ident, z), z + ident.mean)
+    want = z + ident.mean
+    assert np.array_equal(sample(ident, z), want)
 
 
 # ---------------------------------------------------------------- proj_r
