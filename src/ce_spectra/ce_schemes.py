@@ -82,7 +82,7 @@ class SchemeConfig:
         if not self.projected and self.strategy != "none":
             raise ValueError(f"scheme {self.scheme!r} does not take a direction strategy")
         check_rho(self.rho)
-        if self.delta_target < 1.0:
+        if not self.delta_target >= 1.0:
             raise ValueError("delta_target below 1 is unreachable for the spread statistic")
         for name in ("m", "n"):
             if getattr(self, name) < 2:
@@ -90,7 +90,7 @@ class SchemeConfig:
         for name in ("n_p", "t_max"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if self.divergence_lambda_cap <= 0.0:
+        if not self.divergence_lambda_cap > 0.0:
             raise ValueError("divergence_lambda_cap must be positive")
         check_seed(self.seed)
 

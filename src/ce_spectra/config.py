@@ -5,6 +5,10 @@ typoed parameter cannot silently fall back to a default, and so is a key
 the experiment kind does not read. Values are typed per key; lists are
 comma separated. Lines starting with # and inline #-comments are ignored.
 
+Each key is described once, by its ExperimentConfig field: the default is
+the field's, and the field's metadata holds the parser, the kinds that
+read the key and the kinds that require it (_KEYS collects them).
+
 load_config also builds the cell groups a command runs: the argument
 tuples of its cells, stream keys included, grouped per output (one benchmark
 cell, one kappa branch, the gamma grid). Range and membership rules live in
@@ -14,7 +18,7 @@ their ValueError becomes a ConfigError.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .ce_schemes import SchemeConfig
@@ -27,23 +31,10 @@ class ConfigError(ValueError):
 
 
 KINDS = ("benchmark", "phase", "gamma", "table1")
-_REQUIRED = {
-    "benchmark": ("target", "scheme"),
-    "phase": ("target", "alignment", "lambda1", "kappa", "dims"),
-    "gamma": ("target", "alignment", "lambda1"),
-    "table1": (),
-}
+_LAB_KINDS = ("phase", "gamma")
+_SCHEME_KINDS = ("benchmark", "table1")
 # Scheme options a file may set; unset ones take SchemeConfig's defaults.
-# table1 fixes its own strategies, so it reads all but the first.
 _SCHEME_KEYS = ("strategy", "rho", "delta_target", "n_p", "t_max", "divergence_lambda_cap")
-_COMMON_KEYS = ("kind", "seed", "workers", "output_dir", "N")
-# The keys each kind reads; any other key is an error.
-_KEYS = {
-    "benchmark": _COMMON_KEYS + ("target", "scheme", "m", "n", "dims") + _SCHEME_KEYS,
-    "table1": _COMMON_KEYS + ("m", "n", "dims") + _SCHEME_KEYS[1:],
-    "phase": _COMMON_KEYS + ("target", "alignment", "lambda1", "kappa", "dims", "alpha"),
-    "gamma": _COMMON_KEYS + ("target", "alignment", "lambda1", "dims", "alpha"),
-}
 
 TABLE1_TARGETS = ("lin", "quad", "fin")
 TABLE1_CELLS = (
@@ -63,56 +54,43 @@ def _comma_list(item):
     return lambda raw: tuple(item(p) for p in raw.split(",") if p.strip())
 
 
-# key -> parser of the stripped value
-_PARSERS = {
-    "kind": str,
-    "target": str,
-    "scheme": str,
-    "strategy": str,
-    "rho": float,
-    "delta_target": float,
-    "m": int,
-    "n": int,
-    "n_p": int,
-    "t_max": int,
-    "N": int,
-    "lambda1": float,
-    "kappa": _comma_list(float),
-    "dims": _comma_list(int),
-    "alpha": float,
-    "alignment": str,
-    "seed": int,
-    "workers": int,
-    "output_dir": str,
-    "divergence_lambda_cap": float,
-}
+def _key(parse, kinds=KINDS, required=(), default=None):
+    """A config key: parse types its stripped value, kinds read it and
+    required lists the kinds that reject a config without it."""
+    return field(default=default, metadata=dict(parse=parse, kinds=kinds, required=required))
 
 
 @dataclass
 class ExperimentConfig:
-    kind: str
-    target: str | None = None
-    scheme: str | None = None
-    strategy: str | None = None
-    rho: float | None = None
-    delta_target: float | None = None
-    m: int | None = None
-    n: int | None = None
-    n_p: int | None = None
-    t_max: int | None = None
-    N: int | None = None
-    lambda1: float | None = None
-    kappa: tuple[float, ...] = ()
-    dims: tuple[int, ...] = ()
-    alpha: float | None = None
-    alignment: str | None = None
-    seed: int = 0
-    workers: int = 0
-    output_dir: str = "."
-    divergence_lambda_cap: float | None = None
+    # The field order is the order of a "requires keys" message.
+    kind: str = _key(str)
+    target: str | None = _key(str, ("benchmark",) + _LAB_KINDS, ("benchmark",) + _LAB_KINDS)
+    scheme: str | None = _key(str, ("benchmark",), ("benchmark",))
+    alignment: str | None = _key(str, _LAB_KINDS, _LAB_KINDS)
+    lambda1: float | None = _key(float, _LAB_KINDS, _LAB_KINDS)
+    kappa: tuple[float, ...] = _key(_comma_list(float), ("phase",), ("phase",), ())
+    dims: tuple[int, ...] = _key(_comma_list(int), required=("phase",), default=())
+    alpha: float | None = _key(float, _LAB_KINDS)
+    # table1 fixes its own strategies.
+    strategy: str | None = _key(str, ("benchmark",))
+    rho: float | None = _key(float, _SCHEME_KINDS)
+    delta_target: float | None = _key(float, _SCHEME_KINDS)
+    m: int | None = _key(int, _SCHEME_KINDS)
+    n: int | None = _key(int, _SCHEME_KINDS)
+    n_p: int | None = _key(int, _SCHEME_KINDS)
+    t_max: int | None = _key(int, _SCHEME_KINDS)
+    divergence_lambda_cap: float | None = _key(float, _SCHEME_KINDS)
+    N: int | None = _key(int)
+    seed: int = _key(int, default=0)
+    workers: int = _key(int, default=0)
+    output_dir: str = _key(str, default=".")
     # Set by load_config: the cells of the command, as lists of map_cells
     # argument tuples, one list per output.
     groups: list[list[tuple]] = field(init=False, repr=False, compare=False)
+
+
+# key -> metadata of its field: the one table parse_file and load_config read.
+_KEYS = {f.name: f.metadata for f in fields(ExperimentConfig) if f.init}
 
 
 def parse_file(path: str | Path) -> dict:
@@ -130,12 +108,12 @@ def parse_file(path: str | Path) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, raw = body.split("=", 1)
         key = key.strip()
-        if key not in _PARSERS:
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         try:
-            values[key] = _PARSERS[key](raw.strip())
+            values[key] = _KEYS[key]["parse"](raw.strip())
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values
@@ -149,22 +127,18 @@ def load_config(path: str | Path, overrides: dict | None = None,
     an error rather than silently resolved.
     """
     values = parse_file(path)
-    if overrides:
-        for key, val in overrides.items():
-            if val is not None:
-                values[key] = val
+    values.update((k, v) for k, v in (overrides or {}).items() if v is not None)
     if expected_kind is not None:
         if values.get("kind", expected_kind) != expected_kind:
-            raise ConfigError(
-                f"config kind {values['kind']!r} conflicts with command {expected_kind!r}"
-            )
+            raise ConfigError(f"config kind {values['kind']!r} conflicts with "
+                              f"command {expected_kind!r}")
         values["kind"] = expected_kind
     kind = values.get("kind")
     if kind is None:
         raise ConfigError("missing required key 'kind'")
     if kind not in KINDS:
         raise ConfigError(f"unknown kind {kind!r}; expected one of {KINDS}")
-    unread = [k for k in values if k not in _KEYS[kind]]
+    unread = [k for k in values if k not in _KEYS or kind not in _KEYS[k]["kinds"]]
     if unread:
         raise ConfigError(f"kind={kind} does not read keys: {', '.join(unread)}")
     cfg = ExperimentConfig(**values)
@@ -175,7 +149,8 @@ def load_config(path: str | Path, overrides: dict | None = None,
 def _validate(cfg: ExperimentConfig) -> None:
     """Rules no library type knows, then the cell groups, which build the
     library objects themselves."""
-    missing = [k for k in _REQUIRED[cfg.kind] if getattr(cfg, k) in (None, ())]
+    missing = [k for k, key in _KEYS.items()
+               if cfg.kind in key["required"] and getattr(cfg, k) in (None, ())]
     if missing:
         raise ConfigError(f"kind={cfg.kind} requires keys: {', '.join(missing)}")
     if cfg.kind == "phase":
@@ -184,7 +159,7 @@ def _validate(cfg: ExperimentConfig) -> None:
     elif len(cfg.dims) > 1:
         raise ConfigError(f"{cfg.kind} takes at most one dimension in 'dims'")
     if cfg.N is None:
-        cfg.N = 200 if cfg.kind in ("benchmark", "table1") else 30
+        cfg.N = 200 if cfg.kind in _SCHEME_KINDS else 30
     if cfg.N < 1:
         raise ConfigError(f"N must be positive, got {cfg.N}")
     if cfg.workers < 0:

@@ -66,22 +66,19 @@ def quantile_threshold(scores: np.ndarray, rho: float) -> float:
     return float(np.partition(scores, k - 1)[k - 1])
 
 
-def _weighted_gram(points: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """sum_i a_i x_i x_i^T for nonnegative weights a; points is not written."""
-    return _scaled_gram(points * np.sqrt(a)[:, None])
+def _scaled_gram(rows: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """sum_i a_i x_i x_i^T for nonnegative weights a, the x_i being rows.
 
-
-def _scaled_gram(b: np.ndarray) -> np.ndarray:
-    """B^T B for B the rows already scaled by sqrt(a_i).
-
-    NumPy sends the product of a matrix with its own transpose (same
-    buffer, transposed view) to BLAS syrk, which computes one triangle and
-    mirrors it: half the flops of a general product, and an exactly
-    symmetric result. That exactness is NumPy's dispatch, not a documented
-    guarantee; the tests pin it at the shapes the estimators see, and the
-    eigen routines symmetrize anyway.
+    rows is the caller's to give up: it is scaled by sqrt(a_i) in place
+    into B, and the result is B^T B. NumPy sends the product of a matrix
+    with its own transpose (same buffer, transposed view) to BLAS syrk,
+    which computes one triangle and mirrors it: half the flops of a general
+    product, and an exactly symmetric result. That exactness is NumPy's
+    dispatch, not a documented guarantee; the tests pin it at the shapes
+    the estimators see, and the eigen routines symmetrize anyway.
     """
-    return b.T @ b
+    rows *= np.sqrt(a)[:, None]
+    return rows.T @ rows
 
 
 def _log_weight_moments(points: np.ndarray, log_w: np.ndarray, n: int):
@@ -90,7 +87,8 @@ def _log_weight_moments(points: np.ndarray, log_w: np.ndarray, n: int):
     Returns (mu, sigma, mean_weight) where mean_weight = (1/n) sum w may be
     inf when the peak log weight overflows; mu and sigma stay finite because
     the peak cancels inside the normalization. n is the batch size, which
-    exceeds the number of rows when zero-weight rows were left out.
+    exceeds the number of rows when zero-weight rows were left out. points
+    is overwritten (see _scaled_gram).
     """
     peak = float(np.max(log_w))
     if peak == -math.inf:
@@ -98,7 +96,7 @@ def _log_weight_moments(points: np.ndarray, log_w: np.ndarray, n: int):
     a = np.exp(log_w - peak)
     total = float(np.sum(a))
     mu = (a / total) @ points
-    sigma = _weighted_gram(points, a) / total - np.outer(mu, mu)
+    sigma = _scaled_gram(points, a) / total - np.outer(mu, mu)
     mean_weight = numerics.exp_saturated(peak) * total / n
     return mu, sigma, mean_weight
 
@@ -138,7 +136,8 @@ def smooth_weighted_mean_cov(sample: WeightedSample, bandwidth: float) -> Estima
     indicator score >= 0 for diagnostics.
     """
     log_w = _log_smoothed_weights(sample, bandwidth)
-    mu, sigma, norm = _log_weight_moments(sample.points, log_w, sample.size)
+    # The moments scale their rows in place, so they get a copy of the batch.
+    mu, sigma, norm = _log_weight_moments(sample.points.copy(), log_w, sample.size)
     return EstimationResult(p_hat=float(norm), mu_hat=mu, sigma_hat=sigma,
                             n_hits=int(np.sum(sample.scores >= 0.0)))
 
@@ -167,10 +166,7 @@ def sigma_a_estimator(sample: WeightedSample, p: float, mu: np.ndarray) -> np.nd
     lw = sample.log_ratios[ind]
     peak = float(np.max(lw))
     scale = numerics.exp_saturated(peak) / (sample.size * p)
-    # The gather is a fresh array, so its rows are scaled in place.
-    rows = sample.points[ind]
-    rows *= np.sqrt(np.exp(lw - peak))[:, None]
-    second = _scaled_gram(rows)
+    second = _scaled_gram(sample.points[ind], np.exp(lw - peak))
     second *= scale
     second -= np.outer(mu, mu)
     return second

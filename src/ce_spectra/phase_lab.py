@@ -107,7 +107,7 @@ class SweepConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kappa <= 0.0:
+        if not 0.0 < self.kappa < math.inf:
             raise ValueError(f"kappa must be positive, got {self.kappa}")
         dims = tuple(int(d) for d in self.dims)
         object.__setattr__(self, "dims", dims)

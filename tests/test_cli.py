@@ -3,13 +3,14 @@ small workloads. Worker-count independence is asserted byte for byte."""
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from ce_spectra import cli
+from ce_spectra import cli, config
 from ce_spectra.cli import main
 from ce_spectra.config import (
     GAMMA_N_GRID,
@@ -121,9 +122,75 @@ def test_validation_per_kind(tmp_path):
         ("kind = benchmark\ntarget = slab\nscheme = ce\n", "unknown benchmark target"),
         ("kind = benchmark\ntarget = lin\nscheme = ce\nm = 1\n", "m must be at least 2"),
         ("kind = table1\ndims = 2\n", "needs d >= 3"),
+        (phase + "kappa = 2.0, nan\n", "kappa must be positive"),
+        (phase + "kappa = inf\n", "kappa must be positive"),
+        ("kind = benchmark\ntarget = lin\nscheme = ice\ndelta_target = nan\n",
+         "delta_target below 1"),
+        ("kind = table1\ndivergence_lambda_cap = nan\n", "divergence_lambda_cap must be positive"),
     ):
         with pytest.raises(ConfigError, match=fragment):
             load_config(write_cfg(tmp_path / "lib.cfg", text))
+
+
+# Each kind's keys and required keys, in the order of their messages.
+COMMON_KEYS = ("kind", "seed", "workers", "output_dir", "N")
+SCHEME_OPTIONS = ("rho", "delta_target", "n_p", "t_max", "divergence_lambda_cap")
+KIND_KEYS = {
+    "benchmark": COMMON_KEYS + ("target", "scheme", "m", "n", "dims", "strategy")
+    + SCHEME_OPTIONS,
+    "table1": COMMON_KEYS + ("m", "n", "dims") + SCHEME_OPTIONS,
+    "phase": COMMON_KEYS + ("target", "alignment", "lambda1", "kappa", "dims", "alpha"),
+    "gamma": COMMON_KEYS + ("target", "alignment", "lambda1", "dims", "alpha"),
+}
+REQUIRED_KEYS = {
+    "benchmark": ("target", "scheme"),
+    "phase": ("target", "alignment", "lambda1", "kappa", "dims"),
+    "gamma": ("target", "alignment", "lambda1"),
+    "table1": (),
+}
+# A value each key's parser takes and, for table1, its rules accept.
+KEY_VALUES = {
+    "kind": None, "seed": "3", "workers": "1", "output_dir": "out", "N": "2",
+    "target": "lin", "scheme": "ce", "strategy": "mean", "m": "40", "n": "40",
+    "dims": "4", "rho": "0.2", "delta_target": "2.0", "n_p": "10", "t_max": "3",
+    "divergence_lambda_cap": "100.0", "alignment": "v_in_u", "lambda1": "0.5",
+    "kappa": "2.0", "alpha": "0.5",
+}
+
+
+def test_key_values_cover_the_key_table():
+    assert set(KEY_VALUES) == set(config._KEYS)
+
+
+@pytest.mark.parametrize("key", KEY_VALUES)
+@pytest.mark.parametrize("kind", KIND_KEYS)
+def test_key_read_and_required_per_kind(tmp_path, kind, key):
+    text = f"kind = {kind}\n"
+    if key != "kind":
+        text += f"{key} = {KEY_VALUES[key]}\n"
+    path = write_cfg(tmp_path / "k.cfg", text)
+    if key not in KIND_KEYS[kind]:
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value) == f"kind={kind} does not read keys: {key}"
+        return
+    missing = [k for k in REQUIRED_KEYS[kind] if k != key]
+    if missing:
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value) == f"kind={kind} requires keys: {', '.join(missing)}"
+    else:
+        assert load_config(path).kind == kind
+
+
+def test_readme_lists_the_keys_of_each_kind():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for kind in KIND_KEYS:
+        lines = [ln for ln in readme.splitlines() if ln.startswith(f"- `{kind}` reads:")]
+        assert len(lines) == 1, kind
+        listed = re.findall(r"`([^`]+)`", lines[0].split(":", 1)[1])
+        assert len(listed) == len(set(listed)), kind
+        assert set(listed) == {k for k, key in config._KEYS.items() if kind in key["kinds"]}
 
 
 def test_default_repetitions(tmp_path):
@@ -528,14 +595,22 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
     assert run_cli(["benchmark", "--config", tmp_path / "missing.cfg"]) == 2
     # Library-level rules are config errors too, raised before any output.
-    for kind, text in (
+    # A NaN or infinite value must fail its range rule too, not the first cell.
+    small = "dims = 4\nm = 50\nn = 50\nn_p = 20\nt_max = 2\nN = 1\nworkers = 1\n"
+    for i, (kind, text) in enumerate((
         ("phase", PHASE_BASE + "lambda1 = 0.5\nkappa = 2.0\nN = 5\n"),
         ("gamma", GAMMA_BASE + "lambda1 = 0.5\nN = 3\n"),
         ("benchmark", "kind = benchmark\ntarget = quad\nscheme = ce\ndims = 1\n"),
         ("table1", "kind = table1\ndims = 2\n"),
-    ):
-        out = tmp_path / f"never_{kind}"
-        cfg = write_cfg(tmp_path / f"{kind}.cfg", text + f"output_dir = {out}\n")
+        ("phase", PHASE_BASE + "lambda1 = 0.5\nkappa = nan\nN = 10\nworkers = 1\n"),
+        ("phase", PHASE_BASE + "lambda1 = 0.5\nkappa = inf\nN = 10\nworkers = 1\n"),
+        ("benchmark", "kind = benchmark\ntarget = lin\nscheme = ice\ndelta_target = nan\n"
+         + small),
+        ("benchmark", "kind = benchmark\ntarget = lin\nscheme = ce\n"
+         "divergence_lambda_cap = nan\n" + small),
+    )):
+        out = tmp_path / f"never_{i}"
+        cfg = write_cfg(tmp_path / f"{i}.cfg", text + f"output_dir = {out}\n")
         assert run_cli([kind, "--config", cfg]) == 2
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()

@@ -128,7 +128,7 @@ def test_weighted_mean_cov_hit_rows_match_full_batch():
     threshold = float(np.quantile(ws.scores, 0.95))
     ind = ws.scores >= threshold
     log_w = np.where(ind, ws.log_ratios, -np.inf)
-    mu, sigma, p_hat = _log_weight_moments(ws.points, log_w, ws.size)
+    mu, sigma, p_hat = _log_weight_moments(ws.points.copy(), log_w, ws.size)
     res = weighted_mean_cov(ws, threshold)
     assert np.max(np.abs(res.mu_hat - mu)) < 1e-12
     assert np.max(np.abs(res.sigma_hat - sigma)) < 1e-12
