@@ -15,11 +15,13 @@ update is shared: an independent fresh batch, the level-conditional
 weighted mean and covariance, their checks, and the next law, dense or
 projected. A run either converges (level threshold reaches 0, or the
 exact-indicator weight spread falls below target), hits the iteration
-budget, or diverges; divergence is any of: non-finite statistic, Cholesky
-failure of the dense update, zero hits, a collapsed projection, or a top
-eigenvalue past the configured cap. Diverged runs keep their last usable
-law so a probability estimate is still recorded, mirroring how failed
-repetitions are reported rather than discarded.
+budget, or diverges: in the smoothed level stage when no bandwidth gives
+a finite spread, or in the update on zero hits (or smoothed weights that
+all underflow), a non-finite statistic, Cholesky failure of the dense
+update, a collapsed projection, or a top eigenvalue past the configured
+cap; the update's failures share one exit. Diverged runs keep their last
+usable law so a probability estimate is still recorded, mirroring how
+failed repetitions are reported rather than discarded.
 """
 from __future__ import annotations
 
@@ -82,8 +84,8 @@ class SchemeConfig:
         if not self.projected and self.strategy != "none":
             raise ValueError(f"scheme {self.scheme!r} does not take a direction strategy")
         check_rho(self.rho)
-        if not self.delta_target >= 1.0:
-            raise ValueError("delta_target below 1 is unreachable for the spread statistic")
+        if not 1.0 <= self.delta_target < math.inf:
+            raise ValueError(f"delta_target must lie in [1, inf), got {self.delta_target}")
         for name in ("m", "n"):
             if getattr(self, name) < 2:
                 raise ValueError(f"{name} must be at least 2")
@@ -216,59 +218,35 @@ def optimize_bandwidth(sample_: WeightedSample, sigma_hi: float,
     return min(math.exp(0.5 * (a + b)), sigma_hi)
 
 
-def _smoothed_level(law: GaussianLaw, bandwidth: float | None, target: LimitState,
-                    cfg: SchemeConfig, rng: np.random.Generator
-                    ) -> tuple[float | None, float | None]:
-    """The smoothed schemes' level stage on a fresh batch of cfg.m points.
-
-    Returns (level, bandwidth). level is None when the stop criterion holds
-    (bandwidth unchanged), NaN when no bandwidth is usable, else the tuned
-    bandwidth, which is also the bandwidth returned. A bandwidth of None is
-    first derived from the spread of the scores. Only the two numbers leave
-    this function, so the level batch is gone before the learn batch is
-    drawn.
-    """
-    ws = _weighted_batch(law, cfg.m, rng, target)
-    if indicator_delta(ws) <= cfg.delta_target:
-        return None, bandwidth
-    if bandwidth is None:
-        q25, q75 = np.percentile(ws.scores, [25.0, 75.0])
-        bandwidth = max(10.0 * float(q75 - q25), BANDWIDTH_FLOOR)
-    level = optimize_bandwidth(ws, bandwidth, cfg.delta_target)
-    if level is None:
-        return math.nan, bandwidth
-    return level, level
-
-
 def iterate(law: GaussianLaw, bandwidth: float | None, target: LimitState,
             cfg: SchemeConfig, t: int, rng_level: np.random.Generator,
             rng_learn: np.random.Generator
             ) -> tuple[GaussianLaw, float | None, IterationTrace | None]:
     """Iteration t of any scheme: level stage, then one shared update.
 
-    Returns (next law, bandwidth, trace). On divergence the law comes back
-    unchanged and the trace carries the flag. A trace of None means the
-    smoothed schemes' stop criterion held on the fresh level batch: the law
-    is final and nothing was updated. bandwidth is only read and tuned by
-    the smoothed schemes; None means it has not been set yet, and it is
-    then derived from the spread of the level scores.
+    Returns (next law, bandwidth, trace). A trace of None means the smoothed
+    schemes' stop criterion held on the fresh level batch: the law is final.
+    On divergence the law comes back unchanged, and the trace carries the
+    flag and the statistics computed before the failure. bandwidth is read
+    and tuned by the smoothed schemes only; None (not set yet) is derived
+    from the spread of the level scores.
     """
-    lam_min_in = law.lambda_min()
-
-    def record(level: float, p_hat: float = math.nan, lam_max: float = math.nan,
-               n_hits: int = 0, diverged: bool = True) -> IterationTrace:
-        return IterationTrace(t=t, q_or_sigma=level, p_hat_t=p_hat,
-                              lambda_min_proj=lam_min_in, lambda_max_raw=lam_max,
-                              diverged=diverged, n_hits=n_hits)
-
     # The level stage: the recorded level is the threshold actually used for
     # conditioning, the score quantile capped at 0, or the tuned bandwidth.
     if cfg.smoothed:
-        level, bandwidth = _smoothed_level(law, bandwidth, target, cfg, rng_level)
-        if level is None:
+        ws = _weighted_batch(law, cfg.m, rng_level, target)
+        if indicator_delta(ws) <= cfg.delta_target:
             return law, bandwidth, None
-        if math.isnan(level):
-            return law, bandwidth, record(level)
+        if bandwidth is None:
+            q25, q75 = np.percentile(ws.scores, [25.0, 75.0])
+            bandwidth = max(10.0 * float(q75 - q25), BANDWIDTH_FLOOR)
+        level = optimize_bandwidth(ws, bandwidth, cfg.delta_target)
+        del ws  # the level batch is gone before the learn batch is drawn
+        if level is None:
+            return law, bandwidth, IterationTrace(
+                t=t, q_or_sigma=math.nan, p_hat_t=math.nan, lambda_min_proj=law.lambda_min(),
+                lambda_max_raw=math.nan, diverged=True, n_hits=0)
+        bandwidth = level
         estimator = smooth_weighted_mean_cov
     else:
         scores = target(sample(law, rng_level.standard_normal((cfg.m, law.dim))))
@@ -276,24 +254,23 @@ def iterate(law: GaussianLaw, bandwidth: float | None, target: LimitState,
         estimator = weighted_mean_cov
 
     # The update; the level-conditional estimator compares the scores with
-    # the level itself.
+    # the level itself. require_symmetric rejects a non-finite sigma_hat, and
+    # a finite sigma_hat has a finite mu_hat, its diagonal holding -mu_i^2.
     ws = _weighted_batch(law, cfg.n, rng_learn, target)
+    p_hat, n_hits, lam_max, nxt = 0.0, 0, math.nan, None
     try:
         est = estimator(ws, level)
-    except DegenerateSampleError:
-        return law, bandwidth, record(level, 0.0)
-    if not (np.all(np.isfinite(est.mu_hat)) and np.all(np.isfinite(est.sigma_hat))):
-        return law, bandwidth, record(level, est.p_hat, n_hits=est.n_hits)
-    extremes = numerics.sym_eigen_extremes(est.sigma_hat)
-    stats = (level, est.p_hat, extremes.lambda_max, est.n_hits)
-    if not math.isfinite(est.p_hat) or extremes.lambda_max > cfg.divergence_lambda_cap:
-        return law, bandwidth, record(*stats)
-    try:
-        nxt = _next_law(est, cfg, extremes)
-    except (numerics.NotPositiveDefiniteError, numerics.NotSymmetricError,
-            CollapsedEstimateError):
-        return law, bandwidth, record(*stats)
-    return nxt, bandwidth, record(*stats, diverged=False)
+        p_hat, n_hits = est.p_hat, est.n_hits
+        extremes = numerics.sym_eigen_extremes(est.sigma_hat)
+        lam_max = extremes.lambda_max
+        if math.isfinite(p_hat) and lam_max <= cfg.divergence_lambda_cap:
+            nxt = _next_law(est, cfg, extremes)
+    except (DegenerateSampleError, numerics.NotPositiveDefiniteError,
+            numerics.NotSymmetricError, CollapsedEstimateError):
+        pass  # diverged: the law stays, the trace keeps what was computed
+    return law if nxt is None else nxt, bandwidth, IterationTrace(
+        t=t, q_or_sigma=level, p_hat_t=p_hat, lambda_min_proj=law.lambda_min(),
+        lambda_max_raw=lam_max, diverged=nxt is None, n_hits=n_hits)
 
 
 def run_scheme(cfg: SchemeConfig, target: LimitState,

@@ -249,9 +249,9 @@ def gamma_fit(n_grid: Sequence[int], log_max: Sequence[Sequence[float]],
     """
     n_grid = tuple(int(n) for n in n_grid)
     log_max = [tuple(float(v) for v in vals) for vals in log_max]
-    if len(log_max) != len(n_grid):
-        raise ValueError("one value list per grid point required")
-    reps = len(log_max[0])
+    reps = len(log_max[0]) if log_max else 0
+    if len(log_max) != len(n_grid) or reps == 0 or any(len(v) != reps for v in log_max):
+        raise ValueError("one repetition list per grid point required, all of one nonzero length")
 
     kept = [i for i, vals in enumerate(log_max) if all(math.isfinite(v) for v in vals)]
     dropped = tuple(n_grid[i] for i in range(len(n_grid)) if i not in kept)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ce_spectra import ce_schemes
 from ce_spectra.ce_schemes import (
     BANDWIDTH_FLOOR,
     IterationTrace,
@@ -19,6 +20,7 @@ from ce_spectra.ce_schemes import (
     run_scheme,
     select_direction,
 )
+from ce_spectra.estimators import EstimationResult
 from ce_spectra.gauss_core import CollapsedEstimateError, GaussianLaw, WeightedSample
 from ce_spectra.seeding import stream
 from ce_spectra.targets import LimitState, halfspace_target, linear_target
@@ -57,8 +59,9 @@ def test_config_validation():
         cfg_for("ce_proj", strategy="none")
     with pytest.raises(ValueError):
         cfg_for("ce", rho=0.0)
-    with pytest.raises(ValueError):
-        cfg_for("ice", delta_target=0.5)
+    for delta_target in (0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"delta_target must lie in \[1, inf\)"):
+            cfg_for("ice", delta_target=delta_target)
     with pytest.raises(ValueError):
         cfg_for("ce", m=0)
     # A float seed would otherwise run the streams of its integer part.
@@ -395,6 +398,27 @@ def test_divergence_branches_record_their_trace(case):
     np.testing.assert_equal([astuple(tr) for tr in res.traces], [astuple(want)])
     start = stream(0, "final").standard_normal((N_P, D))
     assert res.p_hat == float(np.mean(start[:, 0] >= 0.5))
+
+
+@pytest.mark.parametrize("p_hat,mu_hat,sigma_hat,lam_max", [
+    # A non-finite estimate: no eigenvalue is taken of it.
+    (0.25, np.full(D, math.nan), np.full((D, D), math.nan), math.nan),
+    (0.25, np.zeros(D), np.diag([1.0, math.inf, 1.0]), math.nan),
+    # The level probability overflows (exp_saturated gives inf).
+    (math.inf, np.zeros(D), 2.0 * np.eye(D), 2.0),
+], ids=["nan_estimate", "inf_estimate", "inf_p_hat"])
+def test_update_failures_keep_the_law_and_record_their_trace(monkeypatch, p_hat, mu_hat,
+                                                             sigma_hat, lam_max):
+    est = EstimationResult(p_hat=p_hat, mu_hat=mu_hat, sigma_hat=sigma_hat, n_hits=7)
+    monkeypatch.setattr(ce_schemes, "weighted_mean_cov", lambda ws, level: est)
+    law = GaussianLaw.identity(D)
+    cfg = SchemeConfig(scheme="ce", m=M, n=N, n_p=N_P, seed=0)
+    nxt, bandwidth, trace = iterate(law, None, batch_keyed_target(above, above), cfg, 0,
+                                    stream(0, "y", 0), stream(0, "x", 0))
+    assert nxt is law and bandwidth is None
+    want = IterationTrace(t=0, q_or_sigma=0.0, p_hat_t=p_hat, lambda_min_proj=1.0,
+                          lambda_max_raw=lam_max, diverged=True, n_hits=7)
+    np.testing.assert_equal(astuple(trace), astuple(want))
 
 
 def test_run_scheme_bit_reproducible():

@@ -125,7 +125,10 @@ def test_validation_per_kind(tmp_path):
         (phase + "kappa = 2.0, nan\n", "kappa must be positive"),
         (phase + "kappa = inf\n", "kappa must be positive"),
         ("kind = benchmark\ntarget = lin\nscheme = ice\ndelta_target = nan\n",
-         "delta_target below 1"),
+         r"delta_target must lie in \[1, inf\)"),
+        # inf would meet the stop test on every level batch: no iteration runs.
+        ("kind = benchmark\ntarget = lin\nscheme = ice\ndelta_target = inf\n",
+         r"delta_target must lie in \[1, inf\)"),
         ("kind = table1\ndivergence_lambda_cap = nan\n", "divergence_lambda_cap must be positive"),
     ):
         with pytest.raises(ConfigError, match=fragment):
@@ -605,6 +608,8 @@ def test_cli_exit_codes(tmp_path, capsys):
         ("phase", PHASE_BASE + "lambda1 = 0.5\nkappa = nan\nN = 10\nworkers = 1\n"),
         ("phase", PHASE_BASE + "lambda1 = 0.5\nkappa = inf\nN = 10\nworkers = 1\n"),
         ("benchmark", "kind = benchmark\ntarget = lin\nscheme = ice\ndelta_target = nan\n"
+         + small),
+        ("benchmark", "kind = benchmark\ntarget = lin\nscheme = ice\ndelta_target = inf\n"
          + small),
         ("benchmark", "kind = benchmark\ntarget = lin\nscheme = ce\n"
          "divergence_lambda_cap = nan\n" + small),

@@ -1,17 +1,43 @@
-"""The column-level comparator of tools/output_digests.py on small
-hand-written output trees."""
+"""tools/output_digests.py: its frozen configs load, and its
+column-level comparator works on small hand-written output trees."""
 import importlib.util
 from pathlib import Path
+
+from ce_spectra.config import load_config
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def load_tool():
-    spec = importlib.util.spec_from_file_location(
-        "output_digests", ROOT / "tools" / "output_digests.py")
+def load_module(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tool():
+    return load_module("output_digests", ROOT / "tools" / "output_digests.py")
+
+
+def test_frozen_configs_load(tmp_path):
+    # Every config the tool runs passes load_config, which builds its cell
+    # groups; no cell runs here.
+    tool = load_tool()
+    bench = tool.load_bench_run()
+    configs = tool.frozen_configs(bench)
+    assert len(configs) == len(bench.WORKLOADS) + 1 + len(tool.LAB_BRANCHES)
+    for name, (kind, keys) in configs.items():
+        path = tmp_path / f"{name}.cfg"
+        bench.write_config(path, kind, keys, 1)
+        assert load_config(path, expected_kind=kind).groups, name
+
+
+def test_table1_reduced_mirrors_the_cli_test():
+    template = load_module("cli_tests", ROOT / "tests" / "test_cli.py").TABLE1_TEMPLATE
+    keys = dict(line.split(" = ") for line in template.strip().splitlines())
+    for key in ("kind", "seed", "workers", "output_dir"):
+        del keys[key]
+    assert keys == {k: str(v) for k, v in load_tool().TABLE1_REDUCED.items()}
 
 
 RUNS = "rep,p_hat,converged,iterations\n0,1.5e-06,1,4\n1,2.5e-06,0,7\n"

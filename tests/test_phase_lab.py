@@ -308,6 +308,18 @@ def test_gamma_fit_too_few_points():
         gamma_fit((10, 100), [[-math.inf] * 10, [0.0] * 10], bootstrap=10)
 
 
+@pytest.mark.parametrize("n_grid,log_max", [
+    ((), []),
+    ((10, 100), [[], []]),
+    ((10, 100, 1000), [[0.0] * 10, [0.5] * 10, [1.0] * 9]),
+    ((10, 100), [[0.0] * 10]),
+], ids=["empty_grid", "no_repetitions", "ragged", "one_list_short"])
+def test_gamma_fit_rejects_unequal_or_empty_repetitions(n_grid, log_max):
+    # The bootstrap resamples every grid point at one repetition count.
+    with pytest.raises(ValueError, match="one repetition list per grid point"):
+        gamma_fit(n_grid, log_max, bootstrap=10)
+
+
 def test_estimate_gamma_star_monte_carlo_is_flat():
     # lambda1 = 1: weights are constant one, so the exponent is zero.
     est = estimate_gamma_star(LabGeometry("slab", "v_in_u", 1.0), 2, (100, 1000, 10000),

@@ -70,6 +70,15 @@ def load_bench_run():
     return module
 
 
+def frozen_configs(bench) -> dict[str, tuple[str, dict]]:
+    """(kind, keys) of every config this tool runs, by name; bench is
+    bench/run.py as ``load_bench_run`` loads it."""
+    configs = dict(bench.WORKLOADS)
+    configs["table1_reduced"] = ("table1", TABLE1_REDUCED)
+    configs.update(LAB_BRANCHES)
+    return configs
+
+
 def child_env() -> dict:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -185,9 +194,7 @@ def main(argv: list[str]) -> int:
     out = Path(argv[0]).resolve()
     seeds = [int(s) for s in argv[1:]] or list(DEFAULT_SEEDS)
     bench = load_bench_run()
-    configs = dict(bench.WORKLOADS)
-    configs["table1_reduced"] = ("table1", TABLE1_REDUCED)
-    configs.update(LAB_BRANCHES)
+    configs = frozen_configs(bench)
 
     runs = out / "runs"
     (out / "configs").mkdir(parents=True)
