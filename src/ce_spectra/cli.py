@@ -33,7 +33,6 @@ from .phase_lab import (
     SweepResult,
     gamma_cell,
     gamma_fit,
-    kappa_conjecture_report,
     sweep_cell,
 )
 from .seeding import map_cells
@@ -164,12 +163,11 @@ def _write_benchmark_outputs(out: Path, results: list[RunResult], scheme_cfg: Sc
               trace_rows)
 
     rel = [r.relative_error for r in results if math.isfinite(r.relative_error)]
-    diagnostics = []
-    for r in results:
-        try:
-            diagnostics.append(kappa_conjecture_report(r.traces))
-        except ValueError:
-            pass
+    # The CE diagnostic 1 / min_t lambda_min of a run's sampling laws, over
+    # its non-diverged iterations; a run with none, or a floor <= 0, has none.
+    floors = [min((tr.lambda_min_proj for tr in r.traces
+                   if not tr.diverged and math.isfinite(tr.lambda_min_proj)), default=0.0)
+              for r in results]
     n = len(results)
     summary = {
         "target": target.name,
@@ -185,7 +183,7 @@ def _write_benchmark_outputs(out: Path, results: list[RunResult], scheme_cfg: Sc
         "divergence_rate": (sum(r.diverged for r in results) / n) if n else None,
         "converged_rate": (sum(r.converged for r in results) / n) if n else None,
         "iterations": _quartiles([float(r.iterations_used) for r in results]),
-        "kappa_diagnostic": _quartiles(diagnostics),
+        "kappa_diagnostic": _quartiles([1.0 / f for f in floors if f > 0.0]),
     }
     write_json(out / "summary.json", summary)
     _write_benchmark_figures(out, results)
@@ -260,8 +258,7 @@ def _write_gamma_outputs(cfg: ExperimentConfig, dirs: list[Path],
                          results: list[list[float]]) -> None:
     out, cells, values = dirs[0], cfg.groups[0], results[0]
     geo = cells[0][0]  # gamma_cell's LabGeometry, the same for every cell
-    rows = [(c[4], c[5], math.exp(v) if math.isfinite(v) else 0.0)
-            for c, v in zip(cells, values)]
+    rows = [(c[4], c[5], math.exp(v)) for c, v in zip(cells, values)]
     write_csv(out / "gamma.csv", ["n", "rep", "max_weight"], rows)
 
     complete = len(values) == len(cells)

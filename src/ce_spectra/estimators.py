@@ -1,11 +1,17 @@
 """Importance-weighted estimators over Gaussian samples.
 
-Two covariance estimators live here and must not be conflated:
+Three covariance estimators live here and must not be conflated:
 
 * weighted_mean_cov self-normalizes by the estimated hit probability of the
   current level (the adaptive schemes' update, biased 1/n normalization);
+* smooth_weighted_mean_cov self-normalizes weights whose indicator is
+  relaxed to Phi(score / bandwidth) (the smoothed schemes' update);
 * sigma_a_estimator uses the *known* probability and mean of the target set
   (the estimation-lab object whose sample-size behavior is under study).
+
+An estimator owns the sample it is handed and may overwrite its points, as
+gauss_core.sample owns the draws it maps; a caller reads what it needs from
+sample.points first.
 
 All weight aggregation happens in log space with max-subtraction; raw
 exponentials appear only at the final scale factor, so an exploding weight
@@ -136,10 +142,9 @@ def smooth_weighted_mean_cov(sample: WeightedSample, bandwidth: float) -> Estima
     indicator score >= 0 for diagnostics.
     """
     log_w = _log_smoothed_weights(sample, bandwidth)
-    # The moments scale their rows in place, so they get a copy of the batch.
-    mu, sigma, norm = _log_weight_moments(sample.points.copy(), log_w, sample.size)
+    mu, sigma, norm = _log_weight_moments(sample.points, log_w, sample.size)
     return EstimationResult(p_hat=float(norm), mu_hat=mu, sigma_hat=sigma,
-                            n_hits=int(np.sum(sample.scores >= 0.0)))
+                            n_hits=int(np.count_nonzero(sample.indicators)))
 
 
 def sigma_a_estimator(sample: WeightedSample, p: float, mu: np.ndarray) -> np.ndarray:

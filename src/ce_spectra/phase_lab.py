@@ -304,18 +304,3 @@ def estimate_gamma_star(geometry: LabGeometry, d: int, n_grid: Sequence[int], re
     log_max = [values[i:i + reps] for i in range(0, len(values), reps)]
     return gamma_fit(n_grid, log_max, seed=seed)
 
-
-def kappa_conjecture_report(traces: Sequence) -> float:
-    """Diagnostic growth ratio 1 / min_t lambda_min of the sampling spectra.
-
-    Uses the non-diverged iterations of one run's trace; errors on an empty
-    or all-diverged trace.
-    """
-    lam = [tr.lambda_min_proj for tr in traces
-           if not tr.diverged and math.isfinite(tr.lambda_min_proj)]
-    if not lam:
-        raise ValueError("no usable iterations in trace")
-    smallest = min(lam)
-    if smallest <= 0.0:
-        raise ValueError(f"nonpositive sampling eigenvalue {smallest}")
-    return 1.0 / smallest

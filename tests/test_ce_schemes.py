@@ -442,15 +442,16 @@ def test_missing_reference_gives_nan_error():
 
 
 @pytest.mark.parametrize("scheme,strategy,bound", [("ce", "none", 1.32),
-                                                   ("ice_proj", "mean", 2.5)])
+                                                   ("ice", "none", 1.32),
+                                                   ("ice_proj", "mean", 1.32)])
 def test_iteration_peak_memory_in_batches(scheme, strategy, bound):
     # sample writes the points over the draws, and the smoothed level batch
     # is released before the learn batch is drawn, so one iteration holds
     # the learn batch plus what its estimator forms: the hit rows for ce,
-    # scaled in place, and the copy of the batch the smoothed moments
-    # scale. Measured from the identity start and from the law one update
-    # later (dense for ce, spiked with a mean for ice_proj), each after an
-    # untraced warm-up of the same call.
+    # scaled in place, and nothing for the smoothed schemes, whose moments
+    # scale the learn batch itself. Measured from the identity start and
+    # from the law one update later (dense for ce and ice, spiked with a
+    # mean for ice_proj), each after an untraced warm-up of the same call.
     m = n = 2000
     d = 50
     batch = m * d * 8

@@ -166,9 +166,10 @@ def test_smooth_weights_match_direct_construction():
     rng = stream(2, "est", "sm")
     ws = make_sample(rng, n=500, d=3)
     bw = 0.7
+    points = ws.points.copy()  # the estimator owns the sample's points
     res = smooth_weighted_mean_cov(ws, bw)
     w = np.exp(ws.log_ratios) * std_normal_cdf(ws.scores / bw)
-    mu, sigma = textbook_moments(ws.points, np.asarray(w))
+    mu, sigma = textbook_moments(points, np.asarray(w))
     assert np.allclose(res.mu_hat, mu, atol=1e-10)
     assert np.allclose(res.sigma_hat, sigma, atol=1e-10)
 

@@ -1,7 +1,11 @@
-"""tools/output_digests.py: its frozen configs load, and its
-column-level comparator works on small hand-written output trees."""
+"""tools/output_digests.py: its frozen configs load, its digest mode
+enforces its own rules, and its column-level comparator works on small
+hand-written output trees."""
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
 
 from ce_spectra.config import load_config
 
@@ -38,6 +42,49 @@ def test_table1_reduced_mirrors_the_cli_test():
     for key in ("kind", "seed", "workers", "output_dir"):
         del keys[key]
     assert keys == {k: str(v) for k, v in load_tool().TABLE1_REDUCED.items()}
+
+
+def fake_cli(text_for_workers):
+    """A stand-in for subprocess.run that writes one runs.csv per CLI run,
+    its text a function of the worker count, and records every call."""
+    calls = []
+
+    def run(argv, **kwargs):
+        calls.append(argv)
+        out = Path(argv[argv.index("--out") + 1])
+        out.mkdir(parents=True)
+        (out / "runs.csv").write_text(text_for_workers(argv[argv.index("--workers") + 1]))
+        return SimpleNamespace(returncode=0, stderr="")
+
+    return run, calls
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["twins_agree", "twins_differ"])
+def test_digest_mode_fails_when_worker_counts_disagree(tmp_path, monkeypatch, capsys, split):
+    tool = load_tool()
+    run, calls = fake_cli(lambda workers: RUNS + (f"w{workers}\n" if split else ""))
+    monkeypatch.setattr(tool, "subprocess", SimpleNamespace(run=run))
+    assert tool.main([str(tmp_path / "out"), "1"]) == (1 if split else 0)
+    names = tool.frozen_configs(tool.load_bench_run())
+    assert len(calls) == len(names) * len(tool.WORKERS)
+    captured = capsys.readouterr()
+    listing = captured.out.splitlines()
+    assert [line.split("  ")[1] for line in listing] == sorted(
+        f"{name}/s1/w{workers}/runs.csv" for name in names for workers in tool.WORKERS)
+    flagged = [line for line in captured.err.splitlines() if "w1 differs from w2" in line]
+    assert len(flagged) == (len(names) if split else 0)
+    assert all(line.endswith("/s1/w1/runs.csv") for line in flagged)
+
+
+def test_digest_mode_refuses_an_existing_out_dir(tmp_path, monkeypatch, capsys):
+    tool = load_tool()
+    run, calls = fake_cli(lambda workers: RUNS)
+    monkeypatch.setattr(tool, "subprocess", SimpleNamespace(run=run))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert tool.main([str(out)]) == 2
+    assert "exists already" in capsys.readouterr().err
+    assert calls == [] and list(out.iterdir()) == []
 
 
 RUNS = "rep,p_hat,converged,iterations\n0,1.5e-06,1,4\n1,2.5e-06,0,7\n"

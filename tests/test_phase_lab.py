@@ -19,7 +19,6 @@ from ce_spectra.phase_lab import (
     gamma_cell,
     gamma_cells,
     gamma_fit,
-    kappa_conjecture_report,
     phase_sweep,
     sample_size,
     sweep_cell,
@@ -379,27 +378,3 @@ def test_gamma_cells_reject_seed_outside_key_range():
             gamma_cells(geometry, 2, (100, 1000), 10, seed)
     assert len(gamma_cells(geometry, 2, (100, 1000), 10, 2 ** 32 - 1)) == 20
 
-
-# ------------------------------------------------------- kappa diagnostic
-
-
-class FakeTrace:
-    def __init__(self, lam, diverged=False):
-        self.lambda_min_proj = lam
-        self.diverged = diverged
-
-
-def test_kappa_report_uses_min_eigenvalue():
-    traces = [FakeTrace(1.0), FakeTrace(0.25), FakeTrace(0.5)]
-    assert kappa_conjecture_report(traces) == pytest.approx(4.0)
-
-
-def test_kappa_report_skips_diverged():
-    traces = [FakeTrace(1.0), FakeTrace(1e-9, diverged=True)]
-    assert kappa_conjecture_report(traces) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        kappa_conjecture_report([FakeTrace(1.0, diverged=True)])
-    with pytest.raises(ValueError):
-        kappa_conjecture_report([])
-    with pytest.raises(ValueError):
-        kappa_conjecture_report([FakeTrace(-0.5)])

@@ -6,16 +6,18 @@ Usage:
     python3 tools/output_digests.py OUT_DIR [SEED ...]
     python3 tools/output_digests.py --compare OLD_OUT_DIR NEW_OUT_DIR
 
-OUT_DIR must not exist yet. Writes the four workload configs of
-bench/run.py (through its ``WORKLOADS`` and ``write_config``), the
-reduced table1 config of the CLI test ``test_cli_table1_reduced_grid`` and
+OUT_DIR must not exist yet (exit 2 if it does). Writes the four workload
+configs of bench/run.py (through its ``WORKLOADS`` and ``write_config``),
+the reduced table1 config of the CLI test ``test_cli_table1_reduced_grid`` and
 the two lab geometries of ``LAB_BRANCHES`` under OUT_DIR. Runs each with
 the ``ce-spectra`` CLI from this checkout's ``src/``, with BLAS pinned to
 one thread, at ``--workers 1`` and ``--workers 2`` for every seed
 (default 1 and 5). Prints ``sha256  relative/path`` for every output
 file, sorted by path. Run it in two checkouts and diff the listings to
-check that a change leaves the output bytes alone; within one listing,
-the ``w1`` and ``w2`` files of a run must agree too.
+check that a change leaves the output bytes alone. Within one listing, the
+``w1`` and ``w2`` files of a run must agree too: after the listing it
+names every ``w1`` file that differs from its ``w2`` twin on stderr and
+exits 1.
 
 ``--compare`` takes two OUT_DIRs this tool wrote, say in the parent
 checkout and in a changed one. It lists every file whose bytes differ. For
@@ -192,6 +194,9 @@ def main(argv: list[str]) -> int:
               file=sys.stderr)
         return 2
     out = Path(argv[0]).resolve()
+    if out.exists():
+        print(f"{out} exists already; OUT_DIR must be a new directory", file=sys.stderr)
+        return 2
     seeds = [int(s) for s in argv[1:]] or list(DEFAULT_SEEDS)
     bench = load_bench_run()
     configs = frozen_configs(bench)
@@ -212,10 +217,13 @@ def main(argv: list[str]) -> int:
                           f"{proc.stderr}", file=sys.stderr)
                     return 1
 
-    for path in sorted(p for p in runs.rglob("*") if p.is_file()):
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        print(f"{digest}  {path.relative_to(runs).as_posix()}")
-    return 0
+    files = output_files(out)
+    for rel, path in files.items():
+        print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {rel}")
+    mismatches = worker_mismatches(files)
+    for rel in mismatches:
+        print(f"PROBLEM  w1 differs from w2: {rel}", file=sys.stderr)
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":
