@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 from ce_spectra import cli, config
-from ce_spectra.ce_schemes import IterationTrace, RunResult, SchemeConfig
 from ce_spectra.cli import main
 from ce_spectra.config import (
     GAMMA_N_GRID,
@@ -22,7 +21,6 @@ from ce_spectra.config import (
     load_config,
 )
 from ce_spectra.phase_lab import LabGeometry, SweepConfig, estimate_gamma_star, phase_sweep
-from ce_spectra.targets import linear_target
 
 
 def write_cfg(path: Path, text: str) -> str:
@@ -270,41 +268,6 @@ def test_cli_benchmark_outputs(tmp_path):
     assert summary["reps_completed"] == 2
     assert summary["relative_error"]["median"] < 1.0
     assert (out / "error_violin.svg").read_text().startswith("<svg")
-
-
-def floor_run(*floors: tuple[float, bool]) -> RunResult:
-    """A run whose iterations have the given (lambda_min_proj, diverged)."""
-    traces = tuple(IterationTrace(t=t, q_or_sigma=-1.0, p_hat_t=0.1, lambda_min_proj=lam,
-                                  lambda_max_raw=2.0, diverged=diverged, n_hits=5)
-                   for t, (lam, diverged) in enumerate(floors))
-    return RunResult(p_hat=1e-6, relative_error=0.5, traces=traces, converged=False)
-
-
-def test_kappa_diagnostic_is_one_over_the_smallest_usable_floor(tmp_path):
-    # kappa_diagnostic holds the quartiles over runs of 1 / min_t lambda_min
-    # of the sampling laws, taken over a run's non-diverged iterations with
-    # a finite floor. A run without one, or with a floor <= 0, is left out.
-    usable = [floor_run((1.0, False), (0.25, False), (0.5, False)),  # 4
-              floor_run((1.0, False), (1e-9, True)),  # a diverged floor is ignored: 1
-              floor_run((0.5, False), (math.nan, False))]  # 2
-    left_out = {"all_diverged": floor_run((1.0, True)),
-                "no_iterations": floor_run(),
-                "negative_floor": floor_run((-0.5, False))}
-    scheme_cfg = SchemeConfig(scheme="ce")
-    target = linear_target(3)
-
-    def diagnostic(name, results):
-        out = tmp_path / name
-        out.mkdir()
-        cli._write_benchmark_outputs(out, results, scheme_cfg, target)
-        summary = json.loads((out / "summary.json").read_text(),
-                             parse_constant=_reject_constant)
-        return summary["kappa_diagnostic"]
-
-    want = {"q25": 1.5, "median": 2.0, "q75": 3.0}
-    assert diagnostic("mixed", usable + list(left_out.values())) == want
-    for name, run in left_out.items():
-        assert diagnostic(name, [run]) == {"q25": None, "median": None, "q75": None}, name
 
 
 PHASE_TEMPLATE = """

@@ -1,5 +1,6 @@
 """Phase-transition laboratory: alignment layouts, sweep cells, and the
 weight-growth regression on problems with known exponents."""
+import json
 import math
 import os
 import subprocess
@@ -9,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ce_spectra import phase_lab
+from ce_spectra import cli, phase_lab
+from ce_spectra.ce_schemes import IterationTrace, RunResult, SchemeConfig
 from ce_spectra.gauss_core import GaussianLaw, sample
 from ce_spectra.phase_lab import (
     LabGeometry,
@@ -24,7 +26,7 @@ from ce_spectra.phase_lab import (
     sweep_cell,
 )
 from ce_spectra.seeding import stream
-from ce_spectra.targets import prop_range_width
+from ce_spectra.targets import linear_target, prop_range_width
 
 
 def sweep_config(**kw) -> SweepConfig:
@@ -378,3 +380,52 @@ def test_gamma_cells_reject_seed_outside_key_range():
             gamma_cells(geometry, 2, (100, 1000), 10, seed)
     assert len(gamma_cells(geometry, 2, (100, 1000), 10, 2 ** 32 - 1)) == 20
 
+
+
+# ------------------------------------------------------- kappa diagnostic
+# The CE side of the phase transition: summary.json's kappa_diagnostic holds
+# the quartiles over runs of 1 / min_t lambda_min of the sampling laws, taken
+# over a run's non-diverged iterations with a finite floor. A run without
+# one, or with a floor <= 0, is left out.
+
+
+def floor_run(*floors: tuple[float, bool]) -> RunResult:
+    """A run whose iterations have the given (lambda_min_proj, diverged)."""
+    traces = tuple(IterationTrace(t=t, q_or_sigma=-1.0, p_hat_t=0.1, lambda_min_proj=lam,
+                                  lambda_max_raw=2.0, diverged=diverged, n_hits=5)
+                   for t, (lam, diverged) in enumerate(floors))
+    return RunResult(p_hat=1e-6, relative_error=0.5, traces=traces, converged=False)
+
+
+def kappa_diagnostic(out: Path, results: list[RunResult]) -> dict:
+    out.mkdir()
+    cli._write_benchmark_outputs(out, results, SchemeConfig(scheme="ce"), linear_target(3))
+
+    def reject_constant(name):
+        raise ValueError(f"{name} is not strict JSON")
+
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=reject_constant)
+    return summary["kappa_diagnostic"]
+
+
+def test_kappa_report_uses_min_eigenvalue(tmp_path):
+    run = floor_run((1.0, False), (0.25, False), (0.5, False))
+    assert kappa_diagnostic(tmp_path / "one", [run]) == {"q25": 4.0, "median": 4.0, "q75": 4.0}
+    runs = [run, floor_run((1.0, False)), floor_run((0.5, False), (math.nan, False))]
+    assert kappa_diagnostic(tmp_path / "three", runs) == {"q25": 1.5, "median": 2.0, "q75": 3.0}
+
+
+def test_kappa_report_skips_diverged(tmp_path):
+    ignored = floor_run((1.0, False), (1e-9, True))
+    assert kappa_diagnostic(tmp_path / "ignored", [ignored]) == {
+        "q25": 1.0, "median": 1.0, "q75": 1.0}
+    left_out = {"all_diverged": floor_run((1.0, True)),
+                "no_iterations": floor_run(),
+                "negative_floor": floor_run((-0.5, False))}
+    usable = [floor_run((1.0, False), (0.25, False), (0.5, False)), ignored,
+              floor_run((0.5, False), (math.nan, False))]
+    assert kappa_diagnostic(tmp_path / "mixed", usable + list(left_out.values())) == {
+        "q25": 1.5, "median": 2.0, "q75": 3.0}
+    for name, run in left_out.items():
+        assert kappa_diagnostic(tmp_path / name, [run]) == {
+            "q25": None, "median": None, "q75": None}, name
