@@ -8,6 +8,8 @@ Three covariance estimators live here and must not be conflated:
   relaxed to Phi(score / bandwidth) (the smoothed schemes' update);
 * sigma_a_estimator uses the *known* probability and mean of the target set
   (the estimation-lab object whose sample-size behavior is under study).
+  Its sum runs over hit rows alone, so it takes the size n of the batch
+  its sample came from, and a caller may hand over the hit rows alone.
 
 An estimator owns the sample it is handed and may overwrite its points, as
 gauss_core.sample owns the draws it maps; a caller reads what it needs from
@@ -147,18 +149,20 @@ def smooth_weighted_mean_cov(sample: WeightedSample, bandwidth: float) -> Estima
                             n_hits=int(np.count_nonzero(sample.indicators)))
 
 
-def sigma_a_estimator(sample: WeightedSample, p: float, mu: np.ndarray) -> np.ndarray:
+def sigma_a_estimator(sample: WeightedSample, n: int, p: float, mu: np.ndarray) -> np.ndarray:
     """Conditional covariance estimate with known p and mu:
 
         Sigma-hat_A = (1/(n p)) sum l_i xi_i X_i X_i^T - mu mu^T.
 
     No self-normalization: the scale is the true probability, which is what
     exposes the sample-size phase transition. Rows outside the set weigh
-    exactly 0, so the sum runs over the hit rows alone; n stays the full
-    batch size. The result is exactly symmetric.
+    exactly 0, so the sum runs over sample's hit rows alone, and sample may
+    hold just those: n is the size of the batch they came from, at least
+    sample.size. The result is exactly symmetric.
     """
-    if sample.size == 0:
-        raise DegenerateSampleError("empty sample")
+    if n <= 0 or n < sample.size:
+        raise ValueError(f"batch size {n} must be positive and at least the sample's "
+                         f"{sample.size} rows")
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must lie in (0, 1], got {p}")
     mu = np.asarray(mu, dtype=float)
@@ -170,8 +174,10 @@ def sigma_a_estimator(sample: WeightedSample, p: float, mu: np.ndarray) -> np.nd
         return -np.outer(mu, mu)
     lw = sample.log_ratios[ind]
     peak = float(np.max(lw))
-    scale = numerics.exp_saturated(peak) / (sample.size * p)
-    second = _scaled_gram(sample.points[ind], np.exp(lw - peak))
+    scale = numerics.exp_saturated(peak) / (n * p)
+    # Hit rows alone, as the lab hands them over, are scaled where they lie.
+    rows = sample.points if lw.size == sample.size else sample.points[ind]
+    second = _scaled_gram(rows, np.exp(lw - peak))
     second *= scale
     second -= np.outer(mu, mu)
     return second

@@ -8,6 +8,13 @@ The operator-norm error and the top eigenvalue of the estimate, reported as
 medians over repetitions, locate the convergent and divergent regimes; the
 slope of log max-weight against log n estimates the weight-growth exponent
 that separates them.
+
+The hit depends on the target axis e_1 alone and the weight on the spike
+axis alone, so a cell draws only its k <= 2 decisive coordinates (e_1, and
+e_2 for v_in_u_perp) for every row. The other d - k coordinates are
+standard normals independent of both; only a hit row enters Sigma-hat_A,
+so a phase cell draws them for its hit rows alone, from a second stream,
+and a gamma cell, which reads only the hit and the weight, never does.
 """
 from __future__ import annotations
 
@@ -28,11 +35,19 @@ from .gauss_core import (
     sample,
 )
 from .seeding import check_seed, map_cells, stream
-from .targets import LimitState, check_lab_law, halfspace_target, prop_range_width, slab_target
+from .targets import (
+    AnalyticConditional,
+    LimitState,
+    check_lab_law,
+    halfspace_target,
+    prop_range_width,
+    slab_target,
+)
 
 ALIGNMENTS = ("v_in_u", "v_in_u_perp")
-# A lab cell draws, weighs and scores its n x d batch in row blocks of at
-# most this many values (4 MB a block array), so its memory is
+# A lab cell draws, weighs and scores its rows in blocks whose widest array
+# (the hit rows at d columns in phase, the decisive k columns in gamma)
+# holds at most this many values (4 MB), so its memory is
 # O(BLOCK_VALUES + d^2) at any n.
 BLOCK_VALUES = 2 ** 19
 # Target kind -> (builder, default width).
@@ -74,11 +89,25 @@ class LabGeometry:
 
     def at(self, d: int, n: int) -> tuple[LimitState, SpikedCovariance]:
         """Target and sampling covariance of a cell of n samples in dimension d."""
-        width = None if self.alpha is None else prop_range_width(self.alpha, self.lambda1, n)
-        return self._layout(d, width)
+        check_dim(d)
+        return self._layout(d, self._width(n))
+
+    @property
+    def decisive_dim(self) -> int:
+        """k, the number of leading axes that decide a row's hit and weight:
+        the target axis e_1, and the spike axis e_2 when it lies apart."""
+        return 1 if self.alignment == "v_in_u" else 2
+
+    def decisive_at(self, n: int) -> tuple[LimitState, SpikedCovariance]:
+        """at(d, n) on the first decisive_dim axes alone. A row's score and
+        log likelihood ratio under at(d, n) are these of its first k
+        coordinates, whatever d is."""
+        return self._layout(self.decisive_dim, self._width(n))
+
+    def _width(self, n: int) -> float | None:
+        return None if self.alpha is None else prop_range_width(self.alpha, self.lambda1, n)
 
     def _layout(self, d: int, width: float | None) -> tuple[LimitState, SpikedCovariance]:
-        check_dim(d)
         build, default_width = _TARGETS[self.target]
         spike = np.zeros(d)
         spike[0 if self.alignment == "v_in_u" else 1] = 1.0
@@ -151,6 +180,7 @@ def build_alignment(target: str, alignment: str, lambda1: float, d: int,
     (v_in_u) or e_2 (v_in_u_perp) with variance lambda1. lambda1 = 1 makes
     the sampling law the standard normal, the plain Monte Carlo case.
     """
+    check_dim(d)
     return LabGeometry(target, alignment, lambda1)._layout(d, width)
 
 
@@ -163,42 +193,68 @@ def sweep_cells(cfg: SweepConfig) -> list[tuple[SweepConfig, int, int]]:
     return [(cfg, d, rep) for d in cfg.dims for rep in range(cfg.reps)]
 
 
-def _weighted_blocks(state: LimitState, cov: SpikedCovariance, n: int,
+def _decisive_blocks(geometry: LabGeometry, n: int, rows: int,
                      rng: np.random.Generator) -> Iterator[WeightedSample]:
-    """n draws of the sampling law cov from rng, with their log likelihood
-    ratios and scores under state, in consecutive row blocks of at most
-    BLOCK_VALUES values (at least one row). Consecutive standard-normal
-    blocks from one generator are the bytes of one (n, d) draw, so the
-    blocks hold that draw's rows in order, whatever their size."""
+    """The k decisive coordinates of n draws from rng, with their log
+    likelihood ratios and scores, in consecutive blocks of at most rows rows
+    (at least one). Consecutive standard-normal blocks from one generator
+    are the bytes of one (n, k) draw, so the blocks hold that draw's rows in
+    order, whatever their size."""
+    state, cov = geometry.decisive_at(n)
     law = GaussianLaw.with_spiked(cov)
-    rows = max(BLOCK_VALUES // cov.dim, 1)
+    rows = max(rows, 1)
     for start in range(0, n, rows):
         x = sample(law, rng.standard_normal((min(rows, n - start), cov.dim)))
         yield WeightedSample(x, log_likelihood_ratio(cov, x), state(x))
 
 
-def sweep_cell(cfg: SweepConfig, d: int, rep: int) -> SweepRow:
-    """One (dimension, repetition) cell; pure function of (cfg.seed, d, rep).
+def _phase_blocks(geometry: LabGeometry, d: int, n: int,
+                  key: tuple) -> Iterator[tuple[WeightedSample, WeightedSample]]:
+    """The row blocks of a phase cell of n draws in dimension d, each as
+    (decisive, hits). decisive holds the block's k decisive coordinates,
+    from the stream key; hits holds its hit rows in dimension d, whose
+    other d - k coordinates come from the stream (*key, "fill"), drawn for
+    the hit rows alone, in row order. A block's hit rows hold at most
+    BLOCK_VALUES values."""
+    fill = stream(*key, "fill")
+    for block in _decisive_blocks(geometry, n, BLOCK_VALUES // d, stream(*key)):
+        hit = block.indicators
+        k = block.dim
+        points = np.empty((int(np.count_nonzero(hit)), d))
+        points[:, :k] = block.points[hit]
+        points[:, k:] = fill.standard_normal((points.shape[0], d - k))
+        yield block, WeightedSample(points, block.log_ratios[hit], block.scores[hit])
+
+
+def _cell_estimate(cfg: SweepConfig, d: int, rep: int, n: int,
+                   analytic: AnalyticConditional) -> tuple[np.ndarray, float, int]:
+    """Sigma-hat_A, the scaled peak weight and the hit count of the cell
+    (d, rep) of n draws.
 
     Sigma-hat_A is linear in the sample, so the cell's estimate is the
     size-weighted mean of its blocks' estimates, summed from zero. The
     scaled peak weight is monotone in the peak, so its maximum over blocks
-    is the batch's exactly, as is the hit fraction.
+    is the batch's exactly, as is the hit count.
     """
-    n = sample_size(d, cfg.kappa)
     geo = cfg.geometry
-    state, cov = geo.at(d, n)
-    analytic = state.analytic
-    rng = stream(cfg.seed, "phase", geo.target, geo.alignment, d, rep)
+    key = (cfg.seed, "phase", geo.target, geo.alignment, d, rep)
     sigma_hat = np.zeros((d, d))
     max_weight = 0.0
-    hits = 0
-    for ws in _weighted_blocks(state, cov, n, rng):
-        block = sigma_a_estimator(ws, analytic.p, analytic.mu)
-        block *= ws.size / n
-        sigma_hat += block
-        max_weight = max(max_weight, max_weight_statistic(ws, d, n))
-        hits += int(np.count_nonzero(ws.indicators))
+    hit_count = 0
+    for block, hits in _phase_blocks(geo, d, n, key):
+        max_weight = max(max_weight, max_weight_statistic(block, d, n))
+        hit_count += hits.size
+        estimate = sigma_a_estimator(hits, block.size, analytic.p, analytic.mu)
+        estimate *= block.size / n
+        sigma_hat += estimate
+    return sigma_hat, max_weight, hit_count
+
+
+def sweep_cell(cfg: SweepConfig, d: int, rep: int) -> SweepRow:
+    """One (dimension, repetition) cell; pure function of (cfg.seed, d, rep)."""
+    n = sample_size(d, cfg.kappa)
+    analytic = cfg.geometry.at(d, n)[0].analytic
+    sigma_hat, max_weight, hit_count = _cell_estimate(cfg, d, rep, n, analytic)
     return SweepRow(
         d=d,
         rep=rep,
@@ -206,7 +262,7 @@ def sweep_cell(cfg: SweepConfig, d: int, rep: int) -> SweepRow:
         op_error=numerics.operator_norm_diff(sigma_hat, analytic.sigma.dense()),
         lambda_max_hat=float(numerics.sym_eigenvalues(sigma_hat)[-1]),
         max_weight=max_weight,
-        q_hat=hits / n,
+        q_hat=hit_count / n,
     )
 
 
@@ -232,12 +288,15 @@ def gamma_cell(geometry: LabGeometry, d: int, seed: int,
                grid_index: int, n: int, rep: int) -> float:
     """log max_i xi_i l_i for one (grid point, repetition) cell.
 
-    Pure function of (seed, grid_index, rep) given the geometry and d, so
+    Pure function of (seed, grid_index, rep) given the geometry, so
     estimate_gamma_star and the gamma command produce identical numbers.
+    The hit and the weight read the decisive coordinates alone, so the cell
+    draws nothing else, and its value is the same at every d >= 2.
     """
-    state, cov = geometry.at(d, n)
+    check_dim(d)
     rng = stream(seed, "gamma", grid_index, rep)
-    return max(log_max_hit_ratio(ws) for ws in _weighted_blocks(state, cov, n, rng))
+    rows = BLOCK_VALUES // geometry.decisive_dim
+    return max(log_max_hit_ratio(ws) for ws in _decisive_blocks(geometry, n, rows, rng))
 
 
 def gamma_fit(n_grid: Sequence[int], log_max: Sequence[Sequence[float]],

@@ -198,7 +198,7 @@ def test_sigma_a_matches_direct_sum():
     rng = stream(3, "est", "sa")
     ws = make_sample(rng, n=400, d=3)
     p, mu = 0.37, np.array([0.2, -0.1, 0.0])
-    got = sigma_a_estimator(ws, p, mu)
+    got = sigma_a_estimator(ws, ws.size, p, mu)
     w = np.exp(ws.log_ratios) * ws.indicators
     want = (ws.points * w[:, None]).T @ ws.points / (ws.size * p) - np.outer(mu, mu)
     assert np.allclose(got, 0.5 * (want + want.T), atol=1e-12)
@@ -210,14 +210,36 @@ def test_sigma_a_reads_hit_rows_only():
     rng = stream(3, "est", "sa_hits")
     ws = make_sample(rng, n=400, d=3)
     p, mu = 0.37, np.array([0.2, -0.1, 0.0])
-    got = sigma_a_estimator(ws, p, mu)
+    got = sigma_a_estimator(ws, ws.size, p, mu)
     miss = ~ws.indicators
     for value in (1e6, math.nan):
         points = ws.points.copy()
         points[miss] = ws.points[miss] * value
         moved = WeightedSample(points, ws.log_ratios, ws.scores)
-        assert sigma_a_estimator(moved, p, mu).tobytes() == got.tobytes()
+        assert sigma_a_estimator(moved, moved.size, p, mu).tobytes() == got.tobytes()
     assert np.array_equal(got, got.T)
+
+
+def test_sigma_a_hit_rows_alone_match_whole_batch():
+    # The lab hands over a batch's hit rows alone with the batch's size:
+    # the same terms over the same n, so the same bytes.
+    rng = stream(3, "est", "sa_alone")
+    ws = make_sample(rng, n=400, d=3)
+    p, mu = 0.37, np.array([0.2, -0.1, 0.0])
+    hit = ws.indicators
+    alone = WeightedSample(ws.points[hit], ws.log_ratios[hit], ws.scores[hit])
+    want = sigma_a_estimator(ws, ws.size, p, mu)
+    assert sigma_a_estimator(alone, ws.size, p, mu).tobytes() == want.tobytes()
+    # A block without hits hands over no rows at all.
+    empty = WeightedSample(np.empty((0, 3)), np.empty(0), np.empty(0))
+    assert np.array_equal(sigma_a_estimator(empty, 50, p, mu), -np.outer(mu, mu))
+
+
+def test_sigma_a_rejects_batch_smaller_than_sample():
+    ws = make_sample(stream(3, "est", "sa_n"), n=10, d=2)
+    for n in (0, 9):
+        with pytest.raises(ValueError, match="batch size"):
+            sigma_a_estimator(ws, n, 0.5, np.zeros(2))
 
 
 @pytest.mark.parametrize("n,d,hit_rate", [(2000, 400, 0.5), (300, 400, 1 / 300)])
@@ -226,7 +248,7 @@ def test_moments_exactly_symmetric_at_lab_shapes(n, d, hit_rate):
     # phase lab uses, with half the rows hitting and with a single hit row.
     rng = stream(3, "est", "sym", d, n)
     ws = make_sample(rng, n=n, d=d, hit_rate=hit_rate)
-    got = sigma_a_estimator(ws, 0.3, np.zeros(d))
+    got = sigma_a_estimator(ws, ws.size, 0.3, np.zeros(d))
     assert np.array_equal(got, got.T)
     sigma = weighted_mean_cov(ws, 0.0).sigma_hat
     assert np.array_equal(sigma, sigma.T)
@@ -236,18 +258,18 @@ def test_sigma_a_no_hits_is_negative_outer():
     x = np.zeros((5, 2))
     ws = WeightedSample(x, np.zeros(5), -np.ones(5))
     mu = np.array([1.0, 2.0])
-    assert np.allclose(sigma_a_estimator(ws, 0.5, mu), -np.outer(mu, mu))
+    assert np.allclose(sigma_a_estimator(ws, ws.size, 0.5, mu), -np.outer(mu, mu))
 
 
 def test_sigma_a_validation():
     rng = stream(3, "est", "sav")
     ws = make_sample(rng, n=10, d=2)
     with pytest.raises(ValueError):
-        sigma_a_estimator(ws, 0.0, np.zeros(2))
+        sigma_a_estimator(ws, ws.size, 0.0, np.zeros(2))
     with pytest.raises(ValueError):
-        sigma_a_estimator(ws, 1.5, np.zeros(2))
+        sigma_a_estimator(ws, ws.size, 1.5, np.zeros(2))
     with pytest.raises(ValueError):
-        sigma_a_estimator(ws, 0.5, np.zeros(3))
+        sigma_a_estimator(ws, ws.size, 0.5, np.zeros(3))
 
 
 # ------------------------------------------------------- spread statistics

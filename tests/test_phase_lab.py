@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -226,25 +227,113 @@ def test_tiny_blocks_keep_gamma_cell(monkeypatch):
 
 
 def test_tiny_blocks_keep_kappa_prefix(monkeypatch):
-    # The kappa branches of a phase run share a stream per (d, rep), so the
-    # smaller batch is the first rows of the larger one, in blocks or not.
+    # The kappa branches of a phase run share the two streams of a (d, rep),
+    # so the smaller batch's decisive rows are the first rows of the larger
+    # one, and its hit rows' fill values the first fill values drawn for
+    # the larger one, in blocks or not.
     geometry = LabGeometry("halfspace", "v_in_u_perp", 0.5)
-    d = 8
+    d, k = 8, geometry.decisive_dim
     small, large = sample_size(d, 1.2), sample_size(d, 1.6)
     assert (small, large) == (13, 28)
 
     def rows(n):
-        state, cov = geometry.at(d, n)
-        blocks = list(phase_lab._weighted_blocks(state, cov, n, stream(1, "pl", "prefix")))
-        return blocks, np.concatenate([ws.points for ws in blocks])
+        blocks = list(phase_lab._phase_blocks(geometry, d, n, (1, "pl", "prefix")))
+        decisive = np.concatenate([block.points for block, _ in blocks])
+        fill = np.concatenate([hits.points[:, k:] for _, hits in blocks])
+        return [block.size for block, _ in blocks], decisive, fill
 
-    _, whole = rows(large)
+    _, whole, whole_fill = rows(large)
     monkeypatch.setattr(phase_lab, "BLOCK_VALUES", 5 * d)
-    blocks, small_rows = rows(small)
-    assert [ws.size for ws in blocks] == [5, 5, 3]
-    _, large_rows = rows(large)
+    sizes, small_rows, small_fill = rows(small)
+    assert sizes == [5, 5, 3]
+    _, large_rows, large_fill = rows(large)
     assert large_rows.tobytes() == whole.tobytes()
+    assert large_fill.tobytes() == whole_fill.tobytes()
     assert small_rows.tobytes() == large_rows[:small].tobytes()
+    assert 0 < len(small_fill) < len(large_fill)
+    assert small_fill.tobytes() == large_fill[:len(small_fill)].tobytes()
+
+
+class CountingGenerator:
+    """A generator that adds the size of every normal draw to counts[key]."""
+
+    def __init__(self, gen, counts, key):
+        self._gen, self._counts, self._key = gen, counts, key
+
+    def standard_normal(self, *args, **kwargs):
+        out = self._gen.standard_normal(*args, **kwargs)
+        self._counts[self._key] += out.size
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self._gen, name)
+
+
+def count_draws(monkeypatch) -> Counter:
+    """Normal values drawn per stream key by phase_lab from now on."""
+    counts = Counter()
+    monkeypatch.setattr(phase_lab, "stream",
+                        lambda *key: CountingGenerator(stream(*key), counts, key))
+    return counts
+
+
+@pytest.mark.parametrize("geometry", [
+    LabGeometry("slab", "v_in_u", 0.5, alpha=1.0),
+    LabGeometry("halfspace", "v_in_u_perp", 0.5),
+], ids=["slab-v_in_u", "halfspace-v_in_u_perp"])
+def test_gamma_cell_draws_decisive_coordinates_only(monkeypatch, geometry):
+    # The hit and the weight read k = 1 or 2 coordinates; a gamma cell draws
+    # n k values whatever d is, and its value does not depend on d.
+    k, n = geometry.decisive_dim, 1000
+    counts = count_draws(monkeypatch)
+    values = set()
+    for d in (2, 40):
+        counts.clear()
+        values.add(gamma_cell(geometry, d, 7, 0, n, 1))
+        assert counts == {(7, "gamma", 0, 1): n * k}
+    assert len(values) == 1
+
+
+@pytest.mark.parametrize("geometry", [
+    LabGeometry("slab", "v_in_u", 0.7),
+    LabGeometry("halfspace", "v_in_u_perp", 0.5),
+], ids=["slab-v_in_u", "halfspace-v_in_u_perp"])
+def test_sweep_cell_draws_fill_for_hit_rows_only(monkeypatch, geometry):
+    # n k decisive values from the cell's stream, then d - k fill values for
+    # each of its H = q_hat n hit rows from the fill stream.
+    cfg = sweep_config(geometry=geometry, kappa=1.6, dims=(40,))
+    k, d = geometry.decisive_dim, 40
+    counts = count_draws(monkeypatch)
+    row = sweep_cell(cfg, d, 2)
+    hits = round(row.q_hat * row.n)
+    assert 0 < hits < row.n
+    key = (cfg.seed, "phase", geometry.target, geometry.alignment, d, 2)
+    assert counts == {key: row.n * k, key + ("fill",): hits * (d - k)}
+    assert sum(counts.values()) == row.n * k + hits * (d - k)
+
+
+@pytest.mark.parametrize("geometry", [
+    LabGeometry(target, alignment, 0.8)
+    for target in ("halfspace", "slab") for alignment in phase_lab.ALIGNMENTS
+], ids=lambda g: f"{g.target}-{g.alignment}")
+def test_cell_estimate_is_unbiased(geometry):
+    # Sigma-hat_A is unbiased at any n. Averaged over many repetitions of a
+    # tiny cell, every entry lies within 4 standard errors of the analytic
+    # Sigma_A: the decisive block, the fill diagonal (1), the fill
+    # off-diagonal and the cross terms (0). lambda1 = 0.8 keeps the
+    # estimate's variance finite.
+    d, reps = 4, 2000
+    cfg = sweep_config(geometry=geometry, kappa=2.0, dims=(d,))
+    n = sample_size(d, cfg.kappa)
+    analytic = geometry.at(d, n)[0].analytic
+    want = analytic.sigma.dense()
+    assert np.array_equal(want[2:, 2:], np.eye(d - 2)) and not want[2:, :2].any()
+    estimates = np.array([phase_lab._cell_estimate(cfg, d, rep, n, analytic)[0]
+                          for rep in range(reps)])
+    mean = estimates.mean(axis=0)
+    se = estimates.std(axis=0, ddof=1) / math.sqrt(reps)
+    assert np.all(se > 0.0)
+    assert np.all(np.abs(mean - want) <= 4.0 * se), (mean - want) / se
 
 
 def test_sweep_cell_memory_is_bounded():
