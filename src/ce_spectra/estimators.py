@@ -175,9 +175,7 @@ def sigma_a_estimator(sample: WeightedSample, n: int, p: float, mu: np.ndarray) 
     lw = sample.log_ratios[ind]
     peak = float(np.max(lw))
     scale = numerics.exp_saturated(peak) / (n * p)
-    # Hit rows alone, as the lab hands them over, are scaled where they lie.
-    rows = sample.points if lw.size == sample.size else sample.points[ind]
-    second = _scaled_gram(rows, np.exp(lw - peak))
+    second = _scaled_gram(sample.points[ind], np.exp(lw - peak))
     second *= scale
     second -= np.outer(mu, mu)
     return second

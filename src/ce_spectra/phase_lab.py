@@ -293,7 +293,6 @@ def gamma_cell(geometry: LabGeometry, d: int, seed: int,
     The hit and the weight read the decisive coordinates alone, so the cell
     draws nothing else, and its value is the same at every d >= 2.
     """
-    check_dim(d)
     rng = stream(seed, "gamma", grid_index, rep)
     rows = BLOCK_VALUES // geometry.decisive_dim
     return max(log_max_hit_ratio(ws) for ws in _decisive_blocks(geometry, n, rows, rng))

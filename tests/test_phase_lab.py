@@ -219,10 +219,11 @@ def test_tiny_blocks_keep_sweep_cell(monkeypatch, cfg, d, values):
 def test_tiny_blocks_keep_gamma_cell(monkeypatch):
     geometry = LabGeometry("slab", "v_in_u_perp", 0.5, alpha=1.0)
     n_grid = (50, 302)
-    assert all(n % 7 for n in n_grid)
     cells = [(geometry, 3, 7, i, n, rep) for i, n in enumerate(n_grid) for rep in range(4)]
     whole = [gamma_cell(*cell) for cell in cells]
-    monkeypatch.setattr(phase_lab, "BLOCK_VALUES", 3 * 7)  # 7 rows a block
+    # 7 rows a block: a gamma block holds the decisive columns alone.
+    monkeypatch.setattr(phase_lab, "BLOCK_VALUES", 7 * geometry.decisive_dim)
+    assert all(n % (phase_lab.BLOCK_VALUES // geometry.decisive_dim) for n in n_grid)
     assert [gamma_cell(*cell) for cell in cells] == whole
 
 
