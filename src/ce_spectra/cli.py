@@ -40,9 +40,12 @@ from .targets import LimitState
 from . import svg
 
 # The set-up step of bench/setup_probe.py reaches these through this module.
-from .config import GAMMA_DEFAULT_DIM  # noqa: F401
 from .phase_lab import build_alignment  # noqa: F401
 from .targets import benchmark_target, prop_range_width  # noqa: F401
+
+# The dimension bench/setup_probe.py builds a gamma law in; nothing else
+# reads it, since a gamma cell draws its decisive coordinates alone.
+GAMMA_DEFAULT_DIM = 2
 
 
 # ---------------------------------------------------------------- plumbing
@@ -83,7 +86,8 @@ def run(cfg: ExperimentConfig) -> None:
 
     The output directories are made before the first cell. All cells go
     through one map_cells call, so a pool starts once per command. The
-    writer gets one list of results per group, in group order. It is called
+    writer gets one list of results per group (a benchmark or table1 cell,
+    a phase kappa branch, a gamma grid point), in group order. It is called
     also when a cell raises: each group then holds the cells that finished
     before the failure, and a group the failure never reached is empty. The
     cell's exception propagates; a failure of that write only goes to stderr.
@@ -256,17 +260,17 @@ def _write_phase_outputs(cfg: ExperimentConfig, dirs: list[Path], rows: list[lis
 
 def _write_gamma_outputs(cfg: ExperimentConfig, dirs: list[Path],
                          results: list[list[float]]) -> None:
-    out, cells, values = dirs[0], cfg.groups[0], results[0]
-    geo = cells[0][0]  # gamma_cell's LabGeometry, the same for every cell
-    rows = [(c[4], c[5], math.exp(v)) for c, v in zip(cells, values)]
+    out = dirs[0]
+    geo = cfg.groups[0][0][0]  # gamma_cell's LabGeometry, the same for every cell
+    rows = [(c[3], c[4], math.exp(v)) for group, values in zip(cfg.groups, results)
+            for c, v in zip(group, values)]
     write_csv(out / "gamma.csv", ["n", "rep", "max_weight"], rows)
 
-    complete = len(values) == len(cells)
+    complete = all(len(values) == len(group) for group, values in zip(cfg.groups, results))
     summary: dict = {"kind": "gamma", "target": geo.target, "alignment": geo.alignment,
                      "lambda1": geo.lambda1, "alpha": geo.alpha, "complete": complete}
     if complete:
-        log_max = [values[i:i + cfg.N] for i in range(0, len(values), cfg.N)]
-        est = gamma_fit(GAMMA_N_GRID, log_max, seed=cfg.seed)
+        est = gamma_fit(GAMMA_N_GRID, results, seed=cfg.seed)
         summary.update({
             "slope": est.slope,
             "intercept": est.intercept,

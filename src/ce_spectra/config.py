@@ -11,9 +11,9 @@ read the key and the kinds that require it (_KEYS collects them).
 
 load_config also builds the cell groups a command runs: the argument
 tuples of its cells, stream keys included, grouped per output (one benchmark
-cell, one kappa branch, the gamma grid). Range and membership rules live in
-the library objects those tuples hold; building them is the validation, and
-their ValueError becomes a ConfigError.
+cell, one kappa branch, one gamma grid point). Range and membership rules
+live in the library objects those tuples hold; building them is the
+validation, and their ValueError becomes a ConfigError.
 """
 from __future__ import annotations
 
@@ -47,7 +47,6 @@ TABLE1_CELLS = (
 )
 
 GAMMA_N_GRID = (1000, 10000, 100000, 1000000)
-GAMMA_DEFAULT_DIM = 2
 
 
 def _comma_list(item):
@@ -69,7 +68,7 @@ class ExperimentConfig:
     alignment: str | None = _key(str, _LAB_KINDS, _LAB_KINDS)
     lambda1: float | None = _key(float, _LAB_KINDS, _LAB_KINDS)
     kappa: tuple[float, ...] = _key(_comma_list(float), ("phase",), ("phase",), ())
-    dims: tuple[int, ...] = _key(_comma_list(int), required=("phase",), default=())
+    dims: tuple[int, ...] = _key(_comma_list(int), _SCHEME_KINDS + ("phase",), ("phase",), ())
     alpha: float | None = _key(float, _LAB_KINDS)
     # table1 fixes its own strategies.
     strategy: str | None = _key(str, ("benchmark",))
@@ -212,10 +211,9 @@ def _phase_groups(cfg: ExperimentConfig) -> list[list[tuple]]:
 
 
 def _gamma_groups(cfg: ExperimentConfig) -> list[list[tuple]]:
-    """gamma_cell arguments of a gamma config over GAMMA_N_GRID x N, as one group."""
+    """gamma_cell arguments of each GAMMA_N_GRID point of a gamma config."""
     geometry = LabGeometry(cfg.target, cfg.alignment, cfg.lambda1, cfg.alpha)
-    d = cfg.dims[0] if cfg.dims else GAMMA_DEFAULT_DIM
-    return [gamma_cells(geometry, d, GAMMA_N_GRID, cfg.N, cfg.seed)]
+    return gamma_cells(geometry, GAMMA_N_GRID, cfg.N, cfg.seed)
 
 
 _GROUP_BUILDERS = {"benchmark": _scheme_groups, "table1": _scheme_groups,

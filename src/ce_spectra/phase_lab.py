@@ -34,7 +34,7 @@ from .gauss_core import (
     log_likelihood_ratio,
     sample,
 )
-from .seeding import check_seed, map_cells, stream
+from .seeding import check_seed, stream
 from .targets import (
     AnalyticConditional,
     LimitState,
@@ -44,7 +44,9 @@ from .targets import (
     slab_target,
 )
 
-ALIGNMENTS = ("v_in_u", "v_in_u_perp")
+# Alignment -> axis of the sampling spike. The target's direction is axis 0
+# (e_1), so v_in_u puts the spike on it and v_in_u_perp on e_2.
+ALIGNMENTS = {"v_in_u": 0, "v_in_u_perp": 1}
 # A lab cell draws, weighs and scores its rows in blocks whose widest array
 # (the hit rows at d columns in phase, the decisive k columns in gamma)
 # holds at most this many values (4 MB), so its memory is
@@ -96,7 +98,7 @@ class LabGeometry:
     def decisive_dim(self) -> int:
         """k, the number of leading axes that decide a row's hit and weight:
         the target axis e_1, and the spike axis e_2 when it lies apart."""
-        return 1 if self.alignment == "v_in_u" else 2
+        return ALIGNMENTS[self.alignment] + 1
 
     def decisive_at(self, n: int) -> tuple[LimitState, SpikedCovariance]:
         """at(d, n) on the first decisive_dim axes alone. A row's score and
@@ -110,7 +112,7 @@ class LabGeometry:
     def _layout(self, d: int, width: float | None) -> tuple[LimitState, SpikedCovariance]:
         build, default_width = _TARGETS[self.target]
         spike = np.zeros(d)
-        spike[0 if self.alignment == "v_in_u" else 1] = 1.0
+        spike[ALIGNMENTS[self.alignment]] = 1.0
         cov = SpikedCovariance(dim=d, lambdas=np.array([self.lambda1]), directions=spike[None, :])
         return build(d, default_width if width is None else width), cov
 
@@ -122,7 +124,7 @@ class LabGeometry:
         exponent is alpha (1 - lambda1), or 0 for a fixed slab. Every other
         case gives 1 - lambda1. Both are 0 at lambda1 = 1, plain Monte Carlo.
         """
-        if self.target == "slab" and self.alignment == "v_in_u":
+        if self.target == "slab" and ALIGNMENTS[self.alignment] == 0:
             return self.alpha * (1.0 - self.lambda1) if self.alpha is not None else 0.0
         return 1.0 - self.lambda1
 
@@ -266,12 +268,6 @@ def sweep_cell(cfg: SweepConfig, d: int, rep: int) -> SweepRow:
     )
 
 
-def phase_sweep(cfg: SweepConfig) -> SweepResult:
-    """Full sweep over dims x reps, in this process; cells are independently
-    seeded, so the rows equal the phase command's at any worker count."""
-    return SweepResult(config=cfg, rows=tuple(map_cells(sweep_cell, sweep_cells(cfg), 1)))
-
-
 @dataclass(frozen=True)
 class GammaEstimate:
     """Least-squares slope of median log max-weight against log n."""
@@ -284,14 +280,12 @@ class GammaEstimate:
     dropped: tuple[int, ...]
 
 
-def gamma_cell(geometry: LabGeometry, d: int, seed: int,
-               grid_index: int, n: int, rep: int) -> float:
+def gamma_cell(geometry: LabGeometry, seed: int, grid_index: int, n: int, rep: int) -> float:
     """log max_i xi_i l_i for one (grid point, repetition) cell.
 
-    Pure function of (seed, grid_index, rep) given the geometry, so
-    estimate_gamma_star and the gamma command produce identical numbers.
-    The hit and the weight read the decisive coordinates alone, so the cell
-    draws nothing else, and its value is the same at every d >= 2.
+    Pure function of (seed, grid_index, rep) given the geometry. The hit and
+    the weight read the decisive coordinates alone, so the cell draws only
+    those.
     """
     rng = stream(seed, "gamma", grid_index, rep)
     rows = BLOCK_VALUES // geometry.decisive_dim
@@ -303,7 +297,8 @@ def gamma_fit(n_grid: Sequence[int], log_max: Sequence[Sequence[float]],
     """Regression stage: medians, least-squares slope, bootstrap band.
 
     Grid points where any repetition recorded zero hits (log max -inf) are
-    dropped with a warning before fitting.
+    dropped with a warning before fitting. The band is a 95% bootstrap
+    interval from resampling repetitions within each grid point.
     """
     n_grid = tuple(int(n) for n in n_grid)
     log_max = [tuple(float(v) for v in vals) for vals in log_max]
@@ -337,28 +332,13 @@ def gamma_fit(n_grid: Sequence[int], log_max: Sequence[Sequence[float]],
                          dropped=dropped)
 
 
-def gamma_cells(geometry: LabGeometry, d: int, n_grid: Sequence[int], reps: int,
-                seed: int = 0) -> list[tuple]:
-    """gamma_cell arguments over n_grid x reps, grid-point major."""
+def gamma_cells(geometry: LabGeometry, n_grid: Sequence[int], reps: int,
+                seed: int = 0) -> list[list[tuple]]:
+    """gamma_cell arguments over n_grid x reps, one list per grid point."""
     n_grid = tuple(int(n) for n in n_grid)
     if len(n_grid) < 2 or n_grid[0] < 2 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError("n_grid must be ascending from n >= 2 with at least two points")
-    check_dim(d)
     check_reps(reps)
     check_seed(seed)
-    return [(geometry, d, seed, i, n, rep) for i, n in enumerate(n_grid)
-            for rep in range(reps)]
-
-
-def estimate_gamma_star(geometry: LabGeometry, d: int, n_grid: Sequence[int], reps: int,
-                        seed: int = 0) -> GammaEstimate:
-    """Weight-growth exponent from the max-weight regression.
-
-    The band is a 95% bootstrap interval from resampling repetitions within
-    each grid point.
-    """
-    cells = gamma_cells(geometry, d, n_grid, reps, seed)
-    values = list(map_cells(gamma_cell, cells, 1))
-    log_max = [values[i:i + reps] for i in range(0, len(values), reps)]
-    return gamma_fit(n_grid, log_max, seed=seed)
-
+    return [[(geometry, seed, i, n, rep) for rep in range(reps)]
+            for i, n in enumerate(n_grid)]

@@ -25,7 +25,16 @@ from ce_spectra.gauss_core import (
     log_likelihood_ratio,
     proj_r,
 )
-from ce_spectra.phase_lab import LabGeometry, SweepConfig, estimate_gamma_star, phase_sweep
+from ce_spectra.phase_lab import (
+    LabGeometry,
+    SweepConfig,
+    SweepResult,
+    gamma_cell,
+    gamma_cells,
+    gamma_fit,
+    sweep_cell,
+    sweep_cells,
+)
 from ce_spectra.seeding import map_cells
 from ce_spectra.targets import benchmark_target, halfspace_target, slab_target
 
@@ -91,7 +100,8 @@ def test_03_conditional_moments_match_monte_carlo():
 def _sweep_medians(lambda1, kappa, attr, seed=1):
     cfg = SweepConfig(LabGeometry("halfspace", "v_in_u_perp", lambda1),
                       kappa=kappa, dims=(20, 40, 80), reps=30, seed=seed)
-    return phase_sweep(cfg).medians(attr)
+    rows = tuple(sweep_cell(*cell) for cell in sweep_cells(cfg))
+    return SweepResult(config=cfg, rows=rows).medians(attr)
 
 
 def test_04_misaligned_spike_phase_transition():
@@ -110,16 +120,20 @@ def test_05_monte_carlo_error_decay():
     assert errors[20] > errors[40] > errors[80], errors
 
 
+def _gamma_estimate(geometry):
+    groups = gamma_cells(geometry, GAMMA_GRID, reps=30, seed=1)
+    return gamma_fit(GAMMA_GRID, [[gamma_cell(*cell) for cell in group] for group in groups],
+                     seed=1)
+
+
 def test_06_weight_growth_exponent():
-    d = 2
     growing = LabGeometry("slab", "v_in_u", 0.5, alpha=1.0)
-    est = estimate_gamma_star(growing, d, GAMMA_GRID, reps=30, seed=1)
+    est = _gamma_estimate(growing)
     assert abs(est.slope - 0.5) <= 0.1, est.slope
     assert est.band[0] <= est.slope <= est.band[1]
 
     # identical sampling and nominal laws on a fixed set: weights stay at 1
-    flat = estimate_gamma_star(LabGeometry("slab", "v_in_u", 1.0), d, GAMMA_GRID,
-                               reps=30, seed=1)
+    flat = _gamma_estimate(LabGeometry("slab", "v_in_u", 1.0))
     assert abs(flat.slope) <= 0.05, flat.slope
 
 

@@ -20,7 +20,15 @@ from ce_spectra.config import (
     benchmark_sizes,
     load_config,
 )
-from ce_spectra.phase_lab import LabGeometry, SweepConfig, estimate_gamma_star, phase_sweep
+from ce_spectra.phase_lab import (
+    LabGeometry,
+    SweepConfig,
+    gamma_cell,
+    gamma_cells,
+    gamma_fit,
+    sweep_cell,
+    sweep_cells,
+)
 
 
 def write_cfg(path: Path, text: str) -> str:
@@ -143,7 +151,7 @@ KIND_KEYS = {
     + SCHEME_OPTIONS,
     "table1": COMMON_KEYS + ("m", "n", "dims") + SCHEME_OPTIONS,
     "phase": COMMON_KEYS + ("target", "alignment", "lambda1", "kappa", "dims", "alpha"),
-    "gamma": COMMON_KEYS + ("target", "alignment", "lambda1", "dims", "alpha"),
+    "gamma": COMMON_KEYS + ("target", "alignment", "lambda1", "alpha"),
 }
 REQUIRED_KEYS = {
     "benchmark": ("target", "scheme"),
@@ -334,10 +342,11 @@ def test_cli_phase_rows_match_library_sweep(tmp_path):
     assert run_cli(["phase", "--config", cfg]) == 0
     lines = (out / "sweep_1.csv").read_text().splitlines()[1:]
     got = [tuple(float(v) for v in line.split(",")) for line in lines]
-    res = phase_sweep(SweepConfig(LabGeometry("halfspace", "v_in_u_perp", 0.5),
-                                  kappa=1.5, dims=(4, 8), reps=10, seed=3))
+    lab = SweepConfig(LabGeometry("halfspace", "v_in_u_perp", 0.5),
+                      kappa=1.5, dims=(4, 8), reps=10, seed=3)
+    rows = [sweep_cell(*cell) for cell in sweep_cells(lab)]
     want = [(r.d, r.rep, r.n, r.op_error, r.lambda_max_hat, r.max_weight, r.q_hat)
-            for r in res.rows]
+            for r in rows]
     assert got == want
 
 
@@ -563,8 +572,10 @@ def test_cli_gamma_fit_matches_library_estimate(tmp_path):
     cfg = write_cfg(tmp_path / "g.cfg", GAMMA_TEMPLATE.format(workers=2, out=out))
     assert run_cli(["gamma", "--config", cfg]) == 0
     payload = json.loads((out / "gamma.json").read_text())
-    est = estimate_gamma_star(LabGeometry("slab", "v_in_u", 0.5, alpha=1.0), 2,
-                              GAMMA_N_GRID, reps=10, seed=11)
+    groups = gamma_cells(LabGeometry("slab", "v_in_u", 0.5, alpha=1.0), GAMMA_N_GRID,
+                         reps=10, seed=11)
+    est = gamma_fit(GAMMA_N_GRID, [[gamma_cell(*cell) for cell in group] for group in groups],
+                    seed=11)
     assert payload["slope"] == est.slope
     assert payload["intercept"] == est.intercept
     assert payload["band"] == list(est.band)
@@ -603,6 +614,9 @@ def test_cli_exit_codes(tmp_path, capsys):
     for i, (kind, text) in enumerate((
         ("phase", PHASE_BASE + "lambda1 = 0.5\nkappa = 2.0\nN = 5\n"),
         ("gamma", GAMMA_BASE + "lambda1 = 0.5\nN = 3\n"),
+        # No dimension moves a gamma cell, which draws its decisive
+        # coordinates alone, so gamma does not read the key.
+        ("gamma", GAMMA_BASE + "lambda1 = 0.5\ndims = 3\n"),
         ("benchmark", "kind = benchmark\ntarget = quad\nscheme = ce\ndims = 1\n"),
         ("table1", "kind = table1\ndims = 2\n"),
         ("phase", PHASE_BASE + "lambda1 = 0.5\nkappa = nan\nN = 10\nworkers = 1\n"),

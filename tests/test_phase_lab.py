@@ -17,14 +17,14 @@ from ce_spectra.gauss_core import GaussianLaw, sample
 from ce_spectra.phase_lab import (
     LabGeometry,
     SweepConfig,
+    SweepResult,
     build_alignment,
-    estimate_gamma_star,
     gamma_cell,
     gamma_cells,
     gamma_fit,
-    phase_sweep,
     sample_size,
     sweep_cell,
+    sweep_cells,
 )
 from ce_spectra.seeding import stream
 from ce_spectra.targets import linear_target, prop_range_width
@@ -35,6 +35,18 @@ def sweep_config(**kw) -> SweepConfig:
                 kappa=2.0, dims=(5, 10), reps=10, seed=0)
     base.update(kw)
     return SweepConfig(**base)
+
+
+def sweep_rows(cfg: SweepConfig) -> SweepResult:
+    """The rows of one kappa branch of the phase command, in this process."""
+    return SweepResult(config=cfg, rows=tuple(sweep_cell(*cell) for cell in sweep_cells(cfg)))
+
+
+def gamma_estimate(geometry: LabGeometry, n_grid, reps: int, seed: int):
+    """The gamma command's fit of its cells over n_grid x reps, in this process."""
+    groups = gamma_cells(geometry, n_grid, reps, seed)
+    return gamma_fit(n_grid, [[gamma_cell(*cell) for cell in group] for group in groups],
+                     seed=seed)
 
 
 # ---------------------------------------------------------- build_alignment
@@ -81,8 +93,8 @@ def test_geometry_validation():
     for build in (
         lambda: LabGeometry("halfspace", "v_in_u_perp", 0.5, alpha=0.5),
         lambda: sweep_config(geometry=LabGeometry("halfspace", "v_in_u_perp", 0.5, alpha=0.5)),
-        lambda: estimate_gamma_star(LabGeometry("halfspace", "v_in_u", 0.5, alpha=0.5), 2,
-                                    (100, 1000), reps=10),
+        lambda: gamma_cells(LabGeometry("halfspace", "v_in_u", 0.5, alpha=0.5),
+                            (100, 1000), reps=10),
     ):
         with pytest.raises(ValueError, match="alpha applies to the slab target only"):
             build()
@@ -159,9 +171,9 @@ def test_sweep_cell_q_hat_matches_analytic():
     assert row.q_hat == pytest.approx(want, abs=4.0 * math.sqrt(0.25 / row.n))
 
 
-def test_phase_sweep_shape():
+def test_sweep_cells_shape():
     cfg = sweep_config(reps=10, dims=(4, 8))
-    res = phase_sweep(cfg)
+    res = sweep_rows(cfg)
     assert len(res.rows) == 20
     meds = res.medians("op_error")
     assert set(meds) == {4, 8}
@@ -171,7 +183,7 @@ def test_convergent_regime_error_shrinks_with_dimension():
     # kappa well above the critical exponent: the median error must drop
     # from d=5 to d=25.
     cfg = sweep_config(kappa=2.5, dims=(5, 25), reps=10)
-    res = phase_sweep(cfg)
+    res = sweep_rows(cfg)
     meds = res.medians("op_error")
     assert meds[25] < meds[5]
 
@@ -219,7 +231,7 @@ def test_tiny_blocks_keep_sweep_cell(monkeypatch, cfg, d, values):
 def test_tiny_blocks_keep_gamma_cell(monkeypatch):
     geometry = LabGeometry("slab", "v_in_u_perp", 0.5, alpha=1.0)
     n_grid = (50, 302)
-    cells = [(geometry, 3, 7, i, n, rep) for i, n in enumerate(n_grid) for rep in range(4)]
+    cells = [(geometry, 7, i, n, rep) for i, n in enumerate(n_grid) for rep in range(4)]
     whole = [gamma_cell(*cell) for cell in cells]
     # 7 rows a block: a gamma block holds the decisive columns alone.
     monkeypatch.setattr(phase_lab, "BLOCK_VALUES", 7 * geometry.decisive_dim)
@@ -284,15 +296,11 @@ def count_draws(monkeypatch) -> Counter:
 ], ids=["slab-v_in_u", "halfspace-v_in_u_perp"])
 def test_gamma_cell_draws_decisive_coordinates_only(monkeypatch, geometry):
     # The hit and the weight read k = 1 or 2 coordinates; a gamma cell draws
-    # n k values whatever d is, and its value does not depend on d.
+    # n k values.
     k, n = geometry.decisive_dim, 1000
     counts = count_draws(monkeypatch)
-    values = set()
-    for d in (2, 40):
-        counts.clear()
-        values.add(gamma_cell(geometry, d, 7, 0, n, 1))
-        assert counts == {(7, "gamma", 0, 1): n * k}
-    assert len(values) == 1
+    gamma_cell(geometry, 7, 0, n, 1)
+    assert counts == {(7, "gamma", 0, 1): n * k}
 
 
 @pytest.mark.parametrize("geometry", [
@@ -368,9 +376,9 @@ def test_sweep_cell_memory_is_bounded():
 
 def test_gamma_cell_deterministic_given_key():
     geometry = LabGeometry("slab", "v_in_u", 0.5)
-    a = gamma_cell(geometry, 2, 7, 0, 500, 1)
-    b = gamma_cell(geometry, 2, 7, 0, 500, 1)
-    c = gamma_cell(geometry, 2, 7, 1, 500, 1)
+    a = gamma_cell(geometry, 7, 0, 500, 1)
+    b = gamma_cell(geometry, 7, 0, 500, 1)
+    c = gamma_cell(geometry, 7, 1, 500, 1)
     assert a == b and a != c
     assert math.isfinite(a)
 
@@ -411,17 +419,17 @@ def test_gamma_fit_rejects_unequal_or_empty_repetitions(n_grid, log_max):
         gamma_fit(n_grid, log_max, bootstrap=10)
 
 
-def test_estimate_gamma_star_monte_carlo_is_flat():
+def test_gamma_fit_monte_carlo_is_flat():
     # lambda1 = 1: weights are constant one, so the exponent is zero.
-    est = estimate_gamma_star(LabGeometry("slab", "v_in_u", 1.0), 2, (100, 1000, 10000),
-                              reps=10, seed=0)
+    est = gamma_estimate(LabGeometry("slab", "v_in_u", 1.0), (100, 1000, 10000),
+                         reps=10, seed=0)
     assert est.slope == pytest.approx(0.0, abs=1e-12)
 
 
-def test_estimate_gamma_star_slab_growth():
+def test_gamma_fit_slab_growth():
     # Slab with a width that scales with n: gamma* = alpha (1 - lambda1).
     geometry = LabGeometry("slab", "v_in_u", 0.5, alpha=1.0)
-    est = estimate_gamma_star(geometry, 2, (1000, 10000, 100000, 1000000), reps=30, seed=2)
+    est = gamma_estimate(geometry, (1000, 10000, 100000, 1000000), reps=30, seed=2)
     assert est.slope == pytest.approx(0.5, abs=0.1)
     assert est.band[0] < est.slope < est.band[1]
 
@@ -445,30 +453,28 @@ def test_predicted_gamma_star_branches():
         assert predicted(target, alignment, 1.0, alpha) == 0.0
 
 
-def test_estimate_gamma_star_validation():
+def test_gamma_cells_validation():
     geometry = LabGeometry("slab", "v_in_u", 0.5)
     with pytest.raises(ValueError):
-        estimate_gamma_star(geometry, 2, (100,), reps=10)
+        gamma_cells(geometry, (100,), reps=10)
     with pytest.raises(ValueError):
-        estimate_gamma_star(geometry, 2, (100, 100), reps=10)
+        gamma_cells(geometry, (100, 100), reps=10)
     with pytest.raises(ValueError):
-        estimate_gamma_star(geometry, 2, (100, 1000), reps=5)
+        gamma_cells(geometry, (100, 1000), reps=5)
     # Checked when the cells are listed, before any draw: the widening slab
-    # needs n >= 2, and both alignments need d >= 2.
+    # needs n >= 2.
     with pytest.raises(ValueError, match="n >= 2"):
-        estimate_gamma_star(geometry, 2, (1, 1000), reps=10)
-    with pytest.raises(ValueError, match="d >= 2"):
-        estimate_gamma_star(geometry, 1, (100, 1000), reps=10)
+        gamma_cells(geometry, (1, 1000), reps=10)
     with pytest.raises(ValueError, match="seed must be an integer"):
-        gamma_cells(geometry, 2, (100, 1000), 10, seed=2.7)
+        gamma_cells(geometry, (100, 1000), 10, seed=2.7)
 
 
 def test_gamma_cells_reject_seed_outside_key_range():
     geometry = LabGeometry("slab", "v_in_u", 0.5)
     for seed in (-1, 2 ** 32):
         with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^32\)"):
-            gamma_cells(geometry, 2, (100, 1000), 10, seed)
-    assert len(gamma_cells(geometry, 2, (100, 1000), 10, 2 ** 32 - 1)) == 20
+            gamma_cells(geometry, (100, 1000), 10, seed)
+    assert [len(group) for group in gamma_cells(geometry, (100, 1000), 10, 2 ** 32 - 1)] == [10, 10]
 
 
 

@@ -55,13 +55,13 @@ TABLE1_REDUCED = {"N": 1, "dims": 12, "m": 400, "n": 400, "n_p": 200, "t_max": 6
 
 # Lab geometries the workloads leave out: a widening slab with the spike on
 # its direction in phase, and a halfspace with the spike orthogonal to it in
-# gamma. The seed comes from the command line.
+# gamma, which takes no dimension. The seed comes from the command line.
 LAB_BRANCHES = {
     "phase_slab_alpha": ("phase", {"target": "slab", "alignment": "v_in_u", "alpha": 0.5,
                                    "lambda1": 0.7, "kappa": "1.5, 2.5", "dims": "4, 8",
                                    "N": 10}),
     "gamma_halfspace_perp": ("gamma", {"target": "halfspace", "alignment": "v_in_u_perp",
-                                       "lambda1": 0.7, "dims": 3, "N": 10}),
+                                       "lambda1": 0.7, "N": 10}),
 }
 
 
