@@ -28,13 +28,7 @@ import numpy as np
 
 from .ce_schemes import RunResult, SchemeConfig, run_scheme
 from .config import GAMMA_N_GRID, ConfigError, ExperimentConfig, load_config
-from .phase_lab import (
-    GammaEstimate,
-    SweepResult,
-    gamma_cell,
-    gamma_fit,
-    sweep_cell,
-)
+from .phase_lab import GammaEstimate, gamma_cell, gamma_fit, median_by_d, sweep_cell
 from .seeding import map_cells
 from .targets import LimitState
 from . import svg
@@ -233,23 +227,21 @@ def _write_benchmark_figures(out: Path, results: list[RunResult]) -> None:
 
 def _write_phase_outputs(cfg: ExperimentConfig, dirs: list[Path], rows: list[list]) -> None:
     out = dirs[0]
-    sweeps = [SweepResult(config=group[0][0], rows=tuple(branch))
-              for group, branch in zip(cfg.groups, rows)]
     header = ["d", "rep", "n", "op_error", "lambda_max_hat", "max_weight", "q_hat"]
-    single = len(sweeps) == 1
+    single = len(rows) == 1
+    mc_note = " (Monte Carlo)" if cfg.lambda1 == 1.0 else ""
     err_panel = svg.Panel(title="median operator-norm error",
                           xlabel="dimension d", ylabel="op error", ylog=True)
     lam_panel = svg.Panel(title="median top eigenvalue of the estimate",
                           xlabel="dimension d", ylabel="lambda_max", ylog=True)
-    for idx, sweep in enumerate(sweeps, start=1):
+    for idx, (kappa, branch) in enumerate(zip(cfg.kappa, rows), start=1):
         name = "sweep.csv" if single else f"sweep_{idx}.csv"
         write_csv(out / name, header,
                   [(r.d, r.rep, r.n, r.op_error, r.lambda_max_hat, r.max_weight, r.q_hat)
-                   for r in sweep.rows])
-        mc_note = " (Monte Carlo)" if sweep.config.geometry.lambda1 == 1.0 else ""
-        label = f"kappa={sweep.config.kappa:g}{mc_note}"
+                   for r in branch])
+        label = f"kappa={kappa:g}{mc_note}"
         for panel, attr in ((err_panel, "op_error"), (lam_panel, "lambda_max_hat")):
-            med = sweep.medians(attr)
+            med = median_by_d(branch, attr)
             panel.line(list(med), list(med.values()), label=label)
             panel.scatter(list(med), list(med.values()))
     (out / "phase.svg").write_text(svg.render([err_panel, lam_panel]))
@@ -262,8 +254,8 @@ def _write_gamma_outputs(cfg: ExperimentConfig, dirs: list[Path],
                          results: list[list[float]]) -> None:
     out = dirs[0]
     geo = cfg.groups[0][0][0]  # gamma_cell's LabGeometry, the same for every cell
-    rows = [(c[3], c[4], math.exp(v)) for group, values in zip(cfg.groups, results)
-            for c, v in zip(group, values)]
+    rows = [(n, rep, math.exp(v)) for n, values in zip(GAMMA_N_GRID, results)
+            for rep, v in enumerate(values)]
     write_csv(out / "gamma.csv", ["n", "rep", "max_weight"], rows)
 
     complete = all(len(values) == len(group) for group, values in zip(cfg.groups, results))

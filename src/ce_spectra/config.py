@@ -12,7 +12,8 @@ read the key and the kinds that require it (_KEYS collects them).
 load_config also builds the cell groups a command runs: the argument
 tuples of its cells, stream keys included, grouped per output (one benchmark
 cell, one kappa branch, one gamma grid point). Range and membership rules
-live in the library objects those tuples hold; building them is the
+live in the library objects those tuples hold and in the library
+functions that build them (sweep_cells, gamma_cells); building them is the
 validation, and their ValueError becomes a ConfigError.
 """
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .ce_schemes import SchemeConfig
-from .phase_lab import LabGeometry, SweepConfig, gamma_cells, sweep_cells
+from .phase_lab import LabGeometry, gamma_cells, sweep_cells
 from .targets import TABLE_SIZES, benchmark_target
 
 
@@ -152,10 +153,7 @@ def _validate(cfg: ExperimentConfig) -> None:
                if cfg.kind in key["required"] and getattr(cfg, k) in (None, ())]
     if missing:
         raise ConfigError(f"kind={cfg.kind} requires keys: {', '.join(missing)}")
-    if cfg.kind == "phase":
-        if len(cfg.dims) < 2:
-            raise ConfigError("phase needs an ascending dims grid with >= 2 entries")
-    elif len(cfg.dims) > 1:
+    if cfg.kind in _SCHEME_KINDS and len(cfg.dims) > 1:
         raise ConfigError(f"{cfg.kind} takes at most one dimension in 'dims'")
     if cfg.N is None:
         cfg.N = 200 if cfg.kind in _SCHEME_KINDS else 30
@@ -204,10 +202,10 @@ def _scheme_groups(cfg: ExperimentConfig) -> list[list[tuple]]:
 
 
 def _phase_groups(cfg: ExperimentConfig) -> list[list[tuple]]:
-    """sweep_cell arguments of each kappa branch of a phase config."""
+    """sweep_cell arguments of each kappa branch of a phase config; sweep_cells
+    checks the dims ladder and computes each dimension's n."""
     geometry = LabGeometry(cfg.target, cfg.alignment, cfg.lambda1, cfg.alpha)
-    return [sweep_cells(SweepConfig(geometry, kappa, cfg.dims, cfg.N, cfg.seed))
-            for kappa in cfg.kappa]
+    return [sweep_cells(geometry, kappa, cfg.dims, cfg.N, cfg.seed) for kappa in cfg.kappa]
 
 
 def _gamma_groups(cfg: ExperimentConfig) -> list[list[tuple]]:

@@ -130,26 +130,6 @@ class LabGeometry:
 
 
 @dataclass(frozen=True)
-class SweepConfig:
-    geometry: LabGeometry
-    kappa: float
-    dims: tuple[int, ...]
-    reps: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.kappa < math.inf:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
-        dims = tuple(int(d) for d in self.dims)
-        object.__setattr__(self, "dims", dims)
-        if not dims or any(b <= a for a, b in zip(dims, dims[1:])):
-            raise ValueError("dims must be non-empty and strictly ascending")
-        check_dim(dims[0])
-        check_reps(self.reps)
-        check_seed(self.seed)
-
-
-@dataclass(frozen=True)
 class SweepRow:
     d: int
     rep: int
@@ -160,18 +140,11 @@ class SweepRow:
     q_hat: float
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    config: SweepConfig
-    rows: tuple[SweepRow, ...]
-
-    def medians(self, attr: str) -> dict[int, float]:
-        """Per-dimension median of one row attribute, over the dimensions
-        that have rows."""
-        by_d: dict[int, list[float]] = {}
-        for r in self.rows:
-            by_d.setdefault(r.d, []).append(getattr(r, attr))
-        return {d: float(np.median(vals)) for d, vals in by_d.items()}
+def median_by_d(rows: Sequence[SweepRow], attr: str) -> dict[int, float]:
+    """Per-dimension median of one row attribute, over the dimensions that
+    have rows, in the order of their first rows."""
+    return {d: float(np.median([getattr(r, attr) for r in rows if r.d == d]))
+            for d in dict.fromkeys(r.d for r in rows)}
 
 
 def build_alignment(target: str, alignment: str, lambda1: float, d: int,
@@ -187,12 +160,26 @@ def build_alignment(target: str, alignment: str, lambda1: float, d: int,
 
 
 def sample_size(d: int, kappa: float) -> int:
-    return int(math.ceil(d ** kappa))
+    """n = ceil(d^kappa); a ValueError where d^kappa overflows a float."""
+    try:
+        return int(math.ceil(d ** kappa))
+    except OverflowError:
+        raise ValueError(f"sample size {d}^{kappa:g} overflows a float") from None
 
 
-def sweep_cells(cfg: SweepConfig) -> list[tuple[SweepConfig, int, int]]:
-    """sweep_cell arguments over dims x reps, dimension major."""
-    return [(cfg, d, rep) for d in cfg.dims for rep in range(cfg.reps)]
+def sweep_cells(geometry: LabGeometry, kappa: float, dims: Sequence[int], reps: int,
+                seed: int = 0) -> list[tuple]:
+    """sweep_cell arguments over dims x reps, dimension major, each cell of
+    n = sample_size(d, kappa) draws."""
+    if not 0.0 < kappa < math.inf:
+        raise ValueError(f"kappa must be positive, got {kappa}")
+    dims = tuple(int(d) for d in dims)
+    if len(dims) < 2 or dims[0] < 2 or any(b <= a for a, b in zip(dims, dims[1:])):
+        raise ValueError("dims grid must be ascending from d >= 2 with at least two entries")
+    check_reps(reps)
+    check_seed(seed)
+    sizes = [sample_size(d, kappa) for d in dims]
+    return [(geometry, seed, d, n, rep) for d, n in zip(dims, sizes) for rep in range(reps)]
 
 
 def _decisive_blocks(geometry: LabGeometry, n: int, rows: int,
@@ -228,7 +215,7 @@ def _phase_blocks(geometry: LabGeometry, d: int, n: int,
         yield block, WeightedSample(points, block.log_ratios[hit], block.scores[hit])
 
 
-def _cell_estimate(cfg: SweepConfig, d: int, rep: int, n: int,
+def _cell_estimate(geometry: LabGeometry, seed: int, d: int, n: int, rep: int,
                    analytic: AnalyticConditional) -> tuple[np.ndarray, float, int]:
     """Sigma-hat_A, the scaled peak weight and the hit count of the cell
     (d, rep) of n draws.
@@ -238,12 +225,11 @@ def _cell_estimate(cfg: SweepConfig, d: int, rep: int, n: int,
     scaled peak weight is monotone in the peak, so its maximum over blocks
     is the batch's exactly, as is the hit count.
     """
-    geo = cfg.geometry
-    key = (cfg.seed, "phase", geo.target, geo.alignment, d, rep)
+    key = (seed, "phase", geometry.target, geometry.alignment, d, rep)
     sigma_hat = np.zeros((d, d))
     max_weight = 0.0
     hit_count = 0
-    for block, hits in _phase_blocks(geo, d, n, key):
+    for block, hits in _phase_blocks(geometry, d, n, key):
         max_weight = max(max_weight, max_weight_statistic(block, d, n))
         hit_count += hits.size
         estimate = sigma_a_estimator(hits, block.size, analytic.p, analytic.mu)
@@ -252,11 +238,15 @@ def _cell_estimate(cfg: SweepConfig, d: int, rep: int, n: int,
     return sigma_hat, max_weight, hit_count
 
 
-def sweep_cell(cfg: SweepConfig, d: int, rep: int) -> SweepRow:
-    """One (dimension, repetition) cell; pure function of (cfg.seed, d, rep)."""
-    n = sample_size(d, cfg.kappa)
-    analytic = cfg.geometry.at(d, n)[0].analytic
-    sigma_hat, max_weight, hit_count = _cell_estimate(cfg, d, rep, n, analytic)
+def sweep_cell(geometry: LabGeometry, seed: int, d: int, n: int, rep: int) -> SweepRow:
+    """One (dimension, repetition) cell of n draws.
+
+    Pure function of (seed, d, rep) given the geometry and n: its streams
+    are keyed by (seed, "phase", target, alignment, d, rep), not by n, so
+    the kappa branches of a run share them, the smaller n reading a prefix.
+    """
+    analytic = geometry.at(d, n)[0].analytic
+    sigma_hat, max_weight, hit_count = _cell_estimate(geometry, seed, d, n, rep, analytic)
     return SweepRow(
         d=d,
         rep=rep,

@@ -27,11 +27,10 @@ from ce_spectra.gauss_core import (
 )
 from ce_spectra.phase_lab import (
     LabGeometry,
-    SweepConfig,
-    SweepResult,
     gamma_cell,
     gamma_cells,
     gamma_fit,
+    median_by_d,
     sweep_cell,
     sweep_cells,
 )
@@ -98,10 +97,9 @@ def test_03_conditional_moments_match_monte_carlo():
 
 
 def _sweep_medians(lambda1, kappa, attr, seed=1):
-    cfg = SweepConfig(LabGeometry("halfspace", "v_in_u_perp", lambda1),
-                      kappa=kappa, dims=(20, 40, 80), reps=30, seed=seed)
-    rows = tuple(sweep_cell(*cell) for cell in sweep_cells(cfg))
-    return SweepResult(config=cfg, rows=rows).medians(attr)
+    cells = sweep_cells(LabGeometry("halfspace", "v_in_u_perp", lambda1),
+                        kappa, (20, 40, 80), reps=30, seed=seed)
+    return median_by_d([sweep_cell(*cell) for cell in cells], attr)
 
 
 def test_04_misaligned_spike_phase_transition():

@@ -1,7 +1,6 @@
 """Configuration parsing and the command line runners, end to end on
 small workloads. Worker-count independence is asserted byte for byte."""
 import json
-import math
 import os
 import re
 import subprocess
@@ -22,7 +21,6 @@ from ce_spectra.config import (
 )
 from ce_spectra.phase_lab import (
     LabGeometry,
-    SweepConfig,
     gamma_cell,
     gamma_cells,
     gamma_fit,
@@ -342,9 +340,9 @@ def test_cli_phase_rows_match_library_sweep(tmp_path):
     assert run_cli(["phase", "--config", cfg]) == 0
     lines = (out / "sweep_1.csv").read_text().splitlines()[1:]
     got = [tuple(float(v) for v in line.split(",")) for line in lines]
-    lab = SweepConfig(LabGeometry("halfspace", "v_in_u_perp", 0.5),
-                      kappa=1.5, dims=(4, 8), reps=10, seed=3)
-    rows = [sweep_cell(*cell) for cell in sweep_cells(lab)]
+    cells = sweep_cells(LabGeometry("halfspace", "v_in_u_perp", 0.5),
+                        kappa=1.5, dims=(4, 8), reps=10, seed=3)
+    rows = [sweep_cell(*cell) for cell in cells]
     want = [(r.d, r.rep, r.n, r.op_error, r.lambda_max_hat, r.max_weight, r.q_hat)
             for r in rows]
     assert got == want
@@ -621,6 +619,9 @@ def test_cli_exit_codes(tmp_path, capsys):
         ("table1", "kind = table1\ndims = 2\n"),
         ("phase", PHASE_BASE + "lambda1 = 0.5\nkappa = nan\nN = 10\nworkers = 1\n"),
         ("phase", PHASE_BASE + "lambda1 = 0.5\nkappa = inf\nN = 10\nworkers = 1\n"),
+        # n = 50^200 overflows a float: refused with the ladder, not by a cell.
+        ("phase", PHASE_BASE.replace("4, 8", "50, 400")
+         + "lambda1 = 0.5\nkappa = 200\nN = 10\nworkers = 1\n"),
         ("benchmark", "kind = benchmark\ntarget = lin\nscheme = ice\ndelta_target = nan\n"
          + small),
         ("benchmark", "kind = benchmark\ntarget = lin\nscheme = ice\ndelta_target = inf\n"

@@ -16,12 +16,12 @@ from ce_spectra.ce_schemes import IterationTrace, RunResult, SchemeConfig
 from ce_spectra.gauss_core import GaussianLaw, sample
 from ce_spectra.phase_lab import (
     LabGeometry,
-    SweepConfig,
-    SweepResult,
+    SweepRow,
     build_alignment,
     gamma_cell,
     gamma_cells,
     gamma_fit,
+    median_by_d,
     sample_size,
     sweep_cell,
     sweep_cells,
@@ -30,16 +30,21 @@ from ce_spectra.seeding import stream
 from ce_spectra.targets import linear_target, prop_range_width
 
 
-def sweep_config(**kw) -> SweepConfig:
-    base = dict(geometry=LabGeometry("halfspace", "v_in_u_perp", 0.5),
-                kappa=2.0, dims=(5, 10), reps=10, seed=0)
+HALFSPACE_PERP = LabGeometry("halfspace", "v_in_u_perp", 0.5)
+
+
+def phase_cells(**kw) -> list[tuple]:
+    """sweep_cells of one kappa branch: a halfspace with the spike orthogonal
+    to it, kappa 2, d = 5 and 10, 10 repetitions, seed 0, unless kw says
+    otherwise."""
+    base = dict(geometry=HALFSPACE_PERP, kappa=2.0, dims=(5, 10), reps=10, seed=0)
     base.update(kw)
-    return SweepConfig(**base)
+    return sweep_cells(**base)
 
 
-def sweep_rows(cfg: SweepConfig) -> SweepResult:
+def sweep_rows(cells: list[tuple]) -> list[SweepRow]:
     """The rows of one kappa branch of the phase command, in this process."""
-    return SweepResult(config=cfg, rows=tuple(sweep_cell(*cell) for cell in sweep_cells(cfg)))
+    return [sweep_cell(*cell) for cell in cells]
 
 
 def gamma_estimate(geometry: LabGeometry, n_grid, reps: int, seed: int):
@@ -92,7 +97,7 @@ def test_geometry_validation():
     # so neither pipeline can be built from such a geometry.
     for build in (
         lambda: LabGeometry("halfspace", "v_in_u_perp", 0.5, alpha=0.5),
-        lambda: sweep_config(geometry=LabGeometry("halfspace", "v_in_u_perp", 0.5, alpha=0.5)),
+        lambda: phase_cells(geometry=LabGeometry("halfspace", "v_in_u_perp", 0.5, alpha=0.5)),
         lambda: gamma_cells(LabGeometry("halfspace", "v_in_u", 0.5, alpha=0.5),
                             (100, 1000), reps=10),
     ):
@@ -122,23 +127,29 @@ def test_geometry_cell_matches_build_alignment():
         assert np.array_equal(cov.directions, want_cov.directions)
 
 
-def test_sweep_config_validation():
+def test_sweep_cells_validation():
+    with pytest.raises(ValueError, match="dims grid"):
+        phase_cells(dims=(10, 5))  # not ascending
+    with pytest.raises(ValueError, match="dims grid"):
+        phase_cells(dims=(1, 5))
+    # A ladder of one dimension has no trend to show.
+    with pytest.raises(ValueError, match="dims grid"):
+        phase_cells(dims=(6,))
     with pytest.raises(ValueError):
-        sweep_config(dims=(10, 5))  # not ascending
+        phase_cells(reps=3)
     with pytest.raises(ValueError):
-        sweep_config(dims=(1, 5))
-    with pytest.raises(ValueError):
-        sweep_config(reps=3)
-    with pytest.raises(ValueError):
-        sweep_config(kappa=0.0)
+        phase_cells(kappa=0.0)
+    # n = 50^200 is no float; refused here, not by the first cell.
+    with pytest.raises(ValueError, match="overflows a float"):
+        phase_cells(kappa=200.0, dims=(50, 400))
     # A float seed would otherwise run the streams of its integer part.
     with pytest.raises(ValueError, match="seed must be an integer"):
-        sweep_config(seed=1.5)
+        phase_cells(seed=1.5)
     # A seed is one stream key word; checked here, not at the first draw.
     for seed in (-1, 2 ** 32):
         with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^32\)"):
-            sweep_config(seed=seed)
-    assert sweep_config(seed=2 ** 32 - 1).seed == 2 ** 32 - 1
+            phase_cells(seed=seed)
+    assert {cell[1] for cell in phase_cells(seed=2 ** 32 - 1)} == {2 ** 32 - 1}
 
 
 # --------------------------------------------------------------- sweeps
@@ -151,9 +162,9 @@ def test_sample_size_is_ceil_power():
 
 
 def test_sweep_cell_fields_and_determinism():
-    cfg = sweep_config()
-    row = sweep_cell(cfg, 5, 3)
-    again = sweep_cell(cfg, 5, 3)
+    cell = (HALFSPACE_PERP, 0, 5, sample_size(5, 2.0), 3)
+    row = sweep_cell(*cell)
+    again = sweep_cell(*cell)
     assert row == again
     assert row.d == 5 and row.rep == 3 and row.n == 25
     assert row.op_error >= 0.0
@@ -163,8 +174,7 @@ def test_sweep_cell_fields_and_determinism():
 
 def test_sweep_cell_q_hat_matches_analytic():
     # Halfspace at 0 with an orthogonal spike: hits are a fair coin.
-    cfg = sweep_config(kappa=3.0)
-    row = sweep_cell(cfg, 20, 0)
+    row = sweep_cell(HALFSPACE_PERP, 0, 20, sample_size(20, 3.0), 0)
     state, cov = build_alignment("halfspace", "v_in_u_perp", 0.5, 20)
     want = state.analytic.q_of(cov)
     assert want == 0.5
@@ -172,19 +182,20 @@ def test_sweep_cell_q_hat_matches_analytic():
 
 
 def test_sweep_cells_shape():
-    cfg = sweep_config(reps=10, dims=(4, 8))
-    res = sweep_rows(cfg)
-    assert len(res.rows) == 20
-    meds = res.medians("op_error")
+    cells = phase_cells(reps=10, dims=(4, 8))
+    assert [cell[2:] for cell in cells] == [(d, sample_size(d, 2.0), rep)
+                                            for d in (4, 8) for rep in range(10)]
+    rows = sweep_rows(cells)
+    assert len(rows) == 20
+    meds = median_by_d(rows, "op_error")
     assert set(meds) == {4, 8}
+    assert meds[8] == np.median([row.op_error for row in rows[10:]])
 
 
 def test_convergent_regime_error_shrinks_with_dimension():
     # kappa well above the critical exponent: the median error must drop
     # from d=5 to d=25.
-    cfg = sweep_config(kappa=2.5, dims=(5, 25), reps=10)
-    res = sweep_rows(cfg)
-    meds = res.medians("op_error")
+    meds = median_by_d(sweep_rows(phase_cells(kappa=2.5, dims=(5, 25), reps=10)), "op_error")
     assert meds[25] < meds[5]
 
 
@@ -205,20 +216,22 @@ def test_consecutive_draw_blocks_are_one_draw():
 
 # Cells whose tiny blocks do not divide n: a halfspace with the spike
 # orthogonal to it, and a slab widening with n, its spike on the slab's axis.
+# (phase_cells arguments, d, BLOCK_VALUES)
 TINY_BLOCK_CELLS = (
-    (sweep_config(), 10, 70),
-    (sweep_config(geometry=LabGeometry("slab", "v_in_u", 0.7, alpha=0.5), kappa=2.5,
-                  dims=(6,)), 6, 30),
+    ({}, 10, 70),
+    (dict(geometry=LabGeometry("slab", "v_in_u", 0.7, alpha=0.5), kappa=2.5, dims=(6, 12)),
+     6, 30),
 )
 
 
 @pytest.mark.parametrize("cfg, d, values", TINY_BLOCK_CELLS)
 def test_tiny_blocks_keep_sweep_cell(monkeypatch, cfg, d, values):
-    whole = [sweep_cell(cfg, d, rep) for rep in range(cfg.reps)]
+    cells = [cell for cell in phase_cells(**cfg) if cell[2] == d]
+    whole = [sweep_cell(*cell) for cell in cells]
     monkeypatch.setattr(phase_lab, "BLOCK_VALUES", values)
-    n = sample_size(d, cfg.kappa)
+    n = cells[0][3]
     assert values // d < n and n % (values // d)
-    blocked = [sweep_cell(cfg, d, rep) for rep in range(cfg.reps)]
+    blocked = [sweep_cell(*cell) for cell in cells]
     for one, many in zip(whole, blocked):
         # Exact over blocks: the sample size, the peak weight, the hit fraction.
         assert (one.n, one.max_weight, one.q_hat) == (many.n, many.max_weight, many.q_hat)
@@ -310,13 +323,12 @@ def test_gamma_cell_draws_decisive_coordinates_only(monkeypatch, geometry):
 def test_sweep_cell_draws_fill_for_hit_rows_only(monkeypatch, geometry):
     # n k decisive values from the cell's stream, then d - k fill values for
     # each of its H = q_hat n hit rows from the fill stream.
-    cfg = sweep_config(geometry=geometry, kappa=1.6, dims=(40,))
     k, d = geometry.decisive_dim, 40
     counts = count_draws(monkeypatch)
-    row = sweep_cell(cfg, d, 2)
+    row = sweep_cell(geometry, 0, d, sample_size(d, 1.6), 2)
     hits = round(row.q_hat * row.n)
     assert 0 < hits < row.n
-    key = (cfg.seed, "phase", geometry.target, geometry.alignment, d, 2)
+    key = (0, "phase", geometry.target, geometry.alignment, d, 2)
     assert counts == {key: row.n * k, key + ("fill",): hits * (d - k)}
     assert sum(counts.values()) == row.n * k + hits * (d - k)
 
@@ -332,12 +344,11 @@ def test_cell_estimate_is_unbiased(geometry):
     # off-diagonal and the cross terms (0). lambda1 = 0.8 keeps the
     # estimate's variance finite.
     d, reps = 4, 2000
-    cfg = sweep_config(geometry=geometry, kappa=2.0, dims=(d,))
-    n = sample_size(d, cfg.kappa)
+    n = sample_size(d, 2.0)
     analytic = geometry.at(d, n)[0].analytic
     want = analytic.sigma.dense()
     assert np.array_equal(want[2:, 2:], np.eye(d - 2)) and not want[2:, :2].any()
-    estimates = np.array([phase_lab._cell_estimate(cfg, d, rep, n, analytic)[0]
+    estimates = np.array([phase_lab._cell_estimate(geometry, 0, d, n, rep, analytic)[0]
                           for rep in range(reps)])
     mean = estimates.mean(axis=0)
     se = estimates.std(axis=0, ddof=1) / math.sqrt(reps)
@@ -351,9 +362,9 @@ def test_sweep_cell_memory_is_bounded():
     # own footprint.
     measure = (
         "import resource\n"
-        "from ce_spectra.phase_lab import LabGeometry, SweepConfig, sweep_cell\n"
-        "cfg = SweepConfig(LabGeometry('halfspace', 'v_in_u_perp', 0.5), 2.8, (100,), 10)\n"
-        "row = sweep_cell(cfg, 100, 0)\n"
+        "from ce_spectra.phase_lab import LabGeometry, sample_size, sweep_cell\n"
+        "row = sweep_cell(LabGeometry('halfspace', 'v_in_u_perp', 0.5), 0, 100,\n"
+        "                 sample_size(100, 2.8), 0)\n"
         "print(row.n, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
     )
     # A spawned process's ru_maxrss starts at its spawner's high-water mark
