@@ -19,7 +19,9 @@ budget, or diverges: in the smoothed level stage when no bandwidth gives
 a finite spread, or in the update on zero hits (or smoothed weights that
 all underflow), a non-finite statistic, Cholesky failure of the dense
 update, a collapsed projection, or a top eigenvalue past the configured
-cap; the update's failures share one exit. Diverged runs keep their last
+cap; the update's failures share one exit. A hard-threshold level of 0
+converges the run, so a failure of that iteration's discarded update shows
+in its trace alone. Diverged runs keep their last
 usable law so a probability estimate is still recorded, mirroring how
 failed repetitions are reported rather than discarded.
 """
@@ -49,7 +51,7 @@ from .gauss_core import (
     proj_r,
     sample,
 )
-from .seeding import check_seed, stream
+from .seeding import stream
 from .targets import LimitState
 
 SCHEMES = ("ce", "ce_proj", "ice", "ice_proj")
@@ -71,7 +73,6 @@ class SchemeConfig:
     n: int = 5000
     n_p: int = 2000
     t_max: int = 30
-    seed: int = 0
     divergence_lambda_cap: float = 1e6
 
     def __post_init__(self):
@@ -94,7 +95,6 @@ class SchemeConfig:
                 raise ValueError(f"{name} must be positive")
         if not self.divergence_lambda_cap > 0.0:
             raise ValueError("divergence_lambda_cap must be positive")
-        check_seed(self.seed)
 
     @property
     def projected(self) -> bool:
@@ -129,7 +129,8 @@ class RunResult:
 
     @property
     def diverged(self) -> bool:
-        return bool(self.traces) and self.traces[-1].diverged
+        """False for a converged run, even where its discarded last update failed."""
+        return not self.converged and bool(self.traces) and self.traces[-1].diverged
 
 
 def select_direction(extremes: numerics.EigenExtremes, mu_hat: np.ndarray,
@@ -273,14 +274,12 @@ def iterate(law: GaussianLaw, bandwidth: float | None, target: LimitState,
         lambda_max_raw=lam_max, diverged=nxt is None, n_hits=n_hits)
 
 
-def run_scheme(cfg: SchemeConfig, target: LimitState,
-               seed_key: tuple | None = None) -> RunResult:
+def run_scheme(cfg: SchemeConfig, target: LimitState, key: tuple) -> RunResult:
     """Drive one full run and estimate the probability from the final law.
 
-    All randomness is keyed by (seed_key or cfg.seed, purpose, t), so a rerun
-    with the same configuration reproduces the result bit for bit.
+    All randomness is keyed by (*key, purpose, t), so a rerun with the same
+    configuration and key reproduces the result bit for bit.
     """
-    base = tuple(seed_key) if seed_key is not None else (cfg.seed,)
     law = GaussianLaw.identity(target.dim)
     traces: list[IterationTrace] = []
     converged = False
@@ -288,21 +287,21 @@ def run_scheme(cfg: SchemeConfig, target: LimitState,
 
     for t in range(cfg.t_max):
         nxt, bandwidth, trace = iterate(law, bandwidth, target, cfg, t,
-                                        stream(*base, "y", t), stream(*base, "x", t))
+                                        stream(*key, "y", t), stream(*key, "x", t))
         if trace is None:
             converged = True
             break
         traces.append(trace)
-        if trace.diverged:
-            break
         if not cfg.smoothed and trace.q_or_sigma >= 0.0:
             # The current law already places the level at the event itself;
-            # it is the final sampler, and the last update is discarded.
+            # it is the final sampler; its last update is discarded, failed or not.
             converged = True
+            break
+        if trace.diverged:
             break
         law = nxt
 
-    p_hat = is_probability(_weighted_batch(law, cfg.n_p, stream(*base, "final"), target))
+    p_hat = is_probability(_weighted_batch(law, cfg.n_p, stream(*key, "final"), target))
     if target.reference_p:
         rel = abs(p_hat - target.reference_p) / target.reference_p
     else:

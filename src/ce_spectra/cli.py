@@ -34,8 +34,8 @@ from .targets import LimitState
 from . import svg
 
 # The set-up step of bench/setup_probe.py reaches these through this module.
-from .phase_lab import build_alignment  # noqa: F401
-from .targets import benchmark_target, prop_range_width  # noqa: F401
+from .phase_lab import build_alignment, prop_range_width  # noqa: F401
+from .targets import benchmark_target  # noqa: F401
 
 # The dimension bench/setup_probe.py builds a gamma law in; nothing else
 # reads it, since a gamma cell draws its decisive coordinates alone.

@@ -24,6 +24,7 @@ from pathlib import Path
 
 from .ce_schemes import SchemeConfig
 from .phase_lab import LabGeometry, gamma_cells, sweep_cells
+from .seeding import check_seed
 from .targets import TABLE_SIZES, benchmark_target
 
 
@@ -183,7 +184,11 @@ def benchmark_sizes(cfg: ExperimentConfig) -> tuple[int, int, int]:
 
 def _scheme_groups(cfg: ExperimentConfig) -> list[list[tuple]]:
     """run_scheme arguments of each benchmark or table1 cell, in run order:
-    N repetitions keyed (seed, "benchmark", target, scheme, strategy, rep)."""
+    N repetitions keyed (seed, "benchmark", target, scheme, strategy, rep).
+
+    A scheme reads rho (ce, ce_proj) or delta_target (ice, ice_proj), so
+    benchmark rejects the other; table1 has cells that read each."""
+    check_seed(cfg.seed)
     if cfg.kind == "table1":
         grid = [(t, {"scheme": s, "strategy": st}) for t in TABLE1_TARGETS
                 for s, st in TABLE1_CELLS]
@@ -194,8 +199,11 @@ def _scheme_groups(cfg: ExperimentConfig) -> list[list[tuple]]:
     for name, cell in grid:
         d, m, n = benchmark_sizes(replace(cfg, target=name))
         target = benchmark_target(name, d)
-        scheme_cfg = SchemeConfig(**{**options, **cell}, m=m, n=n, seed=cfg.seed)
-        groups.append([(scheme_cfg, target, (scheme_cfg.seed, "benchmark", target.name,
+        scheme_cfg = SchemeConfig(**{**options, **cell}, m=m, n=n)
+        unread = "rho" if scheme_cfg.smoothed else "delta_target"
+        if cfg.kind == "benchmark" and unread in options:
+            raise ConfigError(f"scheme={cfg.scheme} does not read keys: {unread}")
+        groups.append([(scheme_cfg, target, (cfg.seed, "benchmark", target.name,
                                              scheme_cfg.scheme, scheme_cfg.strategy, rep))
                        for rep in range(cfg.N)])
     return groups

@@ -35,14 +35,7 @@ from .gauss_core import (
     sample,
 )
 from .seeding import check_seed, stream
-from .targets import (
-    AnalyticConditional,
-    LimitState,
-    check_lab_law,
-    halfspace_target,
-    prop_range_width,
-    slab_target,
-)
+from .targets import AnalyticConditional, LimitState, halfspace_target, slab_target
 
 # Alignment -> axis of the sampling spike. The target's direction is axis 0
 # (e_1), so v_in_u puts the spike on it and v_in_u_perp on e_2.
@@ -52,6 +45,11 @@ ALIGNMENTS = {"v_in_u": 0, "v_in_u_perp": 1}
 # holds at most this many values (4 MB), so its memory is
 # O(BLOCK_VALUES + d^2) at any n.
 BLOCK_VALUES = 2 ** 19
+# The most values, n d, a phase cell may hold: 13 times the d = 320,
+# kappa = 2.4 cell the README times at 7 s, and over a minute of normal
+# draws alone at 18 ns a value. A ladder past it would not finish (kappa =
+# 20 at d = 50 asks for n = 9.5e33), so sweep_cells refuses it.
+MAX_CELL_VALUES = 2 ** 32
 # Target kind -> (builder, default width).
 _TARGETS = {"slab": (slab_target, 1.0), "halfspace": (halfspace_target, 0.0)}
 
@@ -62,17 +60,19 @@ def check_reps(reps: int) -> None:
         raise ValueError(f"at least 10 repetitions required, got {reps}")
 
 
-def check_dim(d: int) -> None:
-    """The two alignments need a second axis for the orthogonal spike."""
-    if d < 2:
-        raise ValueError("alignment layouts need d >= 2")
+def prop_range_width(alpha: float, lambda1: float, n: int) -> float:
+    """Slab half-width K = 1 + sqrt(2 alpha lambda1 log n) of a cell of n
+    samples; alpha = 0 is the limiting convention K = 1."""
+    return 1.0 + math.sqrt(2.0 * alpha * lambda1 * math.log(n))
 
 
 @dataclass(frozen=True)
 class LabGeometry:
     """One phase-lab law: target kind, spike placement, spike variance and,
     for a slab widening with n as prop_range_width, alpha. All four are
-    checked here, once; a cell can then be built at any d >= 2 and n >= 2.
+    checked here, once, and nowhere else: the spike variance lies in (0, 1]
+    and alpha, where there is one, in [0, 1]. A cell can then be built at
+    any d >= 2 and n >= 2, which the cell builders check.
     """
 
     target: str
@@ -87,11 +87,13 @@ class LabGeometry:
             raise ValueError(f"unknown alignment {self.alignment!r}")
         if self.alpha is not None and self.target != "slab":
             raise ValueError("alpha applies to the slab target only")
-        check_lab_law(self.lambda1, self.alpha)
+        if not 0.0 < self.lambda1 <= 1.0:
+            raise ValueError(f"lambda1 must lie in (0, 1], got {self.lambda1}")
+        if self.alpha is not None and not 0.0 <= self.alpha <= 1.0:
+            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
 
     def at(self, d: int, n: int) -> tuple[LimitState, SpikedCovariance]:
         """Target and sampling covariance of a cell of n samples in dimension d."""
-        check_dim(d)
         return self._layout(d, self._width(n))
 
     @property
@@ -155,7 +157,8 @@ def build_alignment(target: str, alignment: str, lambda1: float, d: int,
     (v_in_u) or e_2 (v_in_u_perp) with variance lambda1. lambda1 = 1 makes
     the sampling law the standard normal, the plain Monte Carlo case.
     """
-    check_dim(d)
+    if d < 2:
+        raise ValueError("alignment layouts need d >= 2")
     return LabGeometry(target, alignment, lambda1)._layout(d, width)
 
 
@@ -170,7 +173,8 @@ def sample_size(d: int, kappa: float) -> int:
 def sweep_cells(geometry: LabGeometry, kappa: float, dims: Sequence[int], reps: int,
                 seed: int = 0) -> list[tuple]:
     """sweep_cell arguments over dims x reps, dimension major, each cell of
-    n = sample_size(d, kappa) draws."""
+    n = sample_size(d, kappa) draws, none holding more than MAX_CELL_VALUES
+    values."""
     if not 0.0 < kappa < math.inf:
         raise ValueError(f"kappa must be positive, got {kappa}")
     dims = tuple(int(d) for d in dims)
@@ -179,6 +183,9 @@ def sweep_cells(geometry: LabGeometry, kappa: float, dims: Sequence[int], reps: 
     check_reps(reps)
     check_seed(seed)
     sizes = [sample_size(d, kappa) for d in dims]
+    if sizes[-1] * dims[-1] > MAX_CELL_VALUES:
+        raise ValueError(f"a cell of n = {sizes[-1]:.3g} draws in d = {dims[-1]} holds "
+                         f"{sizes[-1] * dims[-1]:.3g} values, past MAX_CELL_VALUES = 2^32")
     return [(geometry, seed, d, n, rep) for d, n in zip(dims, sizes) for rep in range(reps)]
 
 

@@ -198,26 +198,6 @@ def halfspace_target(d: int, offset: float) -> LimitState:
                       reference_p=p, analytic=analytic)
 
 
-def check_lab_law(lambda1: float, alpha: float | None) -> None:
-    """The spike variance of the phase-lab sampling laws lies in (0, 1], and
-    the slab-widening exponent alpha, where there is one, in [0, 1]."""
-    if not 0.0 < lambda1 <= 1.0:
-        raise ValueError(f"lambda1 must lie in (0, 1], got {lambda1}")
-    if alpha is not None and not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-
-
-def prop_range_width(alpha: float, lambda1: float, n: int) -> float:
-    """Slab half-width K = 1 + sqrt(2 alpha lambda1 log n).
-
-    alpha = 0 is the limiting convention K = 1.
-    """
-    check_lab_law(lambda1, alpha)
-    if n < 2:
-        raise ValueError(f"sample size must be at least 2, got {n}")
-    return 1.0 + math.sqrt(2.0 * alpha * lambda1 * math.log(n))
-
-
 _BENCHMARK_BUILDERS = {
     "lin": linear_target,
     "quad": quadratic_target,

@@ -175,13 +175,13 @@ def test_08_benchmark_scheme_behavior():
     # (a) smoothed projected scheme estimates the linear tail accurately
     lin = benchmark_target("lin")
     cfg = SchemeConfig(scheme="ice_proj", strategy="mean", m=10_000, n=10_000,
-                       n_p=2000, seed=1)
+                       n_p=2000)
     errs = [r.relative_error for r in runs(cfg, lin, [(1, "acc8a", rep) for rep in range(20)])]
     assert np.median(errs) <= 0.5, np.median(errs)
 
     # (b) the unprojected hard-threshold scheme diverges on the quadratic target
     quad = benchmark_target("quad")
-    cfg = SchemeConfig(scheme="ce", strategy="none", m=5000, n=5000, n_p=2000, seed=1)
+    cfg = SchemeConfig(scheme="ce", strategy="none", m=5000, n=5000, n_p=2000)
     diverged = sum(r.diverged for r in runs(cfg, quad, [(1, "acc8b", rep) for rep in range(20)]))
     assert diverged > 10, diverged
 
@@ -192,7 +192,7 @@ def test_08_benchmark_scheme_behavior():
 
     def cell(scheme, strategy, tag):
         c = SchemeConfig(scheme=scheme, strategy=strategy, m=5000, n=5000,
-                         n_p=1000, t_max=12, seed=1)
+                         n_p=1000, t_max=12)
         floor3, peak3 = [], []
         for r in runs(c, quad_small, [(1, "acc8c", tag, rep) for rep in range(20)]):
             if len(r.traces) > 3:

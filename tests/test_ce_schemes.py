@@ -41,8 +41,7 @@ def always_true_target(d: int = 3) -> LimitState:
 
 
 def cfg_for(scheme: str, strategy: str = "none", **kw) -> SchemeConfig:
-    base = dict(scheme=scheme, strategy=strategy, m=2000, n=2000, n_p=1000,
-                seed=0)
+    base = dict(scheme=scheme, strategy=strategy, m=2000, n=2000, n_p=1000)
     base.update(kw)
     return SchemeConfig(**base)
 
@@ -64,19 +63,8 @@ def test_config_validation():
             cfg_for("ice", delta_target=delta_target)
     with pytest.raises(ValueError):
         cfg_for("ce", m=0)
-    # A float seed would otherwise run the streams of its integer part.
-    with pytest.raises(ValueError, match="seed must be an integer"):
-        cfg_for("ce", seed=1.9)
     assert cfg_for("ice_proj", strategy="eig_min").projected
     assert cfg_for("ice").smoothed and not cfg_for("ce").smoothed
-
-
-def test_config_rejects_seed_outside_key_range():
-    # Checked when the config is built, not when the first run draws.
-    for seed in (-1, 2 ** 32):
-        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^32\)"):
-            cfg_for("ce", seed=seed)
-    assert cfg_for("ce", seed=2 ** 32 - 1).seed == 2 ** 32 - 1
 
 
 # -------------------------------------------------------- select_direction
@@ -198,7 +186,7 @@ def test_ce_tracks_deterministic_template():
     path = deterministic_halfspace_path(offset, rho)
     cfg = cfg_for("ce", m=50000, n=50000, rho=rho)
     target = halfspace_target(d, offset)
-    res = run_scheme(cfg, target, seed_key=(17, "track"))
+    res = run_scheme(cfg, target, (17, "track"))
     assert res.converged and not res.diverged
     assert res.iterations_used == path.iterations
     for trace, q_want in zip(res.traces, path.thresholds):
@@ -208,7 +196,7 @@ def test_ce_tracks_deterministic_template():
 
 def test_first_linear_threshold_matches_quantile():
     cfg = cfg_for("ce", m=20000, n=2000, t_max=1)
-    res = run_scheme(cfg, linear_target(100), seed_key=(3, "q0"))
+    res = run_scheme(cfg, linear_target(100), (3, "q0"))
     # Initial scores are standard normal minus 5.
     se = math.sqrt(0.1 * 0.9 / 20000) / (math.exp(-0.5 * Z90 ** 2) /
                                           math.sqrt(2 * math.pi))
@@ -264,7 +252,7 @@ def test_optimize_bandwidth_all_underflow_returns_none():
 @pytest.mark.parametrize("scheme,strategy", [("ce", "none"), ("ice", "none")])
 def test_always_true_event_estimates_one_exactly(scheme, strategy):
     cfg = cfg_for(scheme, strategy, m=500, n=500, n_p=300)
-    res = run_scheme(cfg, always_true_target())
+    res = run_scheme(cfg, always_true_target(), (0,))
     assert res.converged and not res.diverged
     assert res.p_hat == 1.0
     assert res.relative_error == 0.0
@@ -278,7 +266,7 @@ def test_always_true_event_estimates_one_exactly(scheme, strategy):
 
 def test_ce_easy_halfspace_estimates_tail():
     cfg = cfg_for("ce", m=5000, n=5000, n_p=2000)
-    res = run_scheme(cfg, halfspace_target(3, 2.0), seed_key=(23, "easy"))
+    res = run_scheme(cfg, halfspace_target(3, 2.0), (23, "easy"))
     assert res.converged and not res.diverged
     assert res.p_hat == pytest.approx(PHI_MINUS_2, rel=0.2)
     assert res.relative_error < 0.2
@@ -287,7 +275,7 @@ def test_ce_easy_halfspace_estimates_tail():
 
 def test_ice_easy_halfspace_estimates_tail():
     cfg = cfg_for("ice", m=5000, n=5000, n_p=2000)
-    res = run_scheme(cfg, halfspace_target(3, 2.0), seed_key=(23, "ice"))
+    res = run_scheme(cfg, halfspace_target(3, 2.0), (23, "ice"))
     assert res.converged and not res.diverged
     assert res.p_hat == pytest.approx(PHI_MINUS_2, rel=0.2)
     # Recorded bandwidths are positive and shrink overall.
@@ -317,22 +305,39 @@ def test_projected_run_spiked_law_and_trace_spectra():
 def test_divergence_cap_flags_and_keeps_last_law():
     # An absurdly low eigenvalue cap turns the very first update into a
     # divergence; the estimate must still be produced from the start law.
+    # The first level, about 1.28 - 2, stays below 0, so the run has not
+    # converged when its update fails.
     cfg = cfg_for("ce", m=2000, n=2000, n_p=50000, divergence_lambda_cap=0.5)
-    target = halfspace_target(2, 1.0)
-    res = run_scheme(cfg, target, seed_key=(29, "cap"))
+    target = halfspace_target(2, 2.0)
+    res = run_scheme(cfg, target, (29, "cap"))
     assert res.diverged and not res.converged
     assert res.iterations_used == 1
-    assert res.traces[0].diverged
+    assert res.traces[0].diverged and res.traces[0].q_or_sigma < 0.0
     assert res.traces[0].lambda_max_raw > 0.5
     # Estimating from the identity law still works for this common event.
-    p = float(std_normal_cdf(-1.0))
+    p = float(std_normal_cdf(-2.0))
     assert res.p_hat == pytest.approx(p, rel=0.1)
+
+
+def test_capped_level_converges_even_if_its_update_fails():
+    # At d = 50 the first level is already capped at 0, but its 200-row
+    # update has too few hits for a positive definite 50 x 50 estimate. The
+    # run converges on the law it has; the discarded update's trace still
+    # records the failure.
+    cfg = SchemeConfig("ce", m=200, n=200, n_p=200)
+    res = run_scheme(cfg, halfspace_target(50, 1.0), (0, "x"))
+    assert res.converged and not res.diverged
+    assert res.iterations_used == 1
+    trace = res.traces[0]
+    assert trace.q_or_sigma == 0.0 and trace.n_hits == 35 and trace.diverged
 
 
 # Divergence branches. The evaluator is keyed on the batch size, so the
 # level batch (M rows), the learning batch (N rows) and the final batch
 # (N_P rows) each get their own scores; every run diverges on its first
-# iteration and estimates from the standard normal start law.
+# iteration and estimates from the standard normal start law. A hard
+# threshold is set at -1 by a level batch `below`, short of 0, so the run
+# has not converged when its update fails.
 D, M, N, N_P = 3, 40, 30, 50
 
 
@@ -351,7 +356,7 @@ def above(x):
 
 
 def one_hit(x):
-    return np.where(np.arange(x.shape[0]) == 0, 1.0, -1.0)
+    return np.where(np.arange(x.shape[0]) == 0, 1.0, -2.0)
 
 
 def below(x):
@@ -374,12 +379,12 @@ def first_smoothed_bandwidth() -> float:
 
 
 @pytest.mark.parametrize("case", [
-    # zero hits at the capped threshold 0
-    ("ce", "none", above, below, (0.0, 0.0, math.nan, 0)),
+    # zero hits at the threshold -1
+    ("ce", "none", below, hopeless, (-1.0, 0.0, math.nan, 0)),
     # one hit: sigma_hat is exactly zero, the Cholesky factor fails
-    ("ce", "none", above, one_hit, (0.0, 1.0 / N, 0.0, 1)),
+    ("ce", "none", below, one_hit, (-1.0, 1.0 / N, 0.0, 1)),
     # one hit: the mean direction carries zero variance, the projection collapses
-    ("ce_proj", "mean", above, one_hit, (0.0, 1.0 / N, 0.0, 1)),
+    ("ce_proj", "mean", below, one_hit, (-1.0, 1.0 / N, 0.0, 1)),
     # no bandwidth gives a finite spread
     ("ice", "none", hopeless, hopeless, (math.nan, math.nan, math.nan, 0)),
     # a usable bandwidth, but every smoothed learning weight underflows
@@ -390,8 +395,8 @@ def test_divergence_branches_record_their_trace(case):
     scheme, strategy, level, learn, (q, p_t, lam_max, hits) = case
     if q is None:
         q = first_smoothed_bandwidth()
-    cfg = SchemeConfig(scheme=scheme, strategy=strategy, m=M, n=N, n_p=N_P, seed=0)
-    res = run_scheme(cfg, batch_keyed_target(level, learn))
+    cfg = SchemeConfig(scheme=scheme, strategy=strategy, m=M, n=N, n_p=N_P)
+    res = run_scheme(cfg, batch_keyed_target(level, learn), (0,))
     assert res.diverged and not res.converged and res.iterations_used == 1
     want = IterationTrace(t=0, q_or_sigma=q, p_hat_t=p_t, lambda_min_proj=1.0,
                           lambda_max_raw=lam_max, diverged=True, n_hits=hits)
@@ -412,7 +417,7 @@ def test_update_failures_keep_the_law_and_record_their_trace(monkeypatch, p_hat,
     est = EstimationResult(p_hat=p_hat, mu_hat=mu_hat, sigma_hat=sigma_hat, n_hits=7)
     monkeypatch.setattr(ce_schemes, "weighted_mean_cov", lambda ws, level: est)
     law = GaussianLaw.identity(D)
-    cfg = SchemeConfig(scheme="ce", m=M, n=N, n_p=N_P, seed=0)
+    cfg = SchemeConfig(scheme="ce", m=M, n=N, n_p=N_P)
     nxt, bandwidth, trace = iterate(law, None, batch_keyed_target(above, above), cfg, 0,
                                     stream(0, "y", 0), stream(0, "x", 0))
     assert nxt is law and bandwidth is None
@@ -424,9 +429,9 @@ def test_update_failures_keep_the_law_and_record_their_trace(monkeypatch, p_hat,
 def test_run_scheme_bit_reproducible():
     cfg = cfg_for("ice_proj", "mean", m=1500, n=1500, n_p=800)
     t = linear_target(30)
-    a = run_scheme(cfg, t, seed_key=(5, "rep"))
-    b = run_scheme(cfg, t, seed_key=(5, "rep"))
-    c = run_scheme(cfg, t, seed_key=(6, "rep"))
+    a = run_scheme(cfg, t, (5, "rep"))
+    b = run_scheme(cfg, t, (5, "rep"))
+    c = run_scheme(cfg, t, (6, "rep"))
     assert a.p_hat == b.p_hat
     assert a.traces == b.traces
     assert a.p_hat != c.p_hat
@@ -436,7 +441,7 @@ def test_missing_reference_gives_nan_error():
     t = LimitState(name="anon", dim=2,
                    evaluator=lambda x: 1.0 - np.abs(x[:, 0]))
     cfg = cfg_for("ce", m=800, n=800, n_p=400)
-    res = run_scheme(cfg, t)
+    res = run_scheme(cfg, t, (0,))
     assert math.isnan(res.relative_error)
     assert 0.0 < res.p_hat < 1.0
 
@@ -456,7 +461,7 @@ def test_iteration_peak_memory_in_batches(scheme, strategy, bound):
     d = 50
     batch = m * d * 8
     target = linear_target(d)
-    cfg = cfg_for(scheme, strategy, m=m, n=n, seed=3)
+    cfg = cfg_for(scheme, strategy, m=m, n=n)
     law, bandwidth = GaussianLaw.identity(d), None
     for t in range(2):
         args = (law, bandwidth, target, cfg, t)

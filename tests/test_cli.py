@@ -87,6 +87,11 @@ def test_validation_per_kind(tmp_path):
          "benchmark does not read keys: kappa, lambda1, alignment"),
         (GAMMA_BASE + "lambda1 = 0.5\nkappa = 2.0\nn = 1000\n",
          "gamma does not read keys: kappa, n"),
+        # A scheme reads one level option; benchmark runs one scheme.
+        ("kind = benchmark\ntarget = lin\nscheme = ice\nrho = 0.3\n",
+         "scheme=ice does not read keys: rho"),
+        ("kind = benchmark\ntarget = lin\nscheme = ce_proj\nstrategy = mean\n"
+         "delta_target = 3.0\n", "scheme=ce_proj does not read keys: delta_target"),
     ):
         with pytest.raises(ConfigError, match=unread):
             load_config(write_cfg(tmp_path / "k.cfg", text))
@@ -622,6 +627,11 @@ def test_cli_exit_codes(tmp_path, capsys):
         # n = 50^200 overflows a float: refused with the ladder, not by a cell.
         ("phase", PHASE_BASE.replace("4, 8", "50, 400")
          + "lambda1 = 0.5\nkappa = 200\nN = 10\nworkers = 1\n"),
+        # n = 50^20 is a float, but no cell that size would ever finish.
+        ("phase", PHASE_BASE.replace("4, 8", "50, 100")
+         + "lambda1 = 0.5\nkappa = 20\nN = 10\nworkers = 1\n"),
+        ("benchmark", "kind = benchmark\ntarget = lin\nscheme = ce\nseed = 4294967296\n"
+         + small),
         ("benchmark", "kind = benchmark\ntarget = lin\nscheme = ice\ndelta_target = nan\n"
          + small),
         ("benchmark", "kind = benchmark\ntarget = lin\nscheme = ice\ndelta_target = inf\n"

@@ -22,12 +22,13 @@ from ce_spectra.phase_lab import (
     gamma_cells,
     gamma_fit,
     median_by_d,
+    prop_range_width,
     sample_size,
     sweep_cell,
     sweep_cells,
 )
 from ce_spectra.seeding import stream
-from ce_spectra.targets import linear_target, prop_range_width
+from ce_spectra.targets import linear_target
 
 
 HALFSPACE_PERP = LabGeometry("halfspace", "v_in_u_perp", 0.5)
@@ -89,10 +90,12 @@ def test_geometry_validation():
         LabGeometry("disk", "v_in_u", 0.5)
     with pytest.raises(ValueError, match="unknown alignment"):
         LabGeometry("slab", "diag", 0.5)
-    with pytest.raises(ValueError, match="lambda1 must lie"):
-        LabGeometry("slab", "v_in_u", 0.0)
-    with pytest.raises(ValueError, match="alpha must lie"):
-        LabGeometry("slab", "v_in_u", 0.5, alpha=1.5)
+    for lambda1 in (0.0, 1.5, math.nan):
+        with pytest.raises(ValueError, match=r"lambda1 must lie in \(0, 1\]"):
+            LabGeometry("slab", "v_in_u", lambda1)
+    for alpha in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\]"):
+            LabGeometry("slab", "v_in_u", 0.5, alpha=alpha)
     # alpha widens the slab only; on a halfspace it is rejected, not ignored,
     # so neither pipeline can be built from such a geometry.
     for build in (
@@ -103,8 +106,6 @@ def test_geometry_validation():
     ):
         with pytest.raises(ValueError, match="alpha applies to the slab target only"):
             build()
-    with pytest.raises(ValueError, match="d >= 2"):
-        LabGeometry("slab", "v_in_u", 0.5).at(1, 100)
 
 
 def test_geometry_cell_matches_build_alignment():
@@ -142,6 +143,13 @@ def test_sweep_cells_validation():
     # n = 50^200 is no float; refused here, not by the first cell.
     with pytest.raises(ValueError, match="overflows a float"):
         phase_cells(kappa=200.0, dims=(50, 400))
+    # n = 50^20 is a float, but a cell that size would never finish.
+    with pytest.raises(ValueError, match="past MAX_CELL_VALUES"):
+        phase_cells(kappa=20.0, dims=(50, 100))
+    # The largest ladders the lab is meant to run stay within the bound.
+    for geometry, kappa, dims in ((LabGeometry("halfspace", "v_in_u_perp", 0.7), 2.0, (320, 640)),
+                                  (HALFSPACE_PERP, 2.4, (160, 320))):
+        assert len(phase_cells(geometry=geometry, kappa=kappa, dims=dims)) == 20
     # A float seed would otherwise run the streams of its integer part.
     with pytest.raises(ValueError, match="seed must be an integer"):
         phase_cells(seed=1.5)
