@@ -186,7 +186,8 @@ def optimize_bandwidth(sample_: WeightedSample, sigma_hi: float,
 
     A BANDWIDTH_GRID-point log-grid scan brackets the best cell, then
     golden-section refines inside it to BANDWIDTH_LOG_TOL in log bandwidth;
-    the returned value never exceeds sigma_hi. None signals that the
+    the returned value never exceeds sigma_hi, except that a ceiling at or
+    below BANDWIDTH_FLOOR gives the floor itself. None signals that the
     objective is infinite everywhere (no usable bandwidth).
     """
     floor = BANDWIDTH_FLOOR
@@ -221,33 +222,31 @@ def optimize_bandwidth(sample_: WeightedSample, sigma_hi: float,
 
 def iterate(law: GaussianLaw, bandwidth: float | None, target: LimitState,
             cfg: SchemeConfig, t: int, rng_level: np.random.Generator,
-            rng_learn: np.random.Generator
-            ) -> tuple[GaussianLaw, float | None, IterationTrace | None]:
+            rng_learn: np.random.Generator) -> tuple[GaussianLaw, IterationTrace | None]:
     """Iteration t of any scheme: level stage, then one shared update.
 
-    Returns (next law, bandwidth, trace). A trace of None means the smoothed
-    schemes' stop criterion held on the fresh level batch: the law is final.
-    On divergence the law comes back unchanged, and the trace carries the
-    flag and the statistics computed before the failure. bandwidth is read
-    and tuned by the smoothed schemes only; None (not set yet) is derived
-    from the spread of the level scores.
+    Returns (next law, trace). A trace of None means the smoothed schemes'
+    stop criterion held on the fresh level batch: the law is final. On
+    divergence the law comes back unchanged, and the trace carries the flag
+    and the statistics computed before the failure. bandwidth, the smoothed
+    schemes' search ceiling, is the last trace's level (its q_or_sigma);
+    None, before the first trace, is derived from the level scores' spread.
     """
     # The level stage: the recorded level is the threshold actually used for
     # conditioning, the score quantile capped at 0, or the tuned bandwidth.
     if cfg.smoothed:
         ws = _weighted_batch(law, cfg.m, rng_level, target)
         if indicator_delta(ws) <= cfg.delta_target:
-            return law, bandwidth, None
+            return law, None
         if bandwidth is None:
             q25, q75 = np.percentile(ws.scores, [25.0, 75.0])
             bandwidth = max(10.0 * float(q75 - q25), BANDWIDTH_FLOOR)
         level = optimize_bandwidth(ws, bandwidth, cfg.delta_target)
         del ws  # the level batch is gone before the learn batch is drawn
         if level is None:
-            return law, bandwidth, IterationTrace(
+            return law, IterationTrace(
                 t=t, q_or_sigma=math.nan, p_hat_t=math.nan, lambda_min_proj=law.lambda_min(),
                 lambda_max_raw=math.nan, diverged=True, n_hits=0)
-        bandwidth = level
         estimator = smooth_weighted_mean_cov
     else:
         scores = target(sample(law, rng_level.standard_normal((cfg.m, law.dim))))
@@ -269,7 +268,7 @@ def iterate(law: GaussianLaw, bandwidth: float | None, target: LimitState,
     except (DegenerateSampleError, numerics.NotPositiveDefiniteError,
             numerics.NotSymmetricError, CollapsedEstimateError):
         pass  # diverged: the law stays, the trace keeps what was computed
-    return law if nxt is None else nxt, bandwidth, IterationTrace(
+    return law if nxt is None else nxt, IterationTrace(
         t=t, q_or_sigma=level, p_hat_t=p_hat, lambda_min_proj=law.lambda_min(),
         lambda_max_raw=lam_max, diverged=nxt is None, n_hits=n_hits)
 
@@ -283,11 +282,11 @@ def run_scheme(cfg: SchemeConfig, target: LimitState, key: tuple) -> RunResult:
     law = GaussianLaw.identity(target.dim)
     traces: list[IterationTrace] = []
     converged = False
-    bandwidth: float | None = None
 
     for t in range(cfg.t_max):
-        nxt, bandwidth, trace = iterate(law, bandwidth, target, cfg, t,
-                                        stream(*key, "y", t), stream(*key, "x", t))
+        # A smoothed search's ceiling: the last update's bandwidth, its level.
+        nxt, trace = iterate(law, traces[-1].q_or_sigma if traces else None, target, cfg, t,
+                             stream(*key, "y", t), stream(*key, "x", t))
         if trace is None:
             converged = True
             break

@@ -98,8 +98,8 @@ def parse_file(path: str | Path) -> dict:
     """Read and type the raw key=value pairs; no cross-field checks yet."""
     values: dict = {}
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -162,8 +162,9 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"N must be positive, got {cfg.N}")
     if cfg.workers < 0:
         raise ConfigError(f"workers must be 0 (all cores) or positive, got {cfg.workers}")
-    if cfg.workers == 0:
-        cfg.workers = os.cpu_count() or 1
+    # Output bytes do not depend on the worker count: cap it at the cores (0: all cores).
+    cores = os.cpu_count() or 1
+    cfg.workers = min(cfg.workers or cores, cores)
     try:
         cfg.groups = _GROUP_BUILDERS[cfg.kind](cfg)
     except ValueError as exc:

@@ -22,10 +22,6 @@ SYM_RTOL = 1e-12
 PIVOT_RTOL = 1e-12
 
 
-class DomainError(ValueError):
-    """Argument outside the mathematical domain of the function."""
-
-
 class NotSymmetricError(ValueError):
     """Matrix failed the symmetry or finiteness check."""
 
@@ -88,7 +84,7 @@ def _open_unit(u) -> np.ndarray:
     """u as a float array, every entry strictly inside (0, 1)."""
     u = np.asarray(u, dtype=float)
     if not np.all((u > 0.0) & (u < 1.0)):
-        raise DomainError("quantile argument must lie strictly inside (0, 1)")
+        raise ValueError("quantile argument must lie strictly inside (0, 1)")
     return u
 
 
@@ -106,9 +102,9 @@ def gamma_inverse_cdf(u, shape: float, scale: float):
     then multiplies by the scale.
     """
     if shape <= 0.0 or not math.isfinite(shape):
-        raise DomainError(f"shape must be positive, got {shape}")
+        raise ValueError(f"shape must be positive, got {shape}")
     if scale <= 0.0 or not math.isfinite(scale):
-        raise DomainError(f"scale must be positive, got {scale}")
+        raise ValueError(f"scale must be positive, got {scale}")
     from scipy.special import gammaincinv
 
     return gammaincinv(shape, _open_unit(u)) * scale

@@ -54,12 +54,6 @@ MAX_CELL_VALUES = 2 ** 32
 _TARGETS = {"slab": (slab_target, 1.0), "halfspace": (halfspace_target, 0.0)}
 
 
-def check_reps(reps: int) -> None:
-    """Per-cell medians are taken over at least 10 repetitions."""
-    if reps < 10:
-        raise ValueError(f"at least 10 repetitions required, got {reps}")
-
-
 def prop_range_width(alpha: float, lambda1: float, n: int) -> float:
     """Slab half-width K = 1 + sqrt(2 alpha lambda1 log n) of a cell of n
     samples; alpha = 0 is the limiting convention K = 1."""
@@ -170,6 +164,19 @@ def sample_size(d: int, kappa: float) -> int:
         raise ValueError(f"sample size {d}^{kappa:g} overflows a float") from None
 
 
+def _grid(values: Sequence[int], name: str, var: str, reps: int, seed: int) -> tuple[int, ...]:
+    """The grid name of var values as ints, checked ascending from 2 with at
+    least two entries; then per-cell medians need at least 10 repetitions,
+    and seed must be a master seed."""
+    values = tuple(int(v) for v in values)
+    if len(values) < 2 or values[0] < 2 or any(b <= a for a, b in zip(values, values[1:])):
+        raise ValueError(f"{name} must be ascending from {var} >= 2 with at least two entries")
+    if reps < 10:
+        raise ValueError(f"at least 10 repetitions required, got {reps}")
+    check_seed(seed)
+    return values
+
+
 def sweep_cells(geometry: LabGeometry, kappa: float, dims: Sequence[int], reps: int,
                 seed: int = 0) -> list[tuple]:
     """sweep_cell arguments over dims x reps, dimension major, each cell of
@@ -177,11 +184,7 @@ def sweep_cells(geometry: LabGeometry, kappa: float, dims: Sequence[int], reps: 
     values."""
     if not 0.0 < kappa < math.inf:
         raise ValueError(f"kappa must be positive, got {kappa}")
-    dims = tuple(int(d) for d in dims)
-    if len(dims) < 2 or dims[0] < 2 or any(b <= a for a, b in zip(dims, dims[1:])):
-        raise ValueError("dims grid must be ascending from d >= 2 with at least two entries")
-    check_reps(reps)
-    check_seed(seed)
+    dims = _grid(dims, "dims grid", "d", reps, seed)
     sizes = [sample_size(d, kappa) for d in dims]
     if sizes[-1] * dims[-1] > MAX_CELL_VALUES:
         raise ValueError(f"a cell of n = {sizes[-1]:.3g} draws in d = {dims[-1]} holds "
@@ -332,10 +335,6 @@ def gamma_fit(n_grid: Sequence[int], log_max: Sequence[Sequence[float]],
 def gamma_cells(geometry: LabGeometry, n_grid: Sequence[int], reps: int,
                 seed: int = 0) -> list[list[tuple]]:
     """gamma_cell arguments over n_grid x reps, one list per grid point."""
-    n_grid = tuple(int(n) for n in n_grid)
-    if len(n_grid) < 2 or n_grid[0] < 2 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
-        raise ValueError("n_grid must be ascending from n >= 2 with at least two points")
-    check_reps(reps)
-    check_seed(seed)
+    n_grid = _grid(n_grid, "n_grid", "n", reps, seed)
     return [[(geometry, seed, i, n, rep) for rep in range(reps)]
             for i, n in enumerate(n_grid)]

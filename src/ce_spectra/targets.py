@@ -8,7 +8,7 @@ normal given A, which the estimation lab uses as ground truth.
 
 Scores here depend on a fixed low-dimensional intrinsic subspace U (the
 span of u = e_1), so phi(x) = phi(P_U x) for slab and halfspace by
-construction, and their scores read the first column alone.
+construction, and their scores and hit probabilities read the first column alone.
 Score and hit-probability functions are module-level functions bound with
 functools.partial, so limit states pickle and can be sent to worker
 processes.
@@ -127,8 +127,8 @@ def _first_axis(d: int) -> np.ndarray:
     return e
 
 
-def _variance_along(g: SpikedCovariance, u: np.ndarray) -> float:
-    coords = u @ g.directions.T
+def _variance_along_e1(g: SpikedCovariance) -> float:
+    coords = g.directions[:, 0]
     return 1.0 + float((g.lambdas - 1.0) @ (coords * coords))
 
 
@@ -140,12 +140,12 @@ def _halfspace_score(offset: float, x: np.ndarray) -> np.ndarray:
     return x[:, 0] - offset
 
 
-def _slab_q(u: np.ndarray, width: float, g: SpikedCovariance) -> float:
-    return 2.0 * (1.0 - numerics.std_normal_tail(width / math.sqrt(_variance_along(g, u)))) - 1.0
+def _slab_q(width: float, g: SpikedCovariance) -> float:
+    return 2.0 * (1.0 - numerics.std_normal_tail(width / math.sqrt(_variance_along_e1(g)))) - 1.0
 
 
-def _halfspace_q(u: np.ndarray, offset: float, g: SpikedCovariance) -> float:
-    return numerics.std_normal_tail(offset / math.sqrt(_variance_along(g, u)))
+def _halfspace_q(offset: float, g: SpikedCovariance) -> float:
+    return numerics.std_normal_tail(offset / math.sqrt(_variance_along_e1(g)))
 
 
 def slab_target(d: int, width: float) -> LimitState:
@@ -167,7 +167,7 @@ def slab_target(d: int, width: float) -> LimitState:
         p=p,
         mu=np.zeros(d),
         sigma=SpikedCovariance(dim=d, lambdas=np.array([var_u]), directions=u[None, :]),
-        q_of=partial(_slab_q, u, width),
+        q_of=partial(_slab_q, width),
     )
     return LimitState(name="slab", dim=d, evaluator=partial(_slab_score, width),
                       reference_p=p, analytic=analytic)
@@ -192,7 +192,7 @@ def halfspace_target(d: int, offset: float) -> LimitState:
         p=p,
         mu=hazard * u,
         sigma=SpikedCovariance(dim=d, lambdas=np.array([var_u]), directions=u[None, :]),
-        q_of=partial(_halfspace_q, u, offset),
+        q_of=partial(_halfspace_q, offset),
     )
     return LimitState(name="halfspace", dim=d, evaluator=partial(_halfspace_score, offset),
                       reference_p=p, analytic=analytic)

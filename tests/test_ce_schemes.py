@@ -236,6 +236,9 @@ def test_optimize_bandwidth_respects_ceiling():
     ws = random_weighted_sample(5)
     got = optimize_bandwidth(ws, 1e-5, 1.5)
     assert got is not None and got <= 1e-5 + 1e-18
+    # A ceiling at or below the floor leaves the floor alone to try.
+    assert optimize_bandwidth(ws, BANDWIDTH_FLOOR, 1.5) == BANDWIDTH_FLOOR
+    assert optimize_bandwidth(ws, BANDWIDTH_FLOOR / 2, 1.5) == BANDWIDTH_FLOOR
 
 
 def test_optimize_bandwidth_all_underflow_returns_none():
@@ -244,6 +247,7 @@ def test_optimize_bandwidth_all_underflow_returns_none():
     x = np.zeros((4, 1))
     ws = WeightedSample(x, np.zeros(4), np.full(4, -1e300))
     assert optimize_bandwidth(ws, 1e-4, 1.5) is None
+    assert optimize_bandwidth(ws, BANDWIDTH_FLOOR, 1.5) is None
 
 
 # ------------------------------------------------------------- full runs
@@ -273,7 +277,11 @@ def test_ce_easy_halfspace_estimates_tail():
     assert all(tr.n_hits > 0 for tr in res.traces)
 
 
-def test_ice_easy_halfspace_estimates_tail():
+def test_ice_easy_halfspace_estimates_tail(monkeypatch):
+    ceilings = []
+    search = ce_schemes.optimize_bandwidth
+    monkeypatch.setattr(ce_schemes, "optimize_bandwidth",
+                        lambda ws, hi, delta: ceilings.append(hi) or search(ws, hi, delta))
     cfg = cfg_for("ice", m=5000, n=5000, n_p=2000)
     res = run_scheme(cfg, halfspace_target(3, 2.0), (23, "ice"))
     assert res.converged and not res.diverged
@@ -282,21 +290,22 @@ def test_ice_easy_halfspace_estimates_tail():
     sigmas = [tr.q_or_sigma for tr in res.traces]
     assert all(s > 0.0 for s in sigmas)
     assert sigmas[-1] < sigmas[0]
+    # Each search after the first is capped by the bandwidth recorded before it.
+    assert len(ceilings) == len(sigmas) > 1 and ceilings[1:] == sigmas[:-1]
 
 
 def test_projected_run_spiked_law_and_trace_spectra():
     cfg = cfg_for("ice_proj", "mean", m=4000, n=4000, n_p=2000)
     target = halfspace_target(6, 2.5)
-    law, bandwidth, trace = iterate(
+    law, trace = iterate(
         GaussianLaw.identity(6), None, target, cfg, 0,
         stream(1, "pi", "y"), stream(1, "pi", "x"))
     assert trace is not None and not trace.diverged and trace.t == 0
-    assert trace.q_or_sigma == bandwidth
     assert law.spiked is not None and law.spiked.rank == 1
     assert trace.lambda_min_proj == 1.0  # identity law on the way in
     # Next iteration reads the projected spike as its input floor.
-    law2, _, trace2 = iterate(
-        law, bandwidth, target, cfg, 1, stream(2, "pi", "y"), stream(2, "pi", "x"))
+    law2, trace2 = iterate(
+        law, trace.q_or_sigma, target, cfg, 1, stream(2, "pi", "y"), stream(2, "pi", "x"))
     assert trace2 is not None and trace2.t == 1
     assert trace2.lambda_min_proj == pytest.approx(
         law.lambda_min(), rel=1e-12, abs=0)
@@ -418,9 +427,9 @@ def test_update_failures_keep_the_law_and_record_their_trace(monkeypatch, p_hat,
     monkeypatch.setattr(ce_schemes, "weighted_mean_cov", lambda ws, level: est)
     law = GaussianLaw.identity(D)
     cfg = SchemeConfig(scheme="ce", m=M, n=N, n_p=N_P)
-    nxt, bandwidth, trace = iterate(law, None, batch_keyed_target(above, above), cfg, 0,
-                                    stream(0, "y", 0), stream(0, "x", 0))
-    assert nxt is law and bandwidth is None
+    nxt, trace = iterate(law, None, batch_keyed_target(above, above), cfg, 0,
+                         stream(0, "y", 0), stream(0, "x", 0))
+    assert nxt is law
     want = IterationTrace(t=0, q_or_sigma=0.0, p_hat_t=p_hat, lambda_min_proj=1.0,
                           lambda_max_raw=lam_max, diverged=True, n_hits=7)
     np.testing.assert_equal(astuple(trace), astuple(want))
@@ -468,9 +477,10 @@ def test_iteration_peak_memory_in_batches(scheme, strategy, bound):
         iterate(*args, stream(3, "y", t), stream(3, "x", t))
         tracemalloc.start()
         try:
-            law, bandwidth, trace = iterate(*args, stream(3, "y", t), stream(3, "x", t))
+            law, trace = iterate(*args, stream(3, "y", t), stream(3, "x", t))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert not trace.diverged
         assert peak < bound * batch, (t, peak / batch)
+        bandwidth = trace.q_or_sigma

@@ -99,6 +99,9 @@ def test_validation_per_kind(tmp_path):
     with pytest.raises(ConfigError, match="workers must be 0"):
         load_config(bench, overrides={"workers": -4})
     assert load_config(bench, overrides={"workers": 0}).workers == (os.cpu_count() or 1)
+    # Outputs do not depend on the worker count, so no more processes than
+    # cores are ever asked for; loading the config starts no pool.
+    assert load_config(bench, overrides={"workers": 10 ** 6}).workers == (os.cpu_count() or 1)
     # A seed outside [0, 2^32) would alias an in-range one in the streams.
     for seed in (-1, 2 ** 32):
         with pytest.raises(ConfigError, match=r"seed must lie in \[0, 2\^32\)"):
@@ -223,7 +226,7 @@ def test_overrides_and_expected_kind(tmp_path):
         "kind = benchmark\ntarget = lin\nscheme = ce\nseed = 1\n")
     cfg = load_config(cfg_path, overrides={"seed": 9, "workers": 2,
                                            "output_dir": None})
-    assert cfg.seed == 9 and cfg.workers == 2
+    assert cfg.seed == 9 and cfg.workers == min(2, os.cpu_count() or 1)
     with pytest.raises(ConfigError, match="conflicts with command"):
         load_config(cfg_path, expected_kind="gamma")
 
@@ -638,9 +641,14 @@ def test_cli_exit_codes(tmp_path, capsys):
          + small),
         ("benchmark", "kind = benchmark\ntarget = lin\nscheme = ce\n"
          "divergence_lambda_cap = nan\n" + small),
+        # A Latin-1 comment: the file is not UTF-8, so it cannot be read.
+        ("benchmark", b"kind = benchmark\ntarget = lin\nscheme = ce\n# caf\xe9\n"
+         + small.encode()),
     )):
         out = tmp_path / f"never_{i}"
-        cfg = write_cfg(tmp_path / f"{i}.cfg", text + f"output_dir = {out}\n")
+        cfg = tmp_path / f"{i}.cfg"
+        body = text if isinstance(text, bytes) else text.encode()
+        cfg.write_bytes(body + f"output_dir = {out}\n".encode())
         assert run_cli([kind, "--config", cfg]) == 2
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()

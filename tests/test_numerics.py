@@ -14,7 +14,6 @@ from ce_spectra import numerics
 from ce_spectra.numerics import (
     PIVOT_RTOL,
     SYM_RTOL,
-    DomainError,
     NotPositiveDefiniteError,
     NotSymmetricError,
     cholesky,
@@ -109,7 +108,7 @@ def test_quantile_frozen_points():
 
 @pytest.mark.parametrize("u", [0.0, 1.0, -0.1, 1.1, math.nan])
 def test_quantile_domain(u):
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError, match="strictly inside"):
         std_normal_quantile(u)
 
 
@@ -144,7 +143,7 @@ def test_gamma_scale_is_linear():
     (0.5, 0.0, 6.0), (0.5, -1.0, 6.0), (0.5, 6.0, 0.0), (0.5, 6.0, -2.0),
 ])
 def test_gamma_domain(u, shape, scale):
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError, match="strictly inside|must be positive"):
         gamma_inverse_cdf(u, shape, scale)
 
 
