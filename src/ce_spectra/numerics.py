@@ -61,6 +61,11 @@ def std_normal_tail(x: float) -> float:
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
+def std_normal_pdf(x: float) -> float:
+    """phi(x) for a scalar x, from the standard library: no scipy import."""
+    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+
 def std_normal_cdf(x):
     """Standard normal CDF, vectorized, absolute error below 1e-12."""
     from scipy.special import ndtr
@@ -73,11 +78,6 @@ def log_std_normal_cdf(x):
     from scipy.special import log_ndtr
 
     return log_ndtr(x)
-
-
-def std_normal_pdf(x):
-    x = np.asarray(x, dtype=float)
-    return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
 def _open_unit(u) -> np.ndarray:

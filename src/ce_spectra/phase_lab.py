@@ -19,6 +19,7 @@ and a gamma cell, which reads only the hit and the weight, never does.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -93,14 +94,10 @@ class LabGeometry:
     @property
     def decisive_dim(self) -> int:
         """k, the number of leading axes that decide a row's hit and weight:
-        the target axis e_1, and the spike axis e_2 when it lies apart."""
+        the target axis e_1, and the spike axis e_2 when it lies apart. A
+        row's score and log likelihood ratio under at(d, n) are these of its
+        first k coordinates under at(k, n), whatever d is."""
         return ALIGNMENTS[self.alignment] + 1
-
-    def decisive_at(self, n: int) -> tuple[LimitState, SpikedCovariance]:
-        """at(d, n) on the first decisive_dim axes alone. A row's score and
-        log likelihood ratio under at(d, n) are these of its first k
-        coordinates, whatever d is."""
-        return self._layout(self.decisive_dim, self._width(n))
 
     def _width(self, n: int) -> float | None:
         return None if self.alpha is None else prop_range_width(self.alpha, self.lambda1, n)
@@ -165,10 +162,14 @@ def sample_size(d: int, kappa: float) -> int:
 
 
 def _grid(values: Sequence[int], name: str, var: str, reps: int, seed: int) -> tuple[int, ...]:
-    """The grid name of var values as ints, checked ascending from 2 with at
-    least two entries; then per-cell medians need at least 10 repetitions,
-    and seed must be a master seed."""
-    values = tuple(int(v) for v in values)
+    """The grid name of var values as a tuple, checked to hold integers (a
+    float or a string is refused, not truncated, as a float seed is),
+    ascending from 2, with at least two entries; then per-cell medians need
+    at least 10 repetitions, and seed must be a master seed."""
+    try:
+        values = tuple(operator.index(v) for v in values)
+    except TypeError:
+        raise ValueError(f"{name} entries must be integers, got {values!r}") from None
     if len(values) < 2 or values[0] < 2 or any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError(f"{name} must be ascending from {var} >= 2 with at least two entries")
     if reps < 10:
@@ -199,7 +200,7 @@ def _decisive_blocks(geometry: LabGeometry, n: int, rows: int,
     (at least one). Consecutive standard-normal blocks from one generator
     are the bytes of one (n, k) draw, so the blocks hold that draw's rows in
     order, whatever their size."""
-    state, cov = geometry.decisive_at(n)
+    state, cov = geometry.at(geometry.decisive_dim, n)
     law = GaussianLaw.with_spiked(cov)
     rows = max(rows, 1)
     for start in range(0, n, rows):

@@ -25,8 +25,6 @@ import numpy as np
 from . import numerics
 from .gauss_core import SpikedCovariance
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
 
 @dataclass(frozen=True)
 class AnalyticConditional:
@@ -121,15 +119,33 @@ def count_target(d: int) -> LimitState:
                       reference_p=1.7348e-6 if d == TABLE_SIZES["fin"][0] else None)
 
 
-def _first_axis(d: int) -> np.ndarray:
-    e = np.zeros(d)
-    e[0] = 1.0
-    return e
-
-
-def _variance_along_e1(g: SpikedCovariance) -> float:
+def _sd_along_e1(g: SpikedCovariance) -> float:
     coords = g.directions[:, 0]
-    return 1.0 + float((g.lambdas - 1.0) @ (coords * coords))
+    return math.sqrt(1.0 + float((g.lambdas - 1.0) @ (coords * coords)))
+
+
+def _q_under(p_of: Callable[[float], float], level: float, g: SpikedCovariance) -> float:
+    """Hit probability under N(0, g) of a target on e_1 whose hit
+    probability under f is p_of(level): the level in units of g's standard
+    deviation along e_1. So p is q under the standard law."""
+    return p_of(level / _sd_along_e1(g))
+
+
+def _e1_target(name: str, d: int, score: Callable[[np.ndarray], np.ndarray], p: float,
+               mean: float, variance: float, q_of: Callable[[SpikedCovariance], float]
+               ) -> LimitState:
+    """A target on e_1 with hit probability p (its reference_p) and q_of,
+    whose conditional law of f on A has the given mean and variance along
+    e_1 and is standard elsewhere."""
+    e1 = np.zeros(d)
+    e1[0] = 1.0
+    analytic = AnalyticConditional(
+        p=p,
+        mu=mean * e1,
+        sigma=SpikedCovariance(dim=d, lambdas=np.array([variance]), directions=e1[None, :]),
+        q_of=q_of,
+    )
+    return LimitState(name=name, dim=d, evaluator=score, reference_p=p, analytic=analytic)
 
 
 def _slab_score(width: float, x: np.ndarray) -> np.ndarray:
@@ -140,12 +156,8 @@ def _halfspace_score(offset: float, x: np.ndarray) -> np.ndarray:
     return x[:, 0] - offset
 
 
-def _slab_q(width: float, g: SpikedCovariance) -> float:
-    return 2.0 * (1.0 - numerics.std_normal_tail(width / math.sqrt(_variance_along_e1(g)))) - 1.0
-
-
-def _halfspace_q(offset: float, g: SpikedCovariance) -> float:
-    return numerics.std_normal_tail(offset / math.sqrt(_variance_along_e1(g)))
+def _slab_p(width: float) -> float:
+    return 2.0 * (1.0 - numerics.std_normal_tail(width)) - 1.0
 
 
 def slab_target(d: int, width: float) -> LimitState:
@@ -156,21 +168,12 @@ def slab_target(d: int, width: float) -> LimitState:
     """
     if width <= 0.0 or not math.isfinite(width):
         raise ValueError(f"slab half-width must be positive, got {width}")
-    u = _first_axis(d)
-
-    big_phi = 1.0 - numerics.std_normal_tail(width)
-    p = 2.0 * big_phi - 1.0
-    pdf = math.exp(-0.5 * width * width) / _SQRT_2PI
-    var_u = 1.0 - 2.0 * width * pdf / p
-
-    analytic = AnalyticConditional(
-        p=p,
-        mu=np.zeros(d),
-        sigma=SpikedCovariance(dim=d, lambdas=np.array([var_u]), directions=u[None, :]),
-        q_of=partial(_slab_q, width),
-    )
-    return LimitState(name="slab", dim=d, evaluator=partial(_slab_score, width),
-                      reference_p=p, analytic=analytic)
+    p = _slab_p(width)
+    if p == 0.0:
+        raise ValueError(f"slab half-width {width} gives hit probability 0 in double precision")
+    variance = 1.0 - 2.0 * width * numerics.std_normal_pdf(width) / p
+    return _e1_target("slab", d, partial(_slab_score, width), p, 0.0, variance,
+                      partial(_q_under, _slab_p, width))
 
 
 def halfspace_target(d: int, offset: float) -> LimitState:
@@ -181,21 +184,13 @@ def halfspace_target(d: int, offset: float) -> LimitState:
     """
     if not math.isfinite(offset):
         raise ValueError(f"halfspace offset must be finite, got {offset}")
-    u = _first_axis(d)
-
     p = numerics.std_normal_tail(offset)
-    pdf = math.exp(-0.5 * offset * offset) / _SQRT_2PI
-    hazard = pdf / p
-    var_u = 1.0 - hazard * (hazard - offset)
-
-    analytic = AnalyticConditional(
-        p=p,
-        mu=hazard * u,
-        sigma=SpikedCovariance(dim=d, lambdas=np.array([var_u]), directions=u[None, :]),
-        q_of=partial(_halfspace_q, offset),
-    )
-    return LimitState(name="halfspace", dim=d, evaluator=partial(_halfspace_score, offset),
-                      reference_p=p, analytic=analytic)
+    if p == 0.0:
+        raise ValueError(f"halfspace offset {offset} gives hit probability 0 in double precision")
+    hazard = numerics.std_normal_pdf(offset) / p
+    variance = 1.0 - hazard * (hazard - offset)
+    return _e1_target("halfspace", d, partial(_halfspace_score, offset), p, hazard, variance,
+                      partial(_q_under, numerics.std_normal_tail, offset))
 
 
 _BENCHMARK_BUILDERS = {

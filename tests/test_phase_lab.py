@@ -153,6 +153,12 @@ def test_sweep_cells_validation():
     # A float seed would otherwise run the streams of its integer part.
     with pytest.raises(ValueError, match="seed must be an integer"):
         phase_cells(seed=1.5)
+    # A float dimension would likewise run at its integer part; a string is
+    # no dimension.
+    for dims in ((4.5, 8), ("4", "8")):
+        with pytest.raises(ValueError, match="dims grid entries must be integers"):
+            phase_cells(dims=dims)
+    assert {cell[2] for cell in phase_cells(dims=np.array([4, 8]))} == {4, 8}
     # A seed is one stream key word; checked here, not at the first draw.
     for seed in (-1, 2 ** 32):
         with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^32\)"):
@@ -229,6 +235,8 @@ TINY_BLOCK_CELLS = (
     ({}, 10, 70),
     (dict(geometry=LabGeometry("slab", "v_in_u", 0.7, alpha=0.5), kappa=2.5, dims=(6, 12)),
      6, 30),
+    # Fewer values than d: one-row blocks.
+    ({}, 10, 7),
 )
 
 
@@ -238,7 +246,10 @@ def test_tiny_blocks_keep_sweep_cell(monkeypatch, cfg, d, values):
     whole = [sweep_cell(*cell) for cell in cells]
     monkeypatch.setattr(phase_lab, "BLOCK_VALUES", values)
     n = cells[0][3]
-    assert values // d < n and n % (values // d)
+    # Blocks of max(values // d, 1) rows, as _decisive_blocks cuts them: more
+    # than one, and the last one short unless each is a single row.
+    rows = max(values // d, 1)
+    assert rows < n and (n % rows or rows == 1)
     blocked = [sweep_cell(*cell) for cell in cells]
     for one, many in zip(whole, blocked):
         # Exact over blocks: the sample size, the peak weight, the hit fraction.
@@ -486,6 +497,10 @@ def test_gamma_cells_validation():
         gamma_cells(geometry, (1, 1000), reps=10)
     with pytest.raises(ValueError, match="seed must be an integer"):
         gamma_cells(geometry, (100, 1000), 10, seed=2.7)
+    # A float or string sample size is refused, not truncated.
+    for n_grid in ((1000.9, 10000), ("1000", "10000")):
+        with pytest.raises(ValueError, match="n_grid entries must be integers"):
+            gamma_cells(geometry, n_grid, reps=10)
 
 
 def test_gamma_cells_reject_seed_outside_key_range():

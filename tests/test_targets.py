@@ -209,6 +209,11 @@ def test_hit_probability_under_spiked_law():
     q = s.analytic.q_of(g)
     assert q == pytest.approx(float(2.0 * std_normal_cdf(2.0) - 1.0), rel=1e-12, abs=0)
 
+    # Under the standard law (a unit spike on u), q is p bit for bit.
+    standard = SpikedCovariance(dim=d, lambdas=np.array([1.0]), directions=u[None, :])
+    for target in (s, slab_target(d, prop_range_width(1.0, 0.5, 1000)), t):
+        assert target.analytic.q_of(standard) == target.analytic.p
+
 
 def test_hit_probability_spike_off_axis_empirical():
     d = 3
@@ -229,6 +234,13 @@ def test_width_and_offset_validation():
         slab_target(2, 0.0)
     with pytest.raises(ValueError):
         halfspace_target(2, math.inf)
+    # Tails that round to 0 leave no conditional law to divide by; at 38 the
+    # halfspace's tail is subnormal and the target builds.
+    with pytest.raises(ValueError, match="halfspace offset 39.0 gives hit probability 0"):
+        halfspace_target(3, 39.0)
+    assert 0.0 < halfspace_target(3, 38.0).analytic.p < 1e-300
+    with pytest.raises(ValueError, match="slab half-width 1e-16 gives hit probability 0"):
+        slab_target(3, 1e-16)
 
 
 @given(st.integers(min_value=0, max_value=10 ** 6))
