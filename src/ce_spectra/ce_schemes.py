@@ -193,18 +193,17 @@ def optimize_bandwidth(sample_: WeightedSample, sigma_hi: float,
     floor = BANDWIDTH_FLOOR
     if sigma_hi <= floor:
         return floor if math.isfinite(bandwidth_objective(sample_, floor, delta_target)) else None
-    lo, hi = math.log(floor), math.log(sigma_hi)
-    xs = np.linspace(lo, hi, BANDWIDTH_GRID)
-    vals = np.array([bandwidth_objective(sample_, math.exp(t), delta_target) for t in xs])
+
+    def f(t: float) -> float:
+        return bandwidth_objective(sample_, math.exp(t), delta_target)
+
+    xs = np.linspace(math.log(floor), math.log(sigma_hi), BANDWIDTH_GRID)
+    vals = np.array([f(t) for t in xs])
     best = int(np.argmin(vals))
     if not math.isfinite(vals[best]):
         return None
     a = xs[max(best - 1, 0)]
     b = xs[min(best + 1, BANDWIDTH_GRID - 1)]
-
-    def f(t: float) -> float:
-        return bandwidth_objective(sample_, math.exp(t), delta_target)
-
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
@@ -287,16 +286,12 @@ def run_scheme(cfg: SchemeConfig, target: LimitState, key: tuple) -> RunResult:
         # A smoothed search's ceiling: the last update's bandwidth, its level.
         nxt, trace = iterate(law, traces[-1].q_or_sigma if traces else None, target, cfg, t,
                              stream(*key, "y", t), stream(*key, "x", t))
-        if trace is None:
-            converged = True
-            break
-        traces.append(trace)
-        if not cfg.smoothed and trace.q_or_sigma >= 0.0:
-            # The current law already places the level at the event itself;
-            # it is the final sampler; its last update is discarded, failed or not.
-            converged = True
-            break
-        if trace.diverged:
+        if trace is not None:
+            traces.append(trace)
+        # A hard level of 0: the current law places the level at the event
+        # itself, so it is the final sampler; its last update is discarded, failed or not.
+        converged = trace is None or (not cfg.smoothed and trace.q_or_sigma >= 0.0)
+        if converged or trace.diverged:
             break
         law = nxt
 

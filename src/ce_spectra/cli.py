@@ -160,7 +160,7 @@ def _write_benchmark_outputs(out: Path, results: list[RunResult], scheme_cfg: Sc
               ["rep", "t", "q_or_sigma", "lambda_min_proj", "lambda_max_raw", "diverged"],
               trace_rows)
 
-    rel = [r.relative_error for r in results if math.isfinite(r.relative_error)]
+    rel = sorted(r.relative_error for r in results if math.isfinite(r.relative_error))
     # The CE diagnostic 1 / min_t lambda_min of a run's sampling laws, over
     # its non-diverged iterations; a run with none, or a floor <= 0, has none.
     floors = [min((tr.lambda_min_proj for tr in r.traces
@@ -184,12 +184,11 @@ def _write_benchmark_outputs(out: Path, results: list[RunResult], scheme_cfg: Sc
         "kappa_diagnostic": _quartiles([1.0 / f for f in floors if f > 0.0]),
     }
     write_json(out / "summary.json", summary)
-    _write_benchmark_figures(out, results)
+    _write_benchmark_figures(out, results, rel)
     return summary
 
 
-def _write_benchmark_figures(out: Path, results: list[RunResult]) -> None:
-    rel = sorted(r.relative_error for r in results if math.isfinite(r.relative_error))
+def _write_benchmark_figures(out: Path, results: list[RunResult], rel: list[float]) -> None:
     err_panel = svg.Panel(title="relative error across repetitions",
                           xlabel="quantile level", ylabel="|p_hat - p| / p",
                           ylog=bool(rel) and min(rel) > 0.0)
@@ -278,9 +277,7 @@ def _write_gamma_figure(out: Path, rows, est: GammaEstimate) -> None:
     panel = svg.Panel(title=f"max weight growth, slope {est.slope:.3f} "
                             f"[{est.band[0]:.3f}, {est.band[1]:.3f}]",
                       xlabel="n", ylabel="max weight", xlog=True, ylog=True)
-    xs = [r[0] for r in rows if r[2] > 0.0]
-    ys = [r[2] for r in rows if r[2] > 0.0]
-    panel.scatter(xs, ys, label="repetitions")
+    panel.scatter([r[0] for r in rows], [r[2] for r in rows], label="repetitions")
     if est.n_grid:
         fit_y = [math.exp(est.intercept + est.slope * math.log(n)) for n in est.n_grid]
         panel.line(list(est.n_grid), fit_y, label="least-squares fit", dash=True)

@@ -118,8 +118,6 @@ def weighted_mean_cov(sample: WeightedSample, threshold: float) -> EstimationRes
     threshold weigh exactly 0, so the moments are formed from the hit rows
     alone.
     """
-    if sample.size == 0:
-        raise DegenerateSampleError("empty sample")
     ind = sample.scores >= threshold
     n_hits = int(np.sum(ind))
     if n_hits == 0:
@@ -208,11 +206,10 @@ def _log_spread(log_w: np.ndarray) -> float:
     return math.sqrt(m * float(a @ a)) / total
 
 
-def max_weight_statistic(sample: WeightedSample, d: int, n: int) -> float:
-    """(d/n) max_i xi_i l_i, the scaled peak weight; 0 when nothing hit."""
-    if d <= 0 or n <= 0:
-        raise ValueError("d and n must be positive")
-    return (d / n) * numerics.exp_saturated(log_max_hit_ratio(sample))
+def max_weight_statistic(log_peak: float, d: int, n: int) -> float:
+    """(d/n) max_i xi_i l_i, the scaled peak weight, from log_peak, its
+    log_max_hit_ratio; 0 when nothing hit, inf past the double range."""
+    return (d / n) * numerics.exp_saturated(log_peak)
 
 
 def log_max_hit_ratio(sample: WeightedSample) -> float:

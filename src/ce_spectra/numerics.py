@@ -147,15 +147,23 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     return v.copy()
 
 
+def _symmetric_part(m) -> np.ndarray:
+    """(m + m^T) / 2 of a checked symmetric m. The eigen routines decompose
+    it, so a matrix symmetric only within SYM_RTOL gives the eigen pairs of
+    its symmetric part, not of its lower triangle. An exactly symmetric m is
+    its own symmetric part, bit for bit."""
+    m = require_symmetric(m)
+    return 0.5 * (m + m.T)
+
+
 def sym_eigen_extremes(m) -> EigenExtremes:
     """Smallest and largest eigenvalues of a symmetric matrix, and the
     eigenvector of the smallest.
 
-    Full decomposition of the symmetrized input; the eigenvector carries a
+    Full decomposition of the symmetric part; the eigenvector carries a
     deterministic sign so repeated calls agree bit for bit.
     """
-    m = require_symmetric(m)
-    w, v = np.linalg.eigh(0.5 * (m + m.T))
+    w, v = np.linalg.eigh(_symmetric_part(m))
     return EigenExtremes(
         lambda_min=float(w[0]),
         lambda_max=float(w[-1]),
@@ -164,15 +172,8 @@ def sym_eigen_extremes(m) -> EigenExtremes:
 
 
 def sym_eigenvalues(m) -> np.ndarray:
-    """Ascending eigenvalues of a symmetric matrix, without eigenvectors.
-
-    Decomposes the symmetrized input, as ``sym_eigen_extremes`` does, so a
-    matrix that is symmetric only within ``SYM_RTOL`` gives the eigenvalues
-    of its symmetric part rather than of its lower triangle. An exactly
-    symmetric input is its own symmetric part, bit for bit.
-    """
-    m = require_symmetric(m)
-    return np.linalg.eigvalsh(0.5 * (m + m.T))
+    """Ascending eigenvalues of a symmetric matrix, without eigenvectors."""
+    return np.linalg.eigvalsh(_symmetric_part(m))
 
 
 def operator_norm_diff(a, b) -> float:
@@ -182,8 +183,8 @@ def operator_norm_diff(a, b) -> float:
     if a.shape != b.shape:
         raise NotSymmetricError(f"shape mismatch: {a.shape} vs {b.shape}")
     d = a - b
-    # The symmetrized difference is exactly symmetric, so it needs no second
-    # check, even where the tolerances of a and b do not add up.
+    # Symmetrized here, not by _symmetric_part: d may fail the check where the
+    # tolerances of a and b do not add up, and its symmetric part cannot.
     w = np.linalg.eigvalsh(0.5 * (d + d.T))
     return float(max(abs(w[0]), abs(w[-1])))
 

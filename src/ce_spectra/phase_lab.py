@@ -232,21 +232,21 @@ def _cell_estimate(geometry: LabGeometry, seed: int, d: int, n: int, rep: int,
     (d, rep) of n draws.
 
     Sigma-hat_A is linear in the sample, so the cell's estimate is the
-    size-weighted mean of its blocks' estimates, summed from zero. The
-    scaled peak weight is monotone in the peak, so its maximum over blocks
-    is the batch's exactly, as is the hit count.
+    size-weighted mean of its blocks' estimates, summed from zero. Each block
+    reduces to its log peak, as a gamma cell's do: their maximum is the
+    batch's exactly, as their hit count sum is, and it is scaled once.
     """
     key = (seed, "phase", geometry.target, geometry.alignment, d, rep)
     sigma_hat = np.zeros((d, d))
-    max_weight = 0.0
+    log_peak = -math.inf
     hit_count = 0
     for block, hits in _phase_blocks(geometry, d, n, key):
-        max_weight = max(max_weight, max_weight_statistic(block, d, n))
+        log_peak = max(log_peak, log_max_hit_ratio(block))
         hit_count += hits.size
         estimate = sigma_a_estimator(hits, block.size, analytic.p, analytic.mu)
         estimate *= block.size / n
         sigma_hat += estimate
-    return sigma_hat, max_weight, hit_count
+    return sigma_hat, max_weight_statistic(log_peak, d, n), hit_count
 
 
 def sweep_cell(geometry: LabGeometry, seed: int, d: int, n: int, rep: int) -> SweepRow:

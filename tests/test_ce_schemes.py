@@ -201,6 +201,17 @@ def test_first_linear_threshold_matches_quantile():
     se = math.sqrt(0.1 * 0.9 / 20000) / (math.exp(-0.5 * Z90 ** 2) /
                                           math.sqrt(2 * math.pi))
     assert res.traces[0].q_or_sigma == pytest.approx(Z90 - 5.0, abs=5 * se)
+    # The level is still short of 0 when the budget ends the run.
+    assert not res.converged and not res.diverged and res.iterations_used == 1
+
+
+@pytest.mark.parametrize("scheme,strategy", [("ice", "none"), ("ice_proj", "mean")])
+def test_smoothed_run_ends_on_its_budget(scheme, strategy):
+    # Under the start law the stop test fails on the rare event, and the one
+    # update succeeds, so a one-iteration budget ends the run: neither
+    # converged nor diverged.
+    res = run_scheme(cfg_for(scheme, strategy, t_max=1), linear_target(20), (3, "q0"))
+    assert not res.converged and not res.diverged and res.iterations_used == 1
 
 
 # ----------------------------------------------------------- bandwidth fit

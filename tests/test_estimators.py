@@ -332,15 +332,17 @@ def test_max_weight_statistic():
     scores = np.array([1.0, 1.0, -1.0, 1.0])
     ws = WeightedSample(x, lr, scores)
     # Largest hitting log ratio is 2.0; the 5.0 entry missed the set.
-    assert max_weight_statistic(ws, d=10, n=100) == pytest.approx(
+    assert max_weight_statistic(log_max_hit_ratio(ws), d=10, n=100) == pytest.approx(
         0.1 * math.exp(2.0), rel=1e-12, abs=0)
     assert log_max_hit_ratio(ws) == pytest.approx(2.0)
+    # A log peak past the double range saturates to inf instead of raising.
+    assert max_weight_statistic(800.0, d=10, n=100) == math.inf
 
 
 def test_max_weight_statistic_no_hits():
     x = np.zeros((3, 1))
     ws = WeightedSample(x, np.zeros(3), -np.ones(3))
-    assert max_weight_statistic(ws, d=2, n=10) == 0.0
+    assert max_weight_statistic(log_max_hit_ratio(ws), d=2, n=10) == 0.0
     assert log_max_hit_ratio(ws) == -math.inf
 
 

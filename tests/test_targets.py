@@ -173,6 +173,15 @@ def test_halfspace_frozen_constants():
     t90 = halfspace_target(2, Z90)
     assert t90.analytic.p == pytest.approx(0.1, rel=1e-12, abs=0)
     assert t90.analytic.mu[0] == pytest.approx(HS_MEAN_Z90, rel=1e-12)
+    # From offset 3 on the continued fraction keeps every digit, which the
+    # direct variance 1 - h (h - K) loses to cancellation (mpmath, 40 digits).
+    for offset, mean, variance in ((3.0, 3.2830986549304365069, 0.070559186785268116862),
+                                   (8.0, 8.1213681122361126807, 0.014324883443340910176),
+                                   (20.0, 20.049753068527850542, 0.0024632616150521635997),
+                                   (30.0, 30.033259667433677037, 0.0011037715118900910011)):
+        hs = halfspace_target(2, offset).analytic
+        assert hs.mu[0] == pytest.approx(mean, rel=1e-14, abs=0)
+        assert hs.sigma.lambdas[0] == pytest.approx(variance, rel=1e-14, abs=0)
 
 
 def test_conditional_moments_match_monte_carlo():
