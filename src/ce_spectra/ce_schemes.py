@@ -107,7 +107,6 @@ class SchemeConfig:
 
 @dataclass(frozen=True)
 class IterationTrace:
-    t: int
     q_or_sigma: float
     p_hat_t: float
     lambda_min_proj: float
@@ -119,7 +118,6 @@ class IterationTrace:
 @dataclass(frozen=True)
 class RunResult:
     p_hat: float
-    relative_error: float
     traces: tuple[IterationTrace, ...]
     converged: bool
 
@@ -220,9 +218,9 @@ def optimize_bandwidth(sample_: WeightedSample, sigma_hi: float,
 
 
 def iterate(law: GaussianLaw, bandwidth: float | None, target: LimitState,
-            cfg: SchemeConfig, t: int, rng_level: np.random.Generator,
+            cfg: SchemeConfig, rng_level: np.random.Generator,
             rng_learn: np.random.Generator) -> tuple[GaussianLaw, IterationTrace | None]:
-    """Iteration t of any scheme: level stage, then one shared update.
+    """One iteration of any scheme: level stage, then one shared update.
 
     Returns (next law, trace). A trace of None means the smoothed schemes'
     stop criterion held on the fresh level batch: the law is final. On
@@ -244,7 +242,7 @@ def iterate(law: GaussianLaw, bandwidth: float | None, target: LimitState,
         del ws  # the level batch is gone before the learn batch is drawn
         if level is None:
             return law, IterationTrace(
-                t=t, q_or_sigma=math.nan, p_hat_t=math.nan, lambda_min_proj=law.lambda_min(),
+                q_or_sigma=math.nan, p_hat_t=math.nan, lambda_min_proj=law.lambda_min(),
                 lambda_max_raw=math.nan, diverged=True, n_hits=0)
         estimator = smooth_weighted_mean_cov
     else:
@@ -268,7 +266,7 @@ def iterate(law: GaussianLaw, bandwidth: float | None, target: LimitState,
             numerics.NotSymmetricError, CollapsedEstimateError):
         pass  # diverged: the law stays, the trace keeps what was computed
     return law if nxt is None else nxt, IterationTrace(
-        t=t, q_or_sigma=level, p_hat_t=p_hat, lambda_min_proj=law.lambda_min(),
+        q_or_sigma=level, p_hat_t=p_hat, lambda_min_proj=law.lambda_min(),
         lambda_max_raw=lam_max, diverged=nxt is None, n_hits=n_hits)
 
 
@@ -284,7 +282,7 @@ def run_scheme(cfg: SchemeConfig, target: LimitState, key: tuple) -> RunResult:
 
     for t in range(cfg.t_max):
         # A smoothed search's ceiling: the last update's bandwidth, its level.
-        nxt, trace = iterate(law, traces[-1].q_or_sigma if traces else None, target, cfg, t,
+        nxt, trace = iterate(law, traces[-1].q_or_sigma if traces else None, target, cfg,
                              stream(*key, "y", t), stream(*key, "x", t))
         if trace is not None:
             traces.append(trace)
@@ -296,10 +294,5 @@ def run_scheme(cfg: SchemeConfig, target: LimitState, key: tuple) -> RunResult:
         law = nxt
 
     p_hat = is_probability(_weighted_batch(law, cfg.n_p, stream(*key, "final"), target))
-    if target.reference_p:
-        rel = abs(p_hat - target.reference_p) / target.reference_p
-    else:
-        rel = math.nan
-    return RunResult(p_hat=p_hat, relative_error=rel, traces=tuple(traces),
-                     converged=converged)
+    return RunResult(p_hat=p_hat, traces=tuple(traces), converged=converged)
 

@@ -146,21 +146,20 @@ def _cell_name(scheme_cfg: SchemeConfig, target: LimitState) -> str:
 
 def _write_benchmark_outputs(out: Path, results: list[RunResult], scheme_cfg: SchemeConfig,
                              target: LimitState) -> dict:
-    run_rows = []
-    trace_rows = []
-    for rep, res in enumerate(results):
-        run_rows.append((rep, res.p_hat, res.relative_error,
-                         res.converged, res.iterations_used))
-        for tr in res.traces:
-            trace_rows.append((rep, tr.t, tr.q_or_sigma, tr.lambda_min_proj,
-                               tr.lambda_max_raw, tr.diverged))
+    ref = target.reference_p
+    errors = [abs(r.p_hat - ref) / ref if ref else math.nan for r in results]
+    run_rows = [(rep, r.p_hat, err, r.converged, r.iterations_used)
+                for rep, (r, err) in enumerate(zip(results, errors))]
+    # run_scheme appends one trace per iteration, so a trace's index is its t.
+    trace_rows = [(rep, t, tr.q_or_sigma, tr.lambda_min_proj, tr.lambda_max_raw, tr.diverged)
+                  for rep, r in enumerate(results) for t, tr in enumerate(r.traces)]
     write_csv(out / "runs.csv",
               ["rep", "p_hat", "relative_error", "converged", "iterations"], run_rows)
     write_csv(out / "traces.csv",
               ["rep", "t", "q_or_sigma", "lambda_min_proj", "lambda_max_raw", "diverged"],
               trace_rows)
 
-    rel = sorted(r.relative_error for r in results if math.isfinite(r.relative_error))
+    rel = sorted(e for e in errors if math.isfinite(e))
     # The CE diagnostic 1 / min_t lambda_min of a run's sampling laws, over
     # its non-diverged iterations; a run with none, or a floor <= 0, has none.
     floors = [min((tr.lambda_min_proj for tr in r.traces

@@ -6,8 +6,9 @@ the experiment kind does not read. Values are typed per key; lists are
 comma separated. Lines starting with # and inline #-comments are ignored.
 
 Each key is described once, by its ExperimentConfig field: the default is
-the field's, and the field's metadata holds the parser, the kinds that
-read the key and the kinds that require it (_KEYS collects them).
+the field's, except N's, which depends on the kind and is set in _validate,
+and the field's metadata holds the parser, the kinds that read the key and
+the kinds that require it (_KEYS collects them).
 
 load_config also builds the cell groups a command runs: the argument
 tuples of its cells, stream keys included, grouped per output (one benchmark

@@ -48,7 +48,6 @@ class SpikedCovariance:
     lambdas are ascending and strictly positive; directions has shape (r, d).
     """
 
-    dim: int
     lambdas: np.ndarray
     directions: np.ndarray
 
@@ -57,20 +56,20 @@ class SpikedCovariance:
         vecs = np.atleast_2d(np.asarray(self.directions, dtype=float))
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "directions", vecs)
-        if vecs.shape != (lam.shape[0], self.dim):
-            raise ValueError(
-                f"directions shape {vecs.shape} does not match "
-                f"rank {lam.shape[0]} and dim {self.dim}"
-            )
-        if lam.shape[0] > self.dim:
-            raise ValueError("rank exceeds dimension")
+        if vecs.shape[0] != lam.shape[0]:
+            raise ValueError(f"{vecs.shape[0]} directions for {lam.shape[0]} spike variances")
         if not np.all(np.isfinite(lam)) or np.any(lam <= 0.0):
             raise ValueError("spike variances must be finite and positive")
         if np.any(np.diff(lam) < 0.0):
             raise ValueError("spike variances must be ascending")
+        # Orthonormality also refuses more directions than dimensions.
         gram = vecs @ vecs.T
         if not np.allclose(gram, np.eye(lam.shape[0]), atol=ORTHO_TOL):
             raise ValueError("directions must be orthonormal")
+
+    @property
+    def dim(self) -> int:
+        return self.directions.shape[1]
 
     @property
     def rank(self) -> int:
@@ -330,4 +329,4 @@ def proj_r(sigma_hat: np.ndarray, v: np.ndarray) -> SpikedCovariance:
         raise CollapsedEstimateError(
             f"projected variance {lam:.6e} below floor {LAMBDA_FLOOR:.1e}"
         )
-    return SpikedCovariance(dim=sigma_hat.shape[0], lambdas=lam, directions=v)
+    return SpikedCovariance(lambdas=lam, directions=v)

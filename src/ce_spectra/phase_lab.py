@@ -36,7 +36,7 @@ from .gauss_core import (
     sample,
 )
 from .seeding import check_seed, stream
-from .targets import AnalyticConditional, LimitState, halfspace_target, slab_target
+from .targets import LimitState, halfspace_target, slab_target
 
 # Alignment -> axis of the sampling spike. The target's direction is axis 0
 # (e_1), so v_in_u puts the spike on it and v_in_u_perp on e_2.
@@ -46,6 +46,8 @@ ALIGNMENTS = {"v_in_u": 0, "v_in_u_perp": 1}
 # holds at most this many values (4 MB), so its memory is
 # O(BLOCK_VALUES + d^2) at any n.
 BLOCK_VALUES = 2 ** 19
+# Resamples of gamma_fit's bootstrap band.
+BOOTSTRAP_RESAMPLES = 200
 # The most values, n d, a phase cell may hold: 13 times the d = 320,
 # kappa = 2.4 cell the README times at 7 s, and over a minute of normal
 # draws alone at 18 ns a value. A ladder past it would not finish (kappa =
@@ -106,7 +108,7 @@ class LabGeometry:
         build, default_width = _TARGETS[self.target]
         spike = np.zeros(d)
         spike[ALIGNMENTS[self.alignment]] = 1.0
-        cov = SpikedCovariance(dim=d, lambdas=np.array([self.lambda1]), directions=spike[None, :])
+        cov = SpikedCovariance(lambdas=np.array([self.lambda1]), directions=spike[None, :])
         return build(d, default_width if width is None else width), cov
 
     def predicted_gamma_star(self) -> float:
@@ -227,7 +229,7 @@ def _phase_blocks(geometry: LabGeometry, d: int, n: int,
 
 
 def _cell_estimate(geometry: LabGeometry, seed: int, d: int, n: int, rep: int,
-                   analytic: AnalyticConditional) -> tuple[np.ndarray, float, int]:
+                   state: LimitState) -> tuple[np.ndarray, float, int]:
     """Sigma-hat_A, the scaled peak weight and the hit count of the cell
     (d, rep) of n draws.
 
@@ -243,7 +245,7 @@ def _cell_estimate(geometry: LabGeometry, seed: int, d: int, n: int, rep: int,
     for block, hits in _phase_blocks(geometry, d, n, key):
         log_peak = max(log_peak, log_max_hit_ratio(block))
         hit_count += hits.size
-        estimate = sigma_a_estimator(hits, block.size, analytic.p, analytic.mu)
+        estimate = sigma_a_estimator(hits, block.size, state.reference_p, state.analytic.mu)
         estimate *= block.size / n
         sigma_hat += estimate
     return sigma_hat, max_weight_statistic(log_peak, d, n), hit_count
@@ -256,13 +258,13 @@ def sweep_cell(geometry: LabGeometry, seed: int, d: int, n: int, rep: int) -> Sw
     are keyed by (seed, "phase", target, alignment, d, rep), not by n, so
     the kappa branches of a run share them, the smaller n reading a prefix.
     """
-    analytic = geometry.at(d, n)[0].analytic
-    sigma_hat, max_weight, hit_count = _cell_estimate(geometry, seed, d, n, rep, analytic)
+    state = geometry.at(d, n)[0]
+    sigma_hat, max_weight, hit_count = _cell_estimate(geometry, seed, d, n, rep, state)
     return SweepRow(
         d=d,
         rep=rep,
         n=n,
-        op_error=numerics.operator_norm_diff(sigma_hat, analytic.sigma.dense()),
+        op_error=numerics.operator_norm_diff(sigma_hat, state.analytic.sigma.dense()),
         lambda_max_hat=float(numerics.sym_eigenvalues(sigma_hat)[-1]),
         max_weight=max_weight,
         q_hat=hit_count / n,
@@ -294,12 +296,12 @@ def gamma_cell(geometry: LabGeometry, seed: int, grid_index: int, n: int, rep: i
 
 
 def gamma_fit(n_grid: Sequence[int], log_max: Sequence[Sequence[float]],
-              seed: int = 0, bootstrap: int = 200) -> GammaEstimate:
+              seed: int = 0) -> GammaEstimate:
     """Regression stage: medians, least-squares slope, bootstrap band.
 
     Grid points where any repetition recorded zero hits (log max -inf) are
     dropped with a warning before fitting. The band is a 95% bootstrap
-    interval from resampling repetitions within each grid point.
+    interval from BOOTSTRAP_RESAMPLES resamplings of each grid point's repetitions.
     """
     n_grid = tuple(int(n) for n in n_grid)
     log_max = [tuple(float(v) for v in vals) for vals in log_max]
@@ -319,8 +321,8 @@ def gamma_fit(n_grid: Sequence[int], log_max: Sequence[Sequence[float]],
     slope, intercept = np.polyfit(xs, med, 1)
 
     rng = stream(seed, "gamma", "boot")
-    slopes = np.empty(bootstrap)
-    for b in range(bootstrap):
+    slopes = np.empty(BOOTSTRAP_RESAMPLES)
+    for b in range(BOOTSTRAP_RESAMPLES):
         resampled = [
             np.median(rng.choice(log_max[i], size=reps, replace=True)) for i in kept
         ]

@@ -16,6 +16,7 @@ processes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -31,10 +32,9 @@ class AnalyticConditional:
     """Closed-form moments of the standard normal conditioned on A.
 
     q_of maps a zero-mean spiked sampling covariance to q = P_g(A), the
-    hit probability under that law.
+    hit probability under that law. p = P_f(A) is the target's reference_p.
     """
 
-    p: float
     mu: np.ndarray
     sigma: SpikedCovariance
     q_of: Callable[[SpikedCovariance], float]
@@ -131,18 +131,22 @@ def _q_under(p_of: Callable[[float], float], level: float, g: SpikedCovariance) 
     return p_of(level / _sd_along_e1(g))
 
 
-def _e1_target(name: str, d: int, score: Callable[[np.ndarray], np.ndarray], p: float,
-               mean: float, variance: float, q_of: Callable[[SpikedCovariance], float]
-               ) -> LimitState:
+def _e1_target(name: str, level: str, d: int, score: Callable[[np.ndarray], np.ndarray],
+               p: float, mean: float, variance: float,
+               q_of: Callable[[SpikedCovariance], float]) -> LimitState:
     """A target on e_1 with hit probability p (its reference_p) and q_of,
     whose conditional law of f on A has the given mean and variance along
-    e_1 and is standard elsewhere."""
+    e_1 and is standard elsewhere. A p below the normal range, where the
+    tails lose their relative accuracy, is refused, naming level, the width
+    or offset."""
+    if p < sys.float_info.min:
+        raise ValueError(f"{name} {level} gives hit probability {p:.3g}, "
+                         f"below the normal float range")
     e1 = np.zeros(d)
     e1[0] = 1.0
     analytic = AnalyticConditional(
-        p=p,
         mu=mean * e1,
-        sigma=SpikedCovariance(dim=d, lambdas=np.array([variance]), directions=e1[None, :]),
+        sigma=SpikedCovariance(lambdas=np.array([variance]), directions=e1[None, :]),
         q_of=q_of,
     )
     return LimitState(name=name, dim=d, evaluator=score, reference_p=p, analytic=analytic)
@@ -156,7 +160,17 @@ def _halfspace_score(offset: float, x: np.ndarray) -> np.ndarray:
     return x[:, 0] - offset
 
 
+# Below this half-width the slab's p is erf(K / sqrt 2) and its variance the
+# series of the integral of x^2 phi over [-K, K], over this many terms: the
+# direct 2 Phi(K) - 1 and 1 - 2 K phi(K) / p cancel as K shrinks (the variance
+# is off by 2.1e-4 at K = 1e-4, not positive at 1e-6). Lab widths are >= 1.
+_SLAB_SERIES_BELOW = 1.0
+_SLAB_SERIES_TERMS = 20
+
+
 def _slab_p(width: float) -> float:
+    if width < _SLAB_SERIES_BELOW:
+        return math.erf(width / math.sqrt(2.0))
     return 2.0 * (1.0 - numerics.std_normal_tail(width)) - 1.0
 
 
@@ -169,11 +183,18 @@ def slab_target(d: int, width: float) -> LimitState:
     if width <= 0.0 or not math.isfinite(width):
         raise ValueError(f"slab half-width must be positive, got {width}")
     p = _slab_p(width)
-    if p == 0.0:
-        raise ValueError(f"slab half-width {width} gives hit probability 0 in double precision")
-    variance = 1.0 - 2.0 * width * numerics.std_normal_pdf(width) / p
-    return _e1_target("slab", d, partial(_slab_score, width), p, 0.0, variance,
-                      partial(_q_under, _slab_p, width))
+    if width < _SLAB_SERIES_BELOW:
+        # sqrt(2/pi) sum_k (-1)^k K^(2k+3) / (2^k k! (2k+3)) / p, with K^2
+        # taken out of the sum and applied last, so no term underflows first.
+        term, total = width, 0.0
+        for k in range(_SLAB_SERIES_TERMS):
+            total += term / (2 * k + 3)
+            term *= -width * width / (2 * k + 2)
+        variance = math.sqrt(2.0 / math.pi) * total / p * width * width
+    else:
+        variance = 1.0 - 2.0 * width * numerics.std_normal_pdf(width) / p
+    return _e1_target("slab", f"half-width {width}", d, partial(_slab_score, width), p, 0.0,
+                      variance, partial(_q_under, _slab_p, width))
 
 
 # From this offset on, the halfspace hazard and variance come from Laplace's
@@ -195,8 +216,6 @@ def halfspace_target(d: int, offset: float) -> LimitState:
     if not math.isfinite(offset):
         raise ValueError(f"halfspace offset must be finite, got {offset}")
     p = numerics.std_normal_tail(offset)
-    if p == 0.0:
-        raise ValueError(f"halfspace offset {offset} gives hit probability 0 in double precision")
     if offset < _HALFSPACE_CF_FROM:
         hazard = numerics.std_normal_pdf(offset) / p
         variance = 1.0 - hazard * (hazard - offset)
@@ -209,8 +228,8 @@ def halfspace_target(d: int, offset: float) -> LimitState:
         excess = 1.0 / (offset + e)
         hazard = offset + excess
         variance = excess * (e - excess)
-    return _e1_target("halfspace", d, partial(_halfspace_score, offset), p, hazard, variance,
-                      partial(_q_under, numerics.std_normal_tail, offset))
+    return _e1_target("halfspace", f"offset {offset}", d, partial(_halfspace_score, offset), p,
+                      hazard, variance, partial(_q_under, numerics.std_normal_tail, offset))
 
 
 _BENCHMARK_BUILDERS = {

@@ -64,6 +64,9 @@ N = 12
     ("kind benchmark", "expected key=value"),
     ("N = plenty", "bad value"),
     ("kind = benchmark\nkind = phase", "duplicate key"),
+    # Without a command to expect, the file's kind is checked alone.
+    ("kind = foo", "unknown kind 'foo'"),
+    ("N = 3", "missing required key 'kind'"),
 ])
 def test_parse_rejects_malformed_lines(tmp_path, line, fragment):
     cfg_path = write_cfg(tmp_path / "bad.cfg", line + "\n")
@@ -117,8 +120,8 @@ def test_validation_per_kind(tmp_path):
             tmp_path / "d.cfg",
             "kind = benchmark\ntarget = lin\nscheme = ce_proj\n"))
 
-    # Range and membership rules come from the library objects that
-    # load_config builds, re-raised as ConfigError.
+    # Range and membership rules come from load_config's own checks and from
+    # the library objects it builds, re-raised as ConfigError.
     phase = PHASE_BASE + "lambda1 = 0.5\n"
     gamma = GAMMA_BASE + "lambda1 = 0.5\n"
     for text, fragment in (
@@ -144,6 +147,13 @@ def test_validation_per_kind(tmp_path):
         ("kind = benchmark\ntarget = lin\nscheme = ice\ndelta_target = inf\n",
          r"delta_target must lie in \[1, inf\)"),
         ("kind = table1\ndivergence_lambda_cap = nan\n", "divergence_lambda_cap must be positive"),
+        ("kind = benchmark\ntarget = lin\nscheme = ce\nN = 0\n", "N must be positive"),
+        ("kind = benchmark\ntarget = lin\nscheme = ce\ndims = 5, 10\n",
+         "benchmark takes at most one dimension"),
+        ("kind = table1\nn_p = 0\n", "n_p must be positive"),
+        ("kind = table1\nt_max = 0\n", "t_max must be positive"),
+        ("kind = benchmark\ntarget = lin\nscheme = ce_proj\nstrategy = best\n",
+         "unknown strategy 'best'"),
     ):
         with pytest.raises(ConfigError, match=fragment):
             load_config(write_cfg(tmp_path / "lib.cfg", text))

@@ -27,7 +27,7 @@ def spike(d: int, lambdas, cols) -> SpikedCovariance:
     vecs = np.zeros((len(cols), d))
     for k, c in enumerate(cols):
         vecs[k, c] = 1.0
-    return SpikedCovariance(dim=d, lambdas=np.asarray(lambdas, dtype=float),
+    return SpikedCovariance(lambdas=np.asarray(lambdas, dtype=float),
                             directions=vecs)
 
 
@@ -54,10 +54,10 @@ def test_spiked_validation():
     with pytest.raises(ValueError):
         spike(4, [-1.0], [0])  # not positive
     with pytest.raises(ValueError):
-        SpikedCovariance(dim=4, lambdas=np.array([2.0]),
+        SpikedCovariance(lambdas=np.array([2.0]),
                          directions=np.full((1, 4), 0.5) * 2.0)  # not unit
     with pytest.raises(ValueError):
-        SpikedCovariance(dim=4, lambdas=np.array([1.0, 2.0]),
+        SpikedCovariance(lambdas=np.array([1.0, 2.0]),
                          directions=np.vstack([np.eye(4)[0], np.eye(4)[0]]))
 
 
@@ -117,7 +117,7 @@ def test_unit_spike_equals_identity_draws():
 def test_sample_covariance_matches_law():
     d, n = 20, 200000
     vecs = random_orthonormal(stream(1, "vecs"), d, 2)
-    sp = SpikedCovariance(dim=d, lambdas=np.array([0.25, 4.0]), directions=vecs)
+    sp = SpikedCovariance(lambdas=np.array([0.25, 4.0]), directions=vecs)
     mean = np.linspace(-1.0, 1.0, d)
     x = draw(GaussianLaw.with_spiked(sp, mean), n, stream(1, "cov"))
     emp_mean = x.mean(axis=0)
@@ -130,7 +130,7 @@ def test_sample_covariance_matches_law():
 def test_dense_law_sampling_matches_spiked():
     d = 6
     vecs = random_orthonormal(stream(4, "vd"), d, 2)
-    sp = SpikedCovariance(dim=d, lambdas=np.array([0.5, 3.0]), directions=vecs)
+    sp = SpikedCovariance(lambdas=np.array([0.5, 3.0]), directions=vecs)
     mean = np.ones(d)
     x = draw(dense_law(mean, sp.dense()), 100000, stream(4, "dl"))
     emp_cov = np.cov(x.T)
@@ -148,7 +148,7 @@ def test_log_density_standard_normal_at_zero():
 def test_log_density_spiked_matches_dense_formula():
     d = 5
     vecs = random_orthonormal(stream(5, "ld"), d, 2)
-    sp = SpikedCovariance(dim=d, lambdas=np.array([0.5, 2.5]), directions=vecs)
+    sp = SpikedCovariance(lambdas=np.array([0.5, 2.5]), directions=vecs)
     mean = np.linspace(0.0, 1.0, d)
     law_s = GaussianLaw.with_spiked(sp, mean)
     law_d = dense_law(mean, sp.dense())
@@ -191,7 +191,7 @@ def test_likelihood_ratio_at_origin():
 def test_likelihood_ratio_matches_density_ratio():
     d = 50
     vecs = random_orthonormal(stream(6, "lr"), d, 3)
-    sp = SpikedCovariance(dim=d, lambdas=np.array([0.3, 0.8, 5.0]),
+    sp = SpikedCovariance(lambdas=np.array([0.3, 0.8, 5.0]),
                           directions=vecs)
     g = GaussianLaw.with_spiked(sp, None)
     f = GaussianLaw.identity(d)
@@ -221,8 +221,8 @@ def test_rank_one_ratio_matches_squared_coordinate():
     x = stream(6, "r1").standard_normal((500, d)) * 2.0
     dense_v = random_orthonormal(stream(6, "r1v"), d, 1)
     for sp in (spike(d, [0.4], [7]),
-               SpikedCovariance(dim=d, lambdas=[0.4], directions=-np.eye(d)[None, 3]),
-               SpikedCovariance(dim=d, lambdas=[3.0], directions=dense_v)):
+               SpikedCovariance(lambdas=[0.4], directions=-np.eye(d)[None, 3]),
+               SpikedCovariance(lambdas=[3.0], directions=dense_v)):
         v, lam = sp.directions[0], sp.lambdas[0]
         want = 0.5 * (sp.log_det() + (1.0 / lam - 1.0) * (x @ v) ** 2)
         assert np.array_equal(log_likelihood_ratio(sp, x), want)
@@ -273,7 +273,7 @@ def whitened_laws(d: int):
     """Identity, spiked and dense laws, each with a nonzero mean."""
     mean = np.linspace(-1.0, 2.0, d)
     vecs = random_orthonormal(stream(8, "wl"), d, 2)
-    sp = SpikedCovariance(dim=d, lambdas=np.array([0.4, 3.0]), directions=vecs)
+    sp = SpikedCovariance(lambdas=np.array([0.4, 3.0]), directions=vecs)
     a = stream(8, "wd").standard_normal((d, d))
     return {"identity": GaussianLaw(mean=mean),
             "spiked": GaussianLaw.with_spiked(sp, mean),
@@ -340,7 +340,7 @@ def test_sample_bytes_match_rank_update_formula():
                      GaussianLaw.with_spiked(sp, np.linspace(-2.0, 1.0, d))]
     dense_v = random_orthonormal(stream(8, "bytes-v"), 50, 1)
     laws.append(GaussianLaw.with_spiked(
-        SpikedCovariance(dim=50, lambdas=[0.7], directions=dense_v), np.full(50, 0.25)))
+        SpikedCovariance(lambdas=[0.7], directions=dense_v), np.full(50, 0.25)))
     for law in laws:
         sp = law.spiked
         z = stream(8, "bytes", law.dim).standard_normal((40, law.dim))

@@ -119,7 +119,7 @@ def test_geometry_cell_matches_build_alignment():
         state, cov = geometry.at(5, 1000)
         want_state, want_cov = build_alignment(geometry.target, geometry.alignment,
                                                geometry.lambda1, 5, width=width)
-        assert state.analytic.p == want_state.analytic.p
+        assert state.reference_p == want_state.reference_p
         assert np.array_equal(state.analytic.mu, want_state.analytic.mu)
         assert np.array_equal(state.analytic.sigma.dense(), want_state.analytic.sigma.dense())
         x = stream(0, "pl", "geo").standard_normal((64, 5))
@@ -364,10 +364,10 @@ def test_cell_estimate_is_unbiased(geometry):
     # estimate's variance finite.
     d, reps = 4, 2000
     n = sample_size(d, 2.0)
-    analytic = geometry.at(d, n)[0].analytic
-    want = analytic.sigma.dense()
+    state = geometry.at(d, n)[0]
+    want = state.analytic.sigma.dense()
     assert np.array_equal(want[2:, 2:], np.eye(d - 2)) and not want[2:, :2].any()
-    estimates = np.array([phase_lab._cell_estimate(geometry, 0, d, n, rep, analytic)[0]
+    estimates = np.array([phase_lab._cell_estimate(geometry, 0, d, n, rep, state)[0]
                           for rep in range(reps)])
     mean = estimates.mean(axis=0)
     se = estimates.std(axis=0, ddof=1) / math.sqrt(reps)
@@ -417,7 +417,7 @@ def test_gamma_fit_recovers_planted_slope():
     # Synthetic data with a known slope and no noise.
     n_grid = (100, 1000, 10000)
     log_max = [[0.3 * math.log(n)] * 10 for n in n_grid]
-    est = gamma_fit(n_grid, log_max, bootstrap=50)
+    est = gamma_fit(n_grid, log_max)
     assert est.slope == pytest.approx(0.3, abs=1e-12)
     assert est.band[0] == pytest.approx(0.3, abs=1e-9)
     assert est.dropped == ()
@@ -427,14 +427,14 @@ def test_gamma_fit_drops_empty_grid_points():
     n_grid = (100, 1000, 10000)
     log_max = [[0.5] * 10, [-math.inf] + [0.5] * 9, [1.0] * 10]
     with pytest.warns(UserWarning):
-        est = gamma_fit(n_grid, log_max, bootstrap=20)
+        est = gamma_fit(n_grid, log_max)
     assert est.dropped == (1000,)
     assert est.n_grid == (100, 10000)
 
 
 def test_gamma_fit_too_few_points():
     with pytest.warns(UserWarning), pytest.raises(ValueError):
-        gamma_fit((10, 100), [[-math.inf] * 10, [0.0] * 10], bootstrap=10)
+        gamma_fit((10, 100), [[-math.inf] * 10, [0.0] * 10])
 
 
 @pytest.mark.parametrize("n_grid,log_max", [
@@ -446,7 +446,7 @@ def test_gamma_fit_too_few_points():
 def test_gamma_fit_rejects_unequal_or_empty_repetitions(n_grid, log_max):
     # The bootstrap resamples every grid point at one repetition count.
     with pytest.raises(ValueError, match="one repetition list per grid point"):
-        gamma_fit(n_grid, log_max, bootstrap=10)
+        gamma_fit(n_grid, log_max)
 
 
 def test_gamma_fit_monte_carlo_is_flat():
@@ -521,10 +521,10 @@ def test_gamma_cells_reject_seed_outside_key_range():
 
 def floor_run(*floors: tuple[float, bool]) -> RunResult:
     """A run whose iterations have the given (lambda_min_proj, diverged)."""
-    traces = tuple(IterationTrace(t=t, q_or_sigma=-1.0, p_hat_t=0.1, lambda_min_proj=lam,
+    traces = tuple(IterationTrace(q_or_sigma=-1.0, p_hat_t=0.1, lambda_min_proj=lam,
                                   lambda_max_raw=2.0, diverged=diverged, n_hits=5)
-                   for t, (lam, diverged) in enumerate(floors))
-    return RunResult(p_hat=1e-6, relative_error=0.5, traces=traces, converged=False)
+                   for lam, diverged in floors)
+    return RunResult(p_hat=1e-6, traces=traces, converged=False)
 
 
 def kappa_diagnostic(out: Path, results: list[RunResult]) -> dict:

@@ -158,20 +158,32 @@ def test_benchmark_registry():
 def test_slab_frozen_constants():
     t = slab_target(3, 1.0)
     a = t.analytic
-    assert a.p == pytest.approx(SLAB_P_K1, rel=1e-12, abs=0)
+    assert t.reference_p == pytest.approx(SLAB_P_K1, rel=1e-12, abs=0)
     assert a.sigma.lambdas[0] == pytest.approx(SLAB_VAR_K1, rel=1e-12, abs=0)
     assert np.array_equal(a.mu, np.zeros(3))
     assert t(np.array([[0.5, 9.0, 9.0], [-2.0, 0.0, 0.0]])) == pytest.approx([0.5, -1.0])
+    # Below half-width 1, erf and the series of the integral of x^2 phi keep
+    # every digit that 2 Phi(K) - 1 and 1 - 2 K phi(K) / p lose to
+    # cancellation (mpmath, 60 digits; 800 at 1e-150, where K^3 underflows).
+    for width, p, variance in ((1e-150, 7.9788456080286535588e-151, 3.3333333333333333333e-301),
+                               (1e-8, 7.9788456080286534258e-9, 3.3333333333333332889e-17),
+                               (1e-3, 7.9788442782212516918e-4, 3.3333328888889100529e-7),
+                               (0.5, 0.38292492254802620728, 0.080589154600811698428),
+                               # Near 1 the series needs its terms: 12 miss by 1e-13.
+                               (0.999, 0.68220530871736342784, 0.29062269268247388362)):
+        slab = slab_target(2, width)
+        assert slab.reference_p == pytest.approx(p, rel=1e-14, abs=0)
+        assert slab.analytic.sigma.lambdas[0] == pytest.approx(variance, rel=1e-14, abs=0)
 
 
 def test_halfspace_frozen_constants():
     t = halfspace_target(3, 0.0)
     a = t.analytic
-    assert a.p == pytest.approx(0.5, rel=1e-14, abs=0)
+    assert t.reference_p == pytest.approx(0.5, rel=1e-14, abs=0)
     assert a.mu[0] == pytest.approx(HS_MEAN_K0, rel=1e-12, abs=0)
     assert a.sigma.lambdas[0] == pytest.approx(HS_VAR_K0, rel=1e-12, abs=0)
     t90 = halfspace_target(2, Z90)
-    assert t90.analytic.p == pytest.approx(0.1, rel=1e-12, abs=0)
+    assert t90.reference_p == pytest.approx(0.1, rel=1e-12, abs=0)
     assert t90.analytic.mu[0] == pytest.approx(HS_MEAN_Z90, rel=1e-12)
     # From offset 3 on the continued fraction keeps every digit, which the
     # direct variance 1 - h (h - K) loses to cancellation (mpmath, 40 digits).
@@ -190,16 +202,16 @@ def test_conditional_moments_match_monte_carlo():
     rng = stream(1, "targets", "mc")
     x = rng.standard_normal(n)
 
-    slab = slab_target(1, 1.0).analytic
+    slab = slab_target(1, 1.0)
     hit = np.abs(x) <= 1.0
-    assert hit.mean() == pytest.approx(slab.p, rel=5e-3)
-    assert x[hit].var() == pytest.approx(slab.sigma.lambdas[0], rel=1e-2)
+    assert hit.mean() == pytest.approx(slab.reference_p, rel=5e-3)
+    assert x[hit].var() == pytest.approx(slab.analytic.sigma.lambdas[0], rel=1e-2)
 
-    hs = halfspace_target(1, 0.0).analytic
+    hs = halfspace_target(1, 0.0)
     hit = x >= 0.0
-    assert hit.mean() == pytest.approx(hs.p, rel=5e-3)
-    assert x[hit].mean() == pytest.approx(hs.mu[0], rel=1e-2)
-    assert x[hit].var() == pytest.approx(hs.sigma.lambdas[0], rel=1e-2)
+    assert hit.mean() == pytest.approx(hs.reference_p, rel=5e-3)
+    assert x[hit].mean() == pytest.approx(hs.analytic.mu[0], rel=1e-2)
+    assert x[hit].var() == pytest.approx(hs.analytic.sigma.lambdas[0], rel=1e-2)
 
 
 def test_hit_probability_under_spiked_law():
@@ -208,7 +220,7 @@ def test_hit_probability_under_spiked_law():
     u = np.zeros(d)
     u[0] = 1.0
     t = halfspace_target(d, 1.0)
-    g = SpikedCovariance(dim=d, lambdas=np.array([0.25]), directions=u[None, :])
+    g = SpikedCovariance(lambdas=np.array([0.25]), directions=u[None, :])
     # Var along u is 0.25, so q = 1 - Phi(1 / 0.5) = Phi(-2).
     from ce_spectra.numerics import std_normal_cdf
 
@@ -219,9 +231,9 @@ def test_hit_probability_under_spiked_law():
     assert q == pytest.approx(float(2.0 * std_normal_cdf(2.0) - 1.0), rel=1e-12, abs=0)
 
     # Under the standard law (a unit spike on u), q is p bit for bit.
-    standard = SpikedCovariance(dim=d, lambdas=np.array([1.0]), directions=u[None, :])
+    standard = SpikedCovariance(lambdas=np.array([1.0]), directions=u[None, :])
     for target in (s, slab_target(d, prop_range_width(1.0, 0.5, 1000)), t):
-        assert target.analytic.q_of(standard) == target.analytic.p
+        assert target.analytic.q_of(standard) == target.reference_p
 
 
 def test_hit_probability_spike_off_axis_empirical():
@@ -229,7 +241,7 @@ def test_hit_probability_spike_off_axis_empirical():
     rng = stream(2, "targets", "q")
     qmat, _ = np.linalg.qr(rng.standard_normal((d, 1)))
     v = qmat.T
-    g = SpikedCovariance(dim=d, lambdas=np.array([0.5]), directions=v)
+    g = SpikedCovariance(lambdas=np.array([0.5]), directions=v)
     t = halfspace_target(d, 0.5)
     want = t.analytic.q_of(g)
     x = sample(GaussianLaw.with_spiked(g, None),
@@ -243,13 +255,17 @@ def test_width_and_offset_validation():
         slab_target(2, 0.0)
     with pytest.raises(ValueError):
         halfspace_target(2, math.inf)
-    # Tails that round to 0 leave no conditional law to divide by; at 38 the
-    # halfspace's tail is subnormal and the target builds.
-    with pytest.raises(ValueError, match="halfspace offset 39.0 gives hit probability 0"):
-        halfspace_target(3, 39.0)
-    assert 0.0 < halfspace_target(3, 38.0).analytic.p < 1e-300
-    with pytest.raises(ValueError, match="slab half-width 1e-16 gives hit probability 0"):
-        slab_target(3, 1e-16)
+    # A hit probability below the normal range is refused, subnormal (38) or
+    # rounded to 0 (39); the largest accepted offset is about 37.52.
+    for offset in (38.0, 39.0):
+        with pytest.raises(ValueError, match=f"halfspace offset {offset} gives hit probability "
+                                             r".*, below the normal float range"):
+            halfspace_target(3, offset)
+    assert 1e-308 < halfspace_target(3, 37.5).reference_p < 1e-306
+    with pytest.raises(ValueError, match="slab half-width 1e-310 gives hit probability "
+                                         r".*, below the normal float range"):
+        slab_target(3, 1e-310)
+    assert slab_target(3, 1e-16).reference_p == pytest.approx(8.0e-17, rel=1e-2)
 
 
 @given(st.integers(min_value=0, max_value=10 ** 6))
