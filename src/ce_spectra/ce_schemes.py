@@ -24,6 +24,12 @@ converges the run, so a failure of that iteration's discarded update shows
 in its trace alone. Diverged runs keep their last
 usable law so a probability estimate is still recorded, mirroring how
 failed repetitions are reported rather than discarded.
+
+Batches read only for scores and log ratios draw the target's decisive
+coordinates when it has them (``LimitState.decisive``): the hard level
+stage for every law, the smoothed level stage and the final estimate for
+identity and spiked laws, whose ratio reads a few coordinates too. The
+learn batch is always drawn in full, since the update needs points in R^d.
 """
 from __future__ import annotations
 
@@ -47,9 +53,12 @@ from .gauss_core import (
     CollapsedEstimateError,
     GaussianLaw,
     WeightedSample,
+    log_ratio_from_rows,
     log_ratio_to_standard,
     proj_r,
+    ratio_rows,
     sample,
+    sample_rows,
 )
 from .seeding import stream
 from .targets import LimitState
@@ -171,6 +180,31 @@ def _weighted_batch(law: GaussianLaw, size: int, rng: np.random.Generator,
     return WeightedSample(x, log_ratio_to_standard(law, x, z_sq), target(x))
 
 
+def _level_scores(law: GaussianLaw, size: int, rng: np.random.Generator,
+                  target: LimitState) -> np.ndarray:
+    """size fresh scores from the law: of its draws' decisive coordinates
+    when the target has them, else of full points."""
+    dec = target.decisive
+    if dec is None:
+        return target(sample(law, rng.standard_normal((size, law.dim))))
+    return dec.score(sample_rows(law, dec.rows, size, rng))
+
+
+def _ratio_batch(law: GaussianLaw, size: int, rng: np.random.Generator,
+                 target: LimitState) -> WeightedSample:
+    """size fresh log ratios and scores from the law, for a caller that
+    reads nothing else. For a target with decisive rows and an identity or
+    spiked law, the draws are the coordinates along those rows and along
+    the rows that fix the ratio, which are the sample's points; a dense
+    law's ratio reads every coordinate, so it draws full points."""
+    dec = target.decisive
+    if dec is None or law.dense_chol is not None:
+        return _weighted_batch(law, size, rng, target)
+    k = dec.rows.shape[0]
+    y = sample_rows(law, np.concatenate([dec.rows, ratio_rows(law)]), size, rng)
+    return WeightedSample(y, log_ratio_from_rows(law, y[:, k:]), dec.score(y[:, :k]))
+
+
 def bandwidth_objective(sample_: WeightedSample, bandwidth: float, delta_target: float) -> float:
     value = ice_delta(sample_, bandwidth)
     if not math.isfinite(value):
@@ -232,7 +266,7 @@ def iterate(law: GaussianLaw, bandwidth: float | None, target: LimitState,
     # The level stage: the recorded level is the threshold actually used for
     # conditioning, the score quantile capped at 0, or the tuned bandwidth.
     if cfg.smoothed:
-        ws = _weighted_batch(law, cfg.m, rng_level, target)
+        ws = _ratio_batch(law, cfg.m, rng_level, target)
         if indicator_delta(ws) <= cfg.delta_target:
             return law, None
         if bandwidth is None:
@@ -245,15 +279,20 @@ def iterate(law: GaussianLaw, bandwidth: float | None, target: LimitState,
                 q_or_sigma=math.nan, p_hat_t=math.nan, lambda_min_proj=law.lambda_min(),
                 lambda_max_raw=math.nan, diverged=True, n_hits=0)
         estimator = smooth_weighted_mean_cov
+        ws = _weighted_batch(law, cfg.n, rng_learn, target)
     else:
-        scores = target(sample(law, rng_level.standard_normal((cfg.m, law.dim))))
-        level = min(quantile_threshold(scores, cfg.rho), 0.0)
+        # The streams are independent, so drawing the learn batch first
+        # leaves every byte alone; the small level block then comes after
+        # it on the heap, which keeps the process's peak memory down.
+        ws = _weighted_batch(law, cfg.n, rng_learn, target)
+        level = min(quantile_threshold(_level_scores(law, cfg.m, rng_level, target), cfg.rho),
+                    0.0)
         estimator = weighted_mean_cov
 
-    # The update; the level-conditional estimator compares the scores with
-    # the level itself. require_symmetric rejects a non-finite sigma_hat, and
-    # a finite sigma_hat has a finite mu_hat, its diagonal holding -mu_i^2.
-    ws = _weighted_batch(law, cfg.n, rng_learn, target)
+    # The update on the learn batch; the level-conditional estimator compares
+    # the scores with the level itself. require_symmetric rejects a
+    # non-finite sigma_hat, and a finite sigma_hat has a finite mu_hat, its
+    # diagonal holding -mu_i^2.
     p_hat, n_hits, lam_max, nxt = 0.0, 0, math.nan, None
     try:
         est = estimator(ws, level)
@@ -293,6 +332,6 @@ def run_scheme(cfg: SchemeConfig, target: LimitState, key: tuple) -> RunResult:
             break
         law = nxt
 
-    p_hat = is_probability(_weighted_batch(law, cfg.n_p, stream(*key, "final"), target))
+    p_hat = is_probability(_ratio_batch(law, cfg.n_p, stream(*key, "final"), target))
     return RunResult(p_hat=p_hat, traces=tuple(traces), converged=converged)
 

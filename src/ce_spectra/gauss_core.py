@@ -21,6 +21,10 @@ standard normal needs no solve, for any covariance representation, once
 the caller has taken |z|^2:
 
     log l(x) = 1/2 (log|Sigma| + |z|^2 - |x|^2).
+
+A caller that reads only y = x B^T for a few rows B draws y itself
+(``sample_rows``); for identity and spiked laws the coordinates along
+``ratio_rows`` give the ratio too (``log_ratio_from_rows``).
 """
 from __future__ import annotations
 
@@ -258,6 +262,63 @@ def _add_spike(z: np.ndarray, sp: SpikedCovariance) -> None:
     # z^T += V^T coords^T: all three are Fortran-ordered views, so dgemm
     # writes straight into z.
     dgemm(1.0, vecs.T, coords.T, beta=1.0, c=z.T, overwrite_c=1)
+
+
+def _rows_times_root(law: GaussianLaw, rows: np.ndarray) -> np.ndarray:
+    """rows A for the square root A that ``sample`` applies: the lower
+    Cholesky factor, I + sum_k (sqrt(lambda_k) - 1) v_k v_k^T, or I."""
+    if law.dense_chol is not None:
+        return rows @ law.dense_chol
+    if law.spiked is None:
+        return rows
+    sp = law.spiked
+    return rows + ((rows @ sp.directions.T) * (np.sqrt(sp.lambdas) - 1.0)) @ sp.directions
+
+
+def sample_rows(law: GaussianLaw, rows: np.ndarray, size: int,
+                rng: np.random.Generator) -> np.ndarray:
+    """size draws of y = x rows^T for x from the law, without drawing x.
+
+    y = rows mean + w R with w a standard-normal (size, k') block and R the
+    triangular factor of the QR of (rows A)^T, k' = min(k, d): R^T R equals
+    rows Sigma rows^T, so the draw is exact for dependent rows and for
+    near-singular laws, where that product itself need not factor.
+    """
+    r = np.linalg.qr(_rows_times_root(law, rows).T, mode="r")
+    y = rng.standard_normal((size, r.shape[0])) @ r
+    offset = rows @ law.mean
+    if offset.any():
+        y += offset
+    return y
+
+
+def ratio_rows(law: GaussianLaw) -> np.ndarray:
+    """The rows whose coordinates fix log f/g for an identity or spiked law
+    g: its mean when nonzero, then its spike directions; (0, d) for the
+    standard law. Dense laws have none."""
+    if law.dense_chol is not None:
+        raise ValueError("a dense law's ratio reads every coordinate")
+    rows = [law.mean[None, :]] if law.mean.any() else []
+    if law.spiked is not None:
+        rows.append(law.spiked.directions)
+    return np.concatenate(rows) if rows else np.zeros((0, law.dim))
+
+
+def log_ratio_from_rows(law: GaussianLaw, c: np.ndarray) -> np.ndarray:
+    """log f/g at points x whose coordinates along ratio_rows(law) are c:
+
+        -<m, x> + |m|^2/2 + 1/2 sum_k (1/lambda_k - 1) <v_k, x - m>^2 + 1/2 log|Sigma|.
+    """
+    out = np.zeros(c.shape[0])
+    mean = law.mean
+    if mean.any():
+        out += 0.5 * float(mean @ mean) - c[:, 0]
+        c = c[:, 1:]
+    if law.spiked is not None:
+        sp = law.spiked
+        c = c - sp.directions @ mean
+        out += 0.5 * (c * c @ (1.0 / sp.lambdas - 1.0) + sp.log_det())
+    return out
 
 
 def log_density(law: GaussianLaw, x: np.ndarray) -> np.ndarray:

@@ -9,6 +9,9 @@ normal given A, which the estimation lab uses as ground truth.
 Scores here depend on a fixed low-dimensional intrinsic subspace U (the
 span of u = e_1), so phi(x) = phi(P_U x) for slab and halfspace by
 construction, and their scores and hit probabilities read the first column alone.
+The linear and quadratic scores read k < d directions too; they carry those
+rows B (``DecisiveRows``) and their score as a function of y = x B^T, so a
+caller that needs only scores can draw y instead of x.
 Score and hit-probability functions are module-level functions bound with
 functools.partial, so limit states pickle and can be sent to worker
 processes.
@@ -41,6 +44,14 @@ class AnalyticConditional:
 
 
 @dataclass(frozen=True)
+class DecisiveRows:
+    """The k < d rows B that a score reads, and the score of y = x B^T."""
+
+    rows: np.ndarray
+    score: Callable[[np.ndarray], np.ndarray]
+
+
+@dataclass(frozen=True)
 class LimitState:
     """Named score function over R^d with optional reference values."""
 
@@ -49,6 +60,7 @@ class LimitState:
     evaluator: Callable[[np.ndarray], np.ndarray]
     reference_p: float | None = None
     analytic: AnalyticConditional | None = None
+    decisive: DecisiveRows | None = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -67,28 +79,49 @@ def _unit_ones(d: int) -> np.ndarray:
     return np.full(d, 1.0 / math.sqrt(d))
 
 
-def _affine_score(u: np.ndarray, offset: float, x: np.ndarray) -> np.ndarray:
-    return x @ u - offset
+def _through_rows(rows: np.ndarray, score: Callable[[np.ndarray], np.ndarray],
+                  x: np.ndarray) -> np.ndarray:
+    return score(x @ rows.T)
+
+
+def _row_target(name: str, rows: np.ndarray, score: Callable[[np.ndarray], np.ndarray],
+                reference_p: float) -> LimitState:
+    """A target whose score reads x only through y = x rows^T. The rows are
+    decisive when there are fewer of them than dimensions."""
+    k, d = rows.shape
+    return LimitState(name=name, dim=d, evaluator=partial(_through_rows, rows, score),
+                      reference_p=reference_p,
+                      decisive=DecisiveRows(rows, score) if k < d else None)
+
+
+def _linear_score(y: np.ndarray) -> np.ndarray:
+    return y[:, 0] - 5.0
 
 
 def linear_target(d: int) -> LimitState:
     """phi(x) = <x, 1>/sqrt(d) - 5; exact tail 1 - Phi(5) under f."""
-    p = numerics.std_normal_tail(5.0)
-    return LimitState(name="lin", dim=d, evaluator=partial(_affine_score, _unit_ones(d), 5.0),
-                      reference_p=p)
+    return _row_target("lin", _unit_ones(d)[None, :], _linear_score,
+                       numerics.std_normal_tail(5.0))
 
 
-def _quadratic_score(u: np.ndarray, x: np.ndarray) -> np.ndarray:
-    diff = x[:, 0] - x[:, 1]
-    return x @ u - 4.0 - 1.25 * diff * diff
+def _quadratic_score(y: np.ndarray) -> np.ndarray:
+    diff = y[:, 1] - y[:, 2]
+    return y[:, 0] - 4.0 - 1.25 * diff * diff
+
+
+def quadratic_rows(d: int) -> np.ndarray:
+    """The quadratic score's rows (u, e_1, e_2), u = 1/sqrt(d); dependent at d = 2."""
+    rows = np.zeros((3, d))
+    rows[0] = _unit_ones(d)
+    rows[1, 0] = rows[2, 1] = 1.0
+    return rows
 
 
 def quadratic_target(d: int) -> LimitState:
     """phi(x) = <x, 1>/sqrt(d) - 4 - 1.25 (x_1 - x_2)^2."""
     if d < 2:
         raise ValueError("quadratic target needs d >= 2")
-    return LimitState(name="quad", dim=d, evaluator=partial(_quadratic_score, _unit_ones(d)),
-                      reference_p=6.6206e-6)
+    return _row_target("quad", quadratic_rows(d), _quadratic_score, 6.6206e-6)
 
 
 def _count_score(x: np.ndarray) -> np.ndarray:
@@ -138,10 +171,12 @@ def _e1_target(name: str, level: str, d: int, score: Callable[[np.ndarray], np.n
     whose conditional law of f on A has the given mean and variance along
     e_1 and is standard elsewhere. A p below the normal range, where the
     tails lose their relative accuracy, is refused, naming level, the width
-    or offset."""
-    if p < sys.float_info.min:
-        raise ValueError(f"{name} {level} gives hit probability {p:.3g}, "
-                         f"below the normal float range")
+    or offset; so is a variance below it, which is no longer exact (a slab
+    narrower than about 2.6e-154) and then rounds to 0."""
+    for what, value in (("hit probability", p), ("conditional variance", variance)):
+        if value < sys.float_info.min:
+            raise ValueError(f"{name} {level} gives {what} {value:.3g}, "
+                             f"below the normal float range")
     e1 = np.zeros(d)
     e1[0] = 1.0
     analytic = AnalyticConditional(

@@ -24,7 +24,13 @@ from ce_spectra.ce_schemes import (
 from ce_spectra.estimators import EstimationResult
 from ce_spectra.gauss_core import CollapsedEstimateError, GaussianLaw, WeightedSample
 from ce_spectra.seeding import stream
-from ce_spectra.targets import LimitState, halfspace_target, linear_target
+from ce_spectra.targets import (
+    LimitState,
+    count_target,
+    halfspace_target,
+    linear_target,
+    quadratic_target,
+)
 from ce_spectra.numerics import (
     std_normal_cdf,
     std_normal_pdf,
@@ -500,3 +506,36 @@ def test_iteration_peak_memory_in_batches(scheme, strategy, bound):
         assert not trace.diverged
         assert peak < bound * batch, (t, peak / batch)
         bandwidth = trace.q_or_sigma
+
+
+class CountingDraws:
+    """A generator wrapper that counts its standard-normal values."""
+
+    def __init__(self, gen: np.random.Generator):
+        self.gen, self.values = gen, 0
+
+    def standard_normal(self, *args, **kwargs):
+        out = self.gen.standard_normal(*args, **kwargs)
+        self.values += out.size
+        return out
+
+
+@pytest.mark.parametrize("make,k", [(linear_target, 1), (quadratic_target, 3),
+                                    (count_target, None),
+                                    (lambda d: LimitState(name="anon", dim=d,
+                                                          evaluator=lambda x: x[:, 0] - 2.0),
+                                     None)])
+def test_hard_level_stage_draws_decisive_coordinates(make, k):
+    # The hard level stage reads only scores, so for a target with decisive
+    # rows it draws m k values, from the identity start and from the dense
+    # law one update later; other targets draw m d. The learn batch is
+    # always n d: the update needs points in R^d.
+    d, m, n = 10, 1500, 1200
+    target = make(d)
+    cfg = cfg_for("ce", m=m, n=n)
+    law = GaussianLaw.identity(d)
+    for t in range(2):
+        level, learn = CountingDraws(stream(4, "y", t)), CountingDraws(stream(4, "x", t))
+        law, trace = iterate(law, None, target, cfg, level, learn)
+        assert not trace.diverged
+        assert (level.values, learn.values) == (m * (k or d), n * d), t

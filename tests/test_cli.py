@@ -352,6 +352,20 @@ def test_cli_worker_count_does_not_change_bytes(tmp_path, kind):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+def test_cli_worker_count_does_not_change_reduced_level_bytes(tmp_path):
+    # ce on quad draws its hard level scores from the decisive coordinates.
+    outs = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        cfg = write_cfg(tmp_path / f"w{workers}.cfg",
+                        "kind = benchmark\ntarget = quad\nscheme = ce\nm = 1000\nn = 1000\n"
+                        f"n_p = 500\nN = 2\nseed = 7\nworkers = {workers}\noutput_dir = {out}\n")
+        assert run_cli(["benchmark", "--config", cfg]) == 0
+        outs.append(out)
+    for name in ("runs.csv", "traces.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def test_cli_phase_rows_match_library_sweep(tmp_path):
     out = tmp_path / "phase"
     cfg = write_cfg(tmp_path / "p.cfg", PHASE_TEMPLATE.format(workers=2, out=out))

@@ -14,11 +14,15 @@ from ce_spectra.gauss_core import (
     WeightedSample,
     log_density,
     log_likelihood_ratio,
+    log_ratio_from_rows,
     log_ratio_to_standard,
     proj_r,
+    ratio_rows,
     sample,
+    sample_rows,
 )
 from ce_spectra.seeding import stream
+from ce_spectra.targets import quadratic_rows, quadratic_target
 
 LOG_2PI = 1.8378770664093454836
 
@@ -351,6 +355,114 @@ def test_sample_bytes_match_rank_update_formula():
     z = stream(8, "bytes").standard_normal((40, 6))
     want = z + ident.mean
     assert np.array_equal(sample(ident, z), want)
+
+
+# ------------------------------------------------------- decisive draws
+
+
+class IdentityDraws:
+    """A generator stand-in whose standard-normal block is the identity, so
+    sample_rows returns rows mean + R: the rows of its factor R."""
+
+    def standard_normal(self, shape):
+        return np.eye(*shape)
+
+
+def covariance(law: GaussianLaw) -> np.ndarray:
+    if law.dense_chol is not None:
+        return law.dense_chol @ law.dense_chol.T
+    return np.eye(law.dim) if law.spiked is None else law.spiked.dense()
+
+
+def decisive_laws(d: int):
+    """The standard law and the whitened laws: a shifted identity, a spiked
+    law with a mean and a dense one."""
+    return {"standard": GaussianLaw.identity(d), **whitened_laws(d)}
+
+
+def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
+    """Two-sample Kolmogorov-Smirnov distance between empirical CDFs."""
+    a, b = np.sort(a), np.sort(b)
+    grid = np.concatenate([a, b])
+    return float(np.max(np.abs(np.searchsorted(a, grid, side="right") / a.size
+                               - np.searchsorted(b, grid, side="right") / b.size)))
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+@pytest.mark.parametrize("kind", ["standard", "identity", "spiked", "dense"])
+def test_sample_rows_factor_reproduces_row_covariance(kind, d):
+    # R^T R = B Sigma B^T for the quadratic rows B, dependent at d = 2 (three
+    # rows, two dimensions) and square at d = 3, alone and together with
+    # the rows of the ratio.
+    law = decisive_laws(d)[kind]
+    blocks = [quadratic_rows(d)]
+    if law.dense_chol is None:
+        blocks.append(np.concatenate([quadratic_rows(d), ratio_rows(law)]))
+    for rows in blocks:
+        k = rows.shape[0]
+        r = sample_rows(law, rows, k, IdentityDraws()) - rows @ law.mean
+        want = rows @ covariance(law) @ rows.T
+        assert np.max(np.abs(r.T @ r - want)) <= 1e-12 * np.max(np.abs(want)), (kind, d, k)
+
+
+@pytest.mark.parametrize("kind", ["standard", "identity", "spiked"])
+def test_log_ratio_from_rows_matches_densities(kind):
+    d = 7
+    law = decisive_laws(d)[kind]
+    x = draw(law, 300, stream(8, "rr", kind))
+    got = log_ratio_from_rows(law, x @ ratio_rows(law).T)
+    want = log_density(GaussianLaw.identity(d), x) - log_density(law, x)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    with pytest.raises(ValueError, match="reads every coordinate"):
+        ratio_rows(whitened_laws(d)["dense"])
+
+
+def test_sample_rows_near_singular_dense_law():
+    # Eigenvalue 1e-13 along (e_1 - e_2)/sqrt 2, inside the span of the
+    # quadratic rows: the second pivot is 2e-13, below numerics.cholesky's
+    # tolerance, so the factor comes from numpy. B Sigma B^T is singular to
+    # rounding, yet the draw keeps the collapsed variance of y_1 - y_2.
+    d, eps = 6, 1e-13
+    w = np.zeros(d)
+    w[:2] = (1.0, -1.0)
+    w /= math.sqrt(2.0)
+    cov = np.eye(d) + (eps - 1.0) * np.outer(w, w)
+    law = GaussianLaw(mean=np.zeros(d), dense_chol=np.linalg.cholesky(cov),
+                      dense_extremes=sym_eigen_extremes(cov))
+    y = sample_rows(law, quadratic_rows(d), 20000, stream(8, "near"))
+    assert np.all(np.isfinite(y))
+    assert np.var(y[:, 1] - y[:, 2]) == pytest.approx(2.0 * eps, rel=0.05)
+    assert np.var(y[:, 0]) == pytest.approx(1.0, rel=0.05)
+
+
+# Two-sample KS distance that n = m = 2e5 draws of one law exceed with
+# probability about 2e-6: sqrt(-log(1e-6) / 2) sqrt(2 / n).
+KS_N = 200_000
+KS_BOUND = math.sqrt(-0.5 * math.log(1e-6)) * math.sqrt(2.0 / KS_N)
+
+
+@pytest.mark.parametrize("kind", ["standard", "spiked", "dense"])
+def test_decisive_draws_match_full_draws_in_law(kind):
+    # Scores and log ratios of the quadratic target from full points and
+    # from the decisive coordinates, on two keyed streams. Dense laws draw
+    # scores only: their ratio reads every coordinate.
+    d = 8
+    target = quadratic_target(d)
+    law = decisive_laws(d)[kind]
+    x = draw(law, KS_N, stream(8, "ks", kind, "full"))
+    full = [target(x)]
+    rows = target.decisive.rows
+    if law.dense_chol is None:
+        full.append(log_density(GaussianLaw.identity(d), x) - log_density(law, x))
+        rows = np.concatenate([rows, ratio_rows(law)])
+    y = sample_rows(law, rows, KS_N, stream(8, "ks", kind, "rows"))
+    reduced = [target.decisive.score(y[:, :3])]
+    if law.dense_chol is None:
+        reduced.append(log_ratio_from_rows(law, y[:, 3:]))
+        full.append(full[0] + full[1])
+        reduced.append(reduced[0] + reduced[1])
+    for a, b in zip(full, reduced):
+        assert ks_statistic(a, b) < KS_BOUND, (kind, ks_statistic(a, b))
 
 
 # ---------------------------------------------------------------- proj_r

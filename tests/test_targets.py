@@ -266,6 +266,14 @@ def test_width_and_offset_validation():
                                          r".*, below the normal float range"):
         slab_target(3, 1e-310)
     assert slab_target(3, 1e-16).reference_p == pytest.approx(8.0e-17, rel=1e-2)
+    # So is a conditional variance (K^2 / 3 for a narrow slab) below it,
+    # subnormal (1e-155) or rounded to 0 (1e-163), while p is still normal.
+    assert slab_target(2, 1e-150).analytic.sigma.lambdas[0] == pytest.approx(1e-300 / 3,
+                                                                            rel=1e-14)
+    for width in (1e-155, 1e-163):
+        with pytest.raises(ValueError, match=f"slab half-width {width} gives conditional "
+                                             r"variance .*, below the normal float range"):
+            slab_target(2, width)
 
 
 @given(st.integers(min_value=0, max_value=10 ** 6))
