@@ -41,6 +41,7 @@ import numpy as np
 from . import numerics
 from .estimators import (
     DegenerateSampleError,
+    ZeroWeightKeys,
     check_rho,
     indicator_delta,
     ice_delta,
@@ -48,6 +49,7 @@ from .estimators import (
     quantile_threshold,
     smooth_weighted_mean_cov,
     weighted_mean_cov,
+    zero_weight_keys,
 )
 from .gauss_core import (
     CollapsedEstimateError,
@@ -205,8 +207,9 @@ def _ratio_batch(law: GaussianLaw, size: int, rng: np.random.Generator,
     return WeightedSample(y, log_ratio_from_rows(law, y[:, k:]), dec.score(y[:, :k]))
 
 
-def bandwidth_objective(sample_: WeightedSample, bandwidth: float, delta_target: float) -> float:
-    value = ice_delta(sample_, bandwidth)
+def bandwidth_objective(sample_: WeightedSample, bandwidth: float, delta_target: float,
+                        keys: ZeroWeightKeys | None = None) -> float:
+    value = ice_delta(sample_, bandwidth, keys)
     if not math.isfinite(value):
         return math.inf
     return (value - delta_target) ** 2
@@ -220,14 +223,19 @@ def optimize_bandwidth(sample_: WeightedSample, sigma_hi: float,
     golden-section refines inside it to BANDWIDTH_LOG_TOL in log bandwidth;
     the returned value never exceeds sigma_hi, except that a ceiling at or
     below BANDWIDTH_FLOOR gives the floor itself. None signals that the
-    objective is infinite everywhere (no usable bandwidth).
+    objective is infinite everywhere or that sigma_hi is not finite (no
+    usable bandwidth). The sample's zero-weight keys are sorted once, so
+    each evaluation skips log Phi on the rows whose weight is exactly 0.
     """
     floor = BANDWIDTH_FLOOR
+    if not math.isfinite(sigma_hi):
+        return None
     if sigma_hi <= floor:
         return floor if math.isfinite(bandwidth_objective(sample_, floor, delta_target)) else None
+    keys = zero_weight_keys(sample_)
 
     def f(t: float) -> float:
-        return bandwidth_objective(sample_, math.exp(t), delta_target)
+        return bandwidth_objective(sample_, math.exp(t), delta_target, keys)
 
     xs = np.linspace(math.log(floor), math.log(sigma_hi), BANDWIDTH_GRID)
     vals = np.array([f(t) for t in xs])
@@ -270,7 +278,11 @@ def iterate(law: GaussianLaw, bandwidth: float | None, target: LimitState,
         if indicator_delta(ws) <= cfg.delta_target:
             return law, None
         if bandwidth is None:
-            q25, q75 = np.percentile(ws.scores, [25.0, 75.0])
+            # Quartiles among infinite scores come out nan or inf (an
+            # invalid subtraction inside percentile); optimize_bandwidth
+            # turns that ceiling into the no-bandwidth divergence.
+            with np.errstate(invalid="ignore"):
+                q25, q75 = np.percentile(ws.scores, [25.0, 75.0])
             bandwidth = max(10.0 * float(q75 - q25), BANDWIDTH_FLOOR)
         level = optimize_bandwidth(ws, bandwidth, cfg.delta_target)
         del ws  # the level batch is gone before the learn batch is drawn

@@ -18,6 +18,16 @@ sample.points first.
 All weight aggregation happens in log space with max-subtraction; raw
 exponentials appear only at the final scale factor, so an exploding weight
 becomes a recorded inf rather than a NaN cascade.
+
+A bandwidth search evaluates the smoothed spread, ice_delta, at some 84
+bandwidths on one batch. zero_weight_keys gives each row a key, which does
+not depend on the bandwidth, below which its smoothed weight is sure to
+round to exactly 0.0 against the batch's peak (a Chernoff bound on the row
+against a Mills-ratio bound on an anchor row). With the keys sorted once,
+each evaluation computes log Phi only on the rows whose key is at most the
+bandwidth; the others weigh exactly 0. The scaled weights, their sum and
+their dot product still run over every row in the same order, so the
+spread comes out with the same bits.
 """
 from __future__ import annotations
 
@@ -127,11 +137,90 @@ def weighted_mean_cov(sample: WeightedSample, threshold: float) -> EstimationRes
     return EstimationResult(p_hat=float(p_hat), mu_hat=mu, sigma_hat=sigma, n_hits=n_hits)
 
 
-def _log_smoothed_weights(sample: WeightedSample, bandwidth: float) -> np.ndarray:
-    """log w_i = log l_i + log Phi(s_i / bandwidth), the smoothed weights."""
+# A log weight this far below the batch's peak has an exponential of
+# exactly 0.0: exp underflows to 0 below about -745.13.
+_UNDERFLOW_GAP = 746.0
+# Relative slack on every term of the bounds in zero_weight_keys: it covers
+# the rounding of s / b, of log Phi and of the log weights' sums.
+_ROUNDING = 2.0 ** -20
+# zero_weight_keys clips scores and log ratios to [-_BOX, _BOX], so that
+# its products stay finite.
+_BOX = 2.0 ** 250
+
+
+@dataclass(frozen=True)
+class ZeroWeightKeys:
+    """One batch's rows in ascending order of their zero-weight key.
+
+    At every bandwidth below keys[i], the smoothed weight of row rows[i]
+    rounds to exactly 0 against the batch's peak. The keys do not depend
+    on the bandwidth; a key of 0 marks a row that is always evaluated.
+    """
+    rows: np.ndarray
+    keys: np.ndarray
+
+
+def zero_weight_keys(sample: WeightedSample) -> ZeroWeightKeys:
+    """Each row's zero-weight key, sorted once for a bandwidth search.
+
+    Two bounds on log Phi(x) for x <= 0 give the keys:
+
+    * Chernoff: log Phi(x) <= -x^2/2 - log 2;
+    * Birnbaum's Mills-ratio bound, with log(1 + |x|) <= |x|:
+      log Phi(x) >= -x^2/2 - |x| - log(2 pi)/2.
+
+    The anchor j bounds the peak log weight from below: the hit with the
+    largest log ratio when the batch has hits (log Phi >= -log 2 there),
+    else the top score (Birnbaum). A non-hit row i is pruned at bandwidth b
+    when its Chernoff bound lies more than _UNDERFLOW_GAP below the
+    anchor's bound. With beta = 1/b this reads A beta^2 - B beta > c, with
+    A = (s_i^2 - s_j^2)/2, B = |s_j| and c = lr_i - lr_j + _UNDERFLOW_GAP
+    plus log(2 pi)/2 - log 2 without hits (s_j taken as 0 with hits). It
+    holds for every beta beyond the larger root, so the key is
+    2A / (B + sqrt(B^2 + 4 A c)), each term widened by _ROUNDING. Hits,
+    ties with the anchor and rows with a NaN score or log ratio, or one
+    above _BOX, keep key 0; so does every row when the anchor lies outside
+    the box. Clipping a row's score or log ratio up to -_BOX, and raising
+    c to at least 1, only lower its key.
+    """
+    lr, s = sample.log_ratios, sample.scores
+    keys = np.zeros(sample.size)
+    hit = s >= 0.0
+    if np.any(hit):
+        j = int(np.argmax(np.where(hit, lr, -np.inf)))
+        s_j, gap = 0.0, _UNDERFLOW_GAP
+    else:
+        j = int(np.argmax(s))
+        s_j, gap = float(s[j]), _UNDERFLOW_GAP + 0.5 * math.log(2.0 * math.pi) - math.log(2.0)
+    lr_j = float(lr[j])
+    if abs(lr_j) <= _BOX and s_j >= -_BOX:
+        cand = np.flatnonzero((s < 0.0) & (lr <= _BOX))
+        s_i = np.maximum(s[cand], -_BOX)
+        lr_i = np.maximum(lr[cand], -_BOX)
+        a = 0.5 * ((1.0 - _ROUNDING) * s_i * s_i - (1.0 + _ROUNDING) * s_j * s_j)
+        keep = a > 0.0
+        cand, a, lr_i = cand[keep], a[keep], lr_i[keep]
+        b = (1.0 + _ROUNDING) * abs(s_j)
+        c = np.maximum(lr_i - lr_j + gap + _ROUNDING * (np.abs(lr_i) + abs(lr_j)), 1.0)
+        keys[cand] = 2.0 * a / (b + np.sqrt(b * b + 4.0 * a * c))
+    rows = np.argsort(keys)
+    return ZeroWeightKeys(rows=rows, keys=keys[rows])
+
+
+def _log_smoothed_weights(sample: WeightedSample, bandwidth: float,
+                          keys: ZeroWeightKeys | None = None):
+    """(log_w, rows): log w_i = log l_i + log Phi(s_i / bandwidth), the
+    smoothed weights, on the sample's rows `rows`.
+
+    Without keys, rows is every row in order. With keys, it is the rows
+    whose key is at most the bandwidth; every other weight is exactly 0.
+    """
     if bandwidth <= 0.0 or not math.isfinite(bandwidth):
         raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
-    return sample.log_ratios + numerics.log_std_normal_cdf(sample.scores / bandwidth)
+    rows = (slice(None) if keys is None
+            else keys.rows[:np.searchsorted(keys.keys, bandwidth, side="right")])
+    log_w = sample.log_ratios[rows] + numerics.log_std_normal_cdf(sample.scores[rows] / bandwidth)
+    return log_w, rows
 
 
 def smooth_weighted_mean_cov(sample: WeightedSample, bandwidth: float) -> EstimationResult:
@@ -141,7 +230,7 @@ def smooth_weighted_mean_cov(sample: WeightedSample, bandwidth: float) -> Estima
     smooth analogue of the level probability. n_hits counts the exact
     indicator score >= 0 for diagnostics.
     """
-    log_w = _log_smoothed_weights(sample, bandwidth)
+    log_w, _ = _log_smoothed_weights(sample, bandwidth)
     mu, sigma, norm = _log_weight_moments(sample.points, log_w, sample.size)
     return EstimationResult(p_hat=float(norm), mu_hat=mu, sigma_hat=sigma,
                             n_hits=int(np.count_nonzero(sample.indicators)))
@@ -179,29 +268,37 @@ def sigma_a_estimator(sample: WeightedSample, n: int, p: float, mu: np.ndarray) 
     return second
 
 
-def ice_delta(sample: WeightedSample, bandwidth: float) -> float:
+def ice_delta(sample: WeightedSample, bandwidth: float,
+              keys: ZeroWeightKeys | None = None) -> float:
     """Spread statistic sqrt(m sum w^2) / sum w of the smoothed weights.
 
     Weights are w_i = l_i Phi(s_i / bandwidth). Equals 1 exactly for
     constant weights and sqrt(m) when a single weight carries everything;
     by Cauchy-Schwarz it is never below 1. Returns +inf when every weight
-    underflows to zero.
+    underflows to zero. keys, the sample's zero_weight_keys, skips log Phi
+    on rows whose weight is exactly 0 and leaves the result's bits alone.
     """
-    return _log_spread(_log_smoothed_weights(sample, bandwidth))
+    return _log_spread(*_log_smoothed_weights(sample, bandwidth, keys), sample.size)
 
 
 def indicator_delta(sample: WeightedSample) -> float:
     """Same spread statistic with exact-indicator weights w_i = l_i xi_i."""
-    log_w = np.where(sample.indicators, sample.log_ratios, -np.inf)
-    return _log_spread(log_w)
+    hit = sample.indicators
+    return _log_spread(sample.log_ratios[hit], hit, sample.size)
 
 
-def _log_spread(log_w: np.ndarray) -> float:
-    m = log_w.shape[0]
-    peak = float(np.max(log_w))
+def _log_spread(log_w: np.ndarray, rows, m: int) -> float:
+    """The spread of m weights, exp(log_w) on rows and exactly 0 elsewhere.
+
+    The scaled weights, their sum and their dot product run over all m in
+    row order, so the result does not depend on which zero weights the
+    caller left out of rows.
+    """
+    peak = float(np.max(log_w, initial=-math.inf))
     if peak == -math.inf:
         return math.inf
-    a = np.exp(log_w - peak)
+    a = np.zeros(m)
+    a[rows] = np.exp(log_w - peak)
     total = float(np.sum(a))
     return math.sqrt(m * float(a @ a)) / total
 

@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ce_spectra import ce_schemes, cli
+from ce_spectra import ce_schemes, cli, numerics
 from ce_spectra.ce_schemes import (
     BANDWIDTH_FLOOR,
+    BANDWIDTH_GRID,
+    BANDWIDTH_LOG_TOL,
     IterationTrace,
     SchemeConfig,
     bandwidth_objective,
@@ -266,6 +268,124 @@ def test_optimize_bandwidth_all_underflow_returns_none():
     ws = WeightedSample(x, np.zeros(4), np.full(4, -1e300))
     assert optimize_bandwidth(ws, 1e-4, 1.5) is None
     assert optimize_bandwidth(ws, BANDWIDTH_FLOOR, 1.5) is None
+
+
+@pytest.mark.parametrize("ceiling", [math.inf, math.nan])
+def test_optimize_bandwidth_non_finite_ceiling_returns_none(ceiling):
+    assert optimize_bandwidth(random_weighted_sample(5), ceiling, 1.5) is None
+
+
+def test_infinite_level_scores_diverge_for_want_of_a_bandwidth():
+    # A third of the scores are -inf, so the quartiles, and the search
+    # ceiling derived from them, are not finite.
+    target = LimitState(name="holes", dim=2,
+                        evaluator=lambda x: np.where(x[:, 1] > 0.4, -math.inf, x[:, 0] - 1.0))
+    cfg = cfg_for("ice", m=400, n=400, n_p=100)
+    law = GaussianLaw.identity(2)
+    nxt, trace = iterate(law, None, target, cfg, stream(0, "y", 0), stream(0, "x", 0))
+    assert nxt is law
+    want = IterationTrace(q_or_sigma=math.nan, p_hat_t=math.nan, lambda_min_proj=1.0,
+                          lambda_max_raw=math.nan, diverged=True, n_hits=0)
+    np.testing.assert_equal(astuple(trace), astuple(want))
+    res = run_scheme(cfg, target, (0,))
+    assert res.diverged and res.iterations_used == 1
+
+
+_LOG_PHI = numerics.log_std_normal_cdf
+
+
+def unpruned_bandwidth_search(ws, sigma_hi, delta_target):
+    """optimize_bandwidth's grid scan and golden section, written out with
+    the spread taken over every row. Returns (bandwidth, evaluations)."""
+    evals = 0
+
+    def f(t):
+        nonlocal evals
+        evals += 1
+        log_w = ws.log_ratios + _LOG_PHI(ws.scores / math.exp(t))
+        peak = float(np.max(log_w))
+        if peak == -math.inf:
+            return math.inf
+        a = np.exp(log_w - peak)
+        spread = math.sqrt(ws.size * float(a @ a)) / float(np.sum(a))
+        return (spread - delta_target) ** 2 if math.isfinite(spread) else math.inf
+
+    xs = np.linspace(math.log(BANDWIDTH_FLOOR), math.log(sigma_hi), BANDWIDTH_GRID)
+    vals = [f(t) for t in xs]
+    best = int(np.argmin(vals))
+    if not math.isfinite(vals[best]):
+        return None, evals
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = xs[max(best - 1, 0)], xs[min(best + 1, BANDWIDTH_GRID - 1)]
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > BANDWIDTH_LOG_TOL:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return min(math.exp(0.5 * (a + b)), sigma_hi), evals
+
+
+def _search_cases():
+    for seed in range(20):
+        rng = stream(seed, "schemes", "prune")
+        m = int(rng.integers(50, 1500))
+        scores = rng.normal(rng.uniform(-4.0, 0.5), rng.uniform(0.2, 3.0), m)
+        lr = rng.normal(0.0, rng.uniform(0.1, 300.0), m)
+        q25, q75 = np.percentile(scores, [25.0, 75.0])
+        yield (WeightedSample(np.zeros((m, 1)), lr, scores),
+               max(10.0 * float(q75 - q25), BANDWIDTH_FLOOR))
+    for k in range(20):  # the acceptance gate's bandwidth samples
+        rng = np.random.default_rng(9000 + k)
+        scores = rng.normal(-2.0, 1.0, 1000)
+        lr = rng.normal(0.0, 0.3, 1000)
+        yield WeightedSample(np.zeros((1000, 1)), lr, scores), 2.0 * float(np.max(np.abs(scores)))
+
+
+def test_optimize_bandwidth_matches_unpruned_search(monkeypatch):
+    calls = []
+    objective = ce_schemes.bandwidth_objective
+    monkeypatch.setattr(ce_schemes, "bandwidth_objective",
+                        lambda *args: calls.append(1) or objective(*args))
+    for ws, hi in _search_cases():
+        calls.clear()
+        want, evals = unpruned_bandwidth_search(ws, hi, 1.5)
+        assert optimize_bandwidth(ws, hi, 1.5) == want
+        assert len(calls) == evals
+
+
+def test_bandwidth_search_skips_zero_weight_rows(monkeypatch):
+    # The published ice_proj size on lin: each search evaluates log Phi on
+    # under 60% of its m x evaluations rows, on the first level batch (no
+    # hits) and on the first one with hits, in as many evaluations as the
+    # unpruned search.
+    rows, calls, searches = [0], [0], []
+    monkeypatch.setattr(numerics, "log_std_normal_cdf",
+                        lambda x: rows.__setitem__(0, rows[0] + np.size(x)) or _LOG_PHI(x))
+    objective = ce_schemes.bandwidth_objective
+    monkeypatch.setattr(ce_schemes, "bandwidth_objective",
+                        lambda *args: calls.__setitem__(0, calls[0] + 1) or objective(*args))
+    search = ce_schemes.optimize_bandwidth
+
+    def counted_search(ws, hi, delta):
+        rows[0] = calls[0] = 0
+        got = search(ws, hi, delta)
+        want, evals = unpruned_bandwidth_search(ws, hi, delta)
+        assert got == want and calls[0] == evals
+        searches.append((int(np.count_nonzero(ws.indicators)), rows[0] / (evals * ws.size)))
+        return got
+
+    monkeypatch.setattr(ce_schemes, "optimize_bandwidth", counted_search)
+    cfg = cfg_for("ice_proj", "mean", m=10_000, n=10_000, n_p=1000, t_max=3)
+    run_scheme(cfg, linear_target(100), (1,))
+    assert searches[0][0] == 0 and searches[0][1] < 0.6, searches
+    with_hits = [frac for hits, frac in searches if hits > 0]
+    assert with_hits and with_hits[0] < 0.6, searches
 
 
 # ------------------------------------------------------------- full runs

@@ -366,6 +366,22 @@ def test_cli_worker_count_does_not_change_reduced_level_bytes(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+def test_cli_worker_count_does_not_change_dense_smoothed_bytes(tmp_path):
+    # ice updates a dense covariance, and its smoothed level stage draws
+    # full points once the law is dense.
+    outs = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        cfg = write_cfg(tmp_path / f"w{workers}.cfg",
+                        "kind = benchmark\ntarget = lin\nscheme = ice\ndims = 20\nm = 1000\n"
+                        "n = 1000\nn_p = 500\nt_max = 3\nN = 2\nseed = 7\n"
+                        f"workers = {workers}\noutput_dir = {out}\n")
+        assert run_cli(["benchmark", "--config", cfg]) == 0
+        outs.append(out)
+    for name in ("runs.csv", "traces.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def test_cli_phase_rows_match_library_sweep(tmp_path):
     out = tmp_path / "phase"
     cfg = write_cfg(tmp_path / "p.cfg", PHASE_TEMPLATE.format(workers=2, out=out))

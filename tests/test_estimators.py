@@ -19,9 +19,10 @@ from ce_spectra.estimators import (
     sigma_a_estimator,
     smooth_weighted_mean_cov,
     weighted_mean_cov,
+    zero_weight_keys,
 )
 from ce_spectra.gauss_core import WeightedSample
-from ce_spectra.numerics import std_normal_cdf
+from ce_spectra.numerics import log_std_normal_cdf, std_normal_cdf
 from ce_spectra.seeding import stream
 
 TAIL_5 = 2.8665157187919391167e-7
@@ -321,6 +322,93 @@ def test_ice_delta_monotone_toward_indicator():
     ws = make_sample(rng, n=512)
     small = ice_delta(ws, 1e-9)
     assert small == pytest.approx(indicator_delta(ws), rel=1e-6)
+
+
+# --------------------------------------------------- pruned smoothed spread
+
+
+def spread_of(log_w: np.ndarray) -> float:
+    """The spread in log space over every row, zero weights included."""
+    peak = float(np.max(log_w))
+    if peak == -math.inf:
+        return math.inf
+    a = np.exp(log_w - peak)
+    return math.sqrt(log_w.size * float(a @ a)) / float(np.sum(a))
+
+
+def unpruned_spread(ws: WeightedSample, bandwidth: float) -> float:
+    """The smoothed spread with log Phi evaluated on every row."""
+    return spread_of(ws.log_ratios + log_std_normal_cdf(ws.scores / bandwidth))
+
+
+def _spread_case(name: str) -> WeightedSample:
+    rng = stream(11, "est", "prune", name)
+    m = 600
+    scores = -1.5 * np.abs(rng.standard_normal(m)) - 0.5
+    lr = rng.standard_normal(m) * 3.0
+    if name == "hits":
+        scores[:40] = np.abs(scores[:40])
+    elif name == "wide_log_ratios":
+        # log ratios spanning about 4000 nats: hits far below the top hit
+        # weigh exactly 0 at every bandwidth
+        lr = rng.standard_normal(m) * 1000.0
+        scores[:60] = np.abs(scores[:60])
+    elif name == "infinite_scores":
+        scores[:12] = [math.inf, -math.inf, -1e300, -1e300, 0.5, -math.inf,
+                       -1e300, 1.0, -math.inf, math.inf, -1e300, 2.0]
+    elif name == "top_ties":
+        scores[:25] = -0.1
+    elif name == "single_row":
+        scores, lr = scores[:1], lr[:1]
+    else:
+        assert name == "no_hits"
+    return WeightedSample(np.zeros((scores.size, 1)), lr, scores)
+
+
+SPREAD_CASES = ["hits", "no_hits", "wide_log_ratios", "infinite_scores", "top_ties",
+                "single_row"]
+
+
+@pytest.mark.parametrize("name", SPREAD_CASES)
+def test_pruned_spread_is_bit_identical(name):
+    ws = _spread_case(name)
+    hits = ws.indicators
+    assert np.any(hits) == (name in ("hits", "wide_log_ratios", "infinite_scores"))
+    if name == "wide_log_ratios":
+        assert np.any(ws.log_ratios[hits] < np.max(ws.log_ratios[hits]) - 746.0)
+    assert indicator_delta(ws) == spread_of(np.where(hits, ws.log_ratios, -np.inf))
+    keys = zero_weight_keys(ws)
+    assert sorted(keys.rows.tolist()) == list(range(ws.size))
+    assert np.all(np.diff(keys.keys) >= 0.0) and keys.keys[0] >= 0.0
+    grid = np.exp(np.linspace(math.log(1e-8), math.log(1e4), 10_000))
+    evaluated = 0
+    for b in grid.tolist():
+        assert ice_delta(ws, b, keys) == unpruned_spread(ws, b), b
+        k = int(np.searchsorted(keys.keys, b, side="right"))
+        evaluated += k
+        # Every skipped row's weight is exactly 0 in the unpruned formula.
+        log_w = ws.log_ratios + log_std_normal_cdf(ws.scores / b)
+        skipped = log_w[keys.rows[k:]]
+        assert np.all(np.exp(skipped - np.max(log_w)) == 0.0), b
+    # The samples with more than one row prune something, most of them a lot.
+    if ws.size > 1:
+        assert evaluated < grid.size * ws.size
+    if name in ("hits", "no_hits", "infinite_scores"):
+        assert evaluated < 0.7 * grid.size * ws.size
+
+
+def test_log_phi_bounds_hold_on_the_left_half_line():
+    # Chernoff above, Birnbaum's Mills-ratio bound below; the lower one is
+    # tight to rounding far out, so both are checked to 4 ulp.
+    x = -np.concatenate([[0.0], np.geomspace(1e-12, 1e6, 100_001)])
+    g = log_std_normal_cdf(x)
+    upper = -0.5 * x * x - math.log(2.0)
+    lower = -0.5 * x * x - 0.5 * math.log(2.0 * math.pi) - np.log1p(-x)
+    eps = 4.0 * np.finfo(float).eps
+    assert np.all(g <= upper + eps * np.abs(upper))
+    assert np.all(g >= lower - eps * np.abs(lower))
+    # The weaker lower bound the keys use, log(1 + |x|) <= |x|.
+    assert np.all(g >= -0.5 * x * x - 0.5 * math.log(2.0 * math.pi) + x - eps * np.abs(lower))
 
 
 # ----------------------------------------------------- max weight statistic
