@@ -28,7 +28,7 @@ failed repetitions are reported rather than discarded.
 Batches read only for scores and log ratios draw the target's decisive
 coordinates when it has them (``LimitState.decisive``): the hard level
 stage for every law, the smoothed level stage and the final estimate for
-identity and spiked laws, whose ratio reads a few coordinates too. The
+spiked laws, whose ratio reads a few coordinates too. The
 learn batch is always drawn in full, since the update needs points in R^d.
 """
 from __future__ import annotations
@@ -141,6 +141,13 @@ class RunResult:
         """False for a converged run, even where its discarded last update failed."""
         return not self.converged and bool(self.traces) and self.traces[-1].diverged
 
+    @property
+    def lambda_min_floor(self) -> float:
+        """The smallest finite lambda_min of the sampling laws that entered
+        the non-diverged iterations; 0.0 when there is none."""
+        return min((tr.lambda_min_proj for tr in self.traces
+                    if not tr.diverged and math.isfinite(tr.lambda_min_proj)), default=0.0)
+
 
 def select_direction(extremes: numerics.EigenExtremes, mu_hat: np.ndarray,
                      strategy: str) -> np.ndarray:
@@ -195,10 +202,10 @@ def _level_scores(law: GaussianLaw, size: int, rng: np.random.Generator,
 def _ratio_batch(law: GaussianLaw, size: int, rng: np.random.Generator,
                  target: LimitState) -> WeightedSample:
     """size fresh log ratios and scores from the law, for a caller that
-    reads nothing else. For a target with decisive rows and an identity or
-    spiked law, the draws are the coordinates along those rows and along
-    the rows that fix the ratio, which are the sample's points; a dense
-    law's ratio reads every coordinate, so it draws full points."""
+    reads nothing else. For a target with decisive rows and a spiked law,
+    the draws are the coordinates along those rows and along the rows that
+    fix the ratio, which are the sample's points; a dense law's ratio reads
+    every coordinate, so it draws full points."""
     dec = target.decisive
     if dec is None or law.dense_chol is not None:
         return _weighted_batch(law, size, rng, target)

@@ -22,13 +22,14 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
 
 from .ce_schemes import RunResult, SchemeConfig, run_scheme
 from .config import GAMMA_N_GRID, ConfigError, ExperimentConfig, load_config
-from .phase_lab import GammaEstimate, gamma_cell, gamma_fit, median_by_d, sweep_cell
+from .phase_lab import GammaEstimate, SweepRow, gamma_cell, gamma_fit, median_by_d, sweep_cell
 from .seeding import map_cells
 from .targets import LimitState
 from . import svg
@@ -160,11 +161,8 @@ def _write_benchmark_outputs(out: Path, results: list[RunResult], scheme_cfg: Sc
               trace_rows)
 
     rel = sorted(e for e in errors if math.isfinite(e))
-    # The CE diagnostic 1 / min_t lambda_min of a run's sampling laws, over
-    # its non-diverged iterations; a run with none, or a floor <= 0, has none.
-    floors = [min((tr.lambda_min_proj for tr in r.traces
-                   if not tr.diverged and math.isfinite(tr.lambda_min_proj)), default=0.0)
-              for r in results]
+    # The CE diagnostic 1 / min_t lambda_min; a run whose floor is <= 0 has none.
+    floors = [r.lambda_min_floor for r in results]
     n = len(results)
     summary = {
         "target": target.name,
@@ -225,7 +223,7 @@ def _write_benchmark_figures(out: Path, results: list[RunResult], rel: list[floa
 
 def _write_phase_outputs(cfg: ExperimentConfig, dirs: list[Path], rows: list[list]) -> None:
     out = dirs[0]
-    header = ["d", "rep", "n", "op_error", "lambda_max_hat", "max_weight", "q_hat"]
+    header = [f.name for f in fields(SweepRow)]
     single = len(rows) == 1
     mc_note = " (Monte Carlo)" if cfg.lambda1 == 1.0 else ""
     err_panel = svg.Panel(title="median operator-norm error",
@@ -234,9 +232,7 @@ def _write_phase_outputs(cfg: ExperimentConfig, dirs: list[Path], rows: list[lis
                           xlabel="dimension d", ylabel="lambda_max", ylog=True)
     for idx, (kappa, branch) in enumerate(zip(cfg.kappa, rows), start=1):
         name = "sweep.csv" if single else f"sweep_{idx}.csv"
-        write_csv(out / name, header,
-                  [(r.d, r.rep, r.n, r.op_error, r.lambda_max_hat, r.max_weight, r.q_hat)
-                   for r in branch])
+        write_csv(out / name, header, [astuple(r) for r in branch])
         label = f"kappa={kappa:g}{mc_note}"
         for panel, attr in ((err_panel, "op_error"), (lam_panel, "lambda_max_hat")):
             med = median_by_d(branch, attr)

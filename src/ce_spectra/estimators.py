@@ -53,13 +53,11 @@ class EstimationResult:
 
 
 def is_probability(sample: WeightedSample) -> float:
-    """Importance-sampling probability (1/n) sum l_i xi_i."""
+    """Importance-sampling probability (1/n) sum l_i xi_i; 0.0 without hits."""
     if sample.size == 0:
         raise DegenerateSampleError("empty sample")
-    if not np.any(sample.indicators):
-        return 0.0
     lw = sample.log_ratios[sample.indicators]
-    peak = float(np.max(lw))
+    peak = float(np.max(lw, initial=-math.inf))
     return numerics.exp_saturated(peak) * float(np.sum(np.exp(lw - peak))) / sample.size
 
 
@@ -185,7 +183,7 @@ def zero_weight_keys(sample: WeightedSample) -> ZeroWeightKeys:
     """
     lr, s = sample.log_ratios, sample.scores
     keys = np.zeros(sample.size)
-    hit = s >= 0.0
+    hit = sample.indicators
     if np.any(hit):
         j = int(np.argmax(np.where(hit, lr, -np.inf)))
         s_j, gap = 0.0, _UNDERFLOW_GAP
@@ -194,11 +192,11 @@ def zero_weight_keys(sample: WeightedSample) -> ZeroWeightKeys:
         s_j, gap = float(s[j]), _UNDERFLOW_GAP + 0.5 * math.log(2.0 * math.pi) - math.log(2.0)
     lr_j = float(lr[j])
     if abs(lr_j) <= _BOX and s_j >= -_BOX:
-        cand = np.flatnonzero((s < 0.0) & (lr <= _BOX))
+        cand = np.flatnonzero(~hit & (lr <= _BOX))
         s_i = np.maximum(s[cand], -_BOX)
         lr_i = np.maximum(lr[cand], -_BOX)
         a = 0.5 * ((1.0 - _ROUNDING) * s_i * s_i - (1.0 + _ROUNDING) * s_j * s_j)
-        keep = a > 0.0
+        keep = a > 0.0  # a non-hit with a NaN score has a NaN a, which fails
         cand, a, lr_i = cand[keep], a[keep], lr_i[keep]
         b = (1.0 + _ROUNDING) * abs(s_j)
         c = np.maximum(lr_i - lr_j + gap + _ROUNDING * (np.abs(lr_i) + abs(lr_j)), 1.0)
@@ -245,7 +243,8 @@ def sigma_a_estimator(sample: WeightedSample, n: int, p: float, mu: np.ndarray) 
     exposes the sample-size phase transition. Rows outside the set weigh
     exactly 0, so the sum runs over sample's hit rows alone, and sample may
     hold just those: n is the size of the batch they came from, at least
-    sample.size. The result is exactly symmetric.
+    sample.size. The result is exactly symmetric; without hits it is
+    -mu mu^T.
     """
     if n <= 0 or n < sample.size:
         raise ValueError(f"batch size {n} must be positive and at least the sample's "
@@ -257,10 +256,8 @@ def sigma_a_estimator(sample: WeightedSample, n: int, p: float, mu: np.ndarray) 
     if mu.shape != (d,):
         raise ValueError(f"mu must have shape ({d},)")
     ind = sample.indicators
-    if not np.any(ind):
-        return -np.outer(mu, mu)
     lw = sample.log_ratios[ind]
-    peak = float(np.max(lw))
+    peak = float(np.max(lw, initial=-math.inf))
     scale = numerics.exp_saturated(peak) / (n * p)
     second = _scaled_gram(sample.points[ind], np.exp(lw - peak))
     second *= scale

@@ -1,11 +1,13 @@
 """Gaussian laws with low-rank covariance structure.
 
-The covariance model is a rank-r perturbation of the identity,
+A law's covariance is one of two kinds. The spiked kind is a rank-r
+perturbation of the identity,
 
     Sigma = I + sum_k (lambda_k - 1) v_k v_k^T,
 
-with orthonormal directions v_k. For such laws the density ratio against
-the standard normal has the closed form
+with orthonormal directions v_k; the identity is its rank-0 member. The
+dense kind is any covariance, held as its Cholesky factor. For spiked laws
+the density ratio against the standard normal has the closed form
 
     l(x) = |Sigma|^{1/2} exp( 1/2 sum_k (1/lambda_k - 1) <v_k, x>^2 ),
 
@@ -23,8 +25,8 @@ the caller has taken |z|^2:
     log l(x) = 1/2 (log|Sigma| + |z|^2 - |x|^2).
 
 A caller that reads only y = x B^T for a few rows B draws y itself
-(``sample_rows``); for identity and spiked laws the coordinates along
-``ratio_rows`` give the ratio too (``log_ratio_from_rows``).
+(``sample_rows``); for spiked laws the coordinates along ``ratio_rows``
+give the ratio too (``log_ratio_from_rows``).
 """
 from __future__ import annotations
 
@@ -50,6 +52,7 @@ class SpikedCovariance:
     """I + sum_k (lambda_k - 1) v_k v_k^T with orthonormal rows in directions.
 
     lambdas are ascending and strictly positive; directions has shape (r, d).
+    Rank 0 is the identity.
     """
 
     lambdas: np.ndarray
@@ -89,15 +92,15 @@ class SpikedCovariance:
 
     def lambda_min(self) -> float:
         """Smallest eigenvalue; the identity block contributes 1 when r < d."""
-        lo = float(self.lambdas[0])
-        return min(lo, 1.0) if self.rank < self.dim else lo
+        return float(np.min(self.lambdas, initial=1.0 if self.rank < self.dim else np.inf))
 
 
 @dataclass(frozen=True)
 class GaussianLaw:
-    """Normal law with identity, spiked, or dense covariance.
+    """Normal law with spiked or dense covariance.
 
-    At most one covariance representation is set. Dense laws carry their
+    Exactly one covariance representation is set: a law built with neither
+    gets the rank-0 spiked covariance, the identity. Dense laws carry their
     Cholesky factor from construction, so an invalid covariance fails fast,
     and the eigen-extremes their builder already computed.
     """
@@ -114,10 +117,14 @@ class GaussianLaw:
         object.__setattr__(self, "mean", mean)
         if self.spiked is not None and self.dense_chol is not None:
             raise ValueError("covariance given twice")
-        if self.spiked is not None and self.spiked.dim != mean.shape[0]:
-            raise ValueError("covariance dimension does not match mean")
         if (self.dense_chol is None) != (self.dense_extremes is None):
             raise ValueError("dense laws are built via GaussianLaw.dense")
+        if self.dense_chol is None:
+            spiked = (self.spiked if self.spiked is not None
+                      else SpikedCovariance(np.zeros(0), np.zeros((0, mean.shape[0]))))
+            if spiked.dim != mean.shape[0]:
+                raise ValueError("covariance dimension does not match mean")
+            object.__setattr__(self, "spiked", spiked)
 
     @classmethod
     def identity(cls, dim: int) -> "GaussianLaw":
@@ -148,19 +155,15 @@ class GaussianLaw:
     @property
     def log_det(self) -> float:
         """log|Sigma|."""
-        if self.spiked is not None:
-            return self.spiked.log_det()
         if self.dense_chol is not None:
             return 2.0 * float(np.sum(np.log(np.diag(self.dense_chol))))
-        return 0.0
+        return self.spiked.log_det()
 
     def lambda_min(self) -> float:
         """Smallest eigenvalue of the covariance."""
-        if self.spiked is not None:
-            return self.spiked.lambda_min()
         if self.dense_extremes is not None:
             return self.dense_extremes.lambda_min
-        return 1.0
+        return self.spiked.lambda_min()
 
 
 @dataclass(frozen=True)
@@ -223,7 +226,7 @@ def sample(law: GaussianLaw, z: np.ndarray) -> np.ndarray:
 
         # x^T = L z^T; z^T is Fortran-ordered, so BLAS writes over it.
         z = dtrmm(1.0, law.dense_chol, z.T, lower=1, overwrite_b=1).T
-    elif law.spiked is not None:
+    else:
         _add_spike(z, law.spiked)
     if law.mean.any():
         z += law.mean
@@ -266,11 +269,9 @@ def _add_spike(z: np.ndarray, sp: SpikedCovariance) -> None:
 
 def _rows_times_root(law: GaussianLaw, rows: np.ndarray) -> np.ndarray:
     """rows A for the square root A that ``sample`` applies: the lower
-    Cholesky factor, I + sum_k (sqrt(lambda_k) - 1) v_k v_k^T, or I."""
+    Cholesky factor, or I + sum_k (sqrt(lambda_k) - 1) v_k v_k^T."""
     if law.dense_chol is not None:
         return rows @ law.dense_chol
-    if law.spiked is None:
-        return rows
     sp = law.spiked
     return rows + ((rows @ sp.directions.T) * (np.sqrt(sp.lambdas) - 1.0)) @ sp.directions
 
@@ -293,15 +294,13 @@ def sample_rows(law: GaussianLaw, rows: np.ndarray, size: int,
 
 
 def ratio_rows(law: GaussianLaw) -> np.ndarray:
-    """The rows whose coordinates fix log f/g for an identity or spiked law
-    g: its mean when nonzero, then its spike directions; (0, d) for the
-    standard law. Dense laws have none."""
+    """The rows whose coordinates fix log f/g for a spiked law g: its mean
+    when nonzero, then its spike directions; (0, d) for the standard law.
+    Dense laws have none."""
     if law.dense_chol is not None:
         raise ValueError("a dense law's ratio reads every coordinate")
     rows = [law.mean[None, :]] if law.mean.any() else []
-    if law.spiked is not None:
-        rows.append(law.spiked.directions)
-    return np.concatenate(rows) if rows else np.zeros((0, law.dim))
+    return np.concatenate(rows + [law.spiked.directions])
 
 
 def log_ratio_from_rows(law: GaussianLaw, c: np.ndarray) -> np.ndarray:
@@ -314,49 +313,45 @@ def log_ratio_from_rows(law: GaussianLaw, c: np.ndarray) -> np.ndarray:
     if mean.any():
         out += 0.5 * float(mean @ mean) - c[:, 0]
         c = c[:, 1:]
-    if law.spiked is not None:
-        sp = law.spiked
-        c = c - sp.directions @ mean
-        out += 0.5 * (c * c @ (1.0 / sp.lambdas - 1.0) + sp.log_det())
+    sp = law.spiked
+    c = c - sp.directions @ mean
+    out += 0.5 * (c * c @ (1.0 / sp.lambdas - 1.0) + sp.log_det())
     return out
 
 
 def log_density(law: GaussianLaw, x: np.ndarray) -> np.ndarray:
     y = _batch(x, law.dim) - law.mean
     d = law.dim
-    if law.spiked is not None:
-        sp = law.spiked
-        coords = y @ sp.directions.T
-        quad = np.sum(y * y, axis=1)
-        quad += coords * coords @ (1.0 / sp.lambdas - 1.0)
-        return -0.5 * (d * _LOG_2PI + sp.log_det() + quad)
     if law.dense_chol is not None:
         from scipy.linalg import solve_triangular
 
         half = solve_triangular(law.dense_chol, y.T, lower=True).T
         return -0.5 * (d * _LOG_2PI + law.log_det + np.sum(half * half, axis=1))
-    return -0.5 * (d * _LOG_2PI + np.sum(y * y, axis=1))
+    sp = law.spiked
+    coords = y @ sp.directions.T
+    quad = np.sum(y * y, axis=1)
+    quad += coords * coords @ (1.0 / sp.lambdas - 1.0)
+    return -0.5 * (d * _LOG_2PI + sp.log_det() + quad)
 
 
 def log_likelihood_ratio(sigma: SpikedCovariance, x: np.ndarray) -> np.ndarray:
     """log of f/g for f standard normal and g zero-mean with covariance sigma.
 
     Depends on x only through the spike coordinates, so the cost is
-    O(n d r) with no dense algebra. A rank-one ratio squares and scales its
-    one coordinate in place; when its direction is an axis, that coordinate
-    is the column itself times the direction's entry, read without a pass
-    over the other columns.
+    O(n d r) with no dense algebra. A rank-one ratio, the phase lab's,
+    squares and scales its one coordinate in place; when its direction is
+    an axis, that coordinate is the column itself times the direction's
+    entry, read without a pass over the other columns. Any other rank is
+    log_ratio_from_rows on the spike coordinates.
     """
     x = _batch(x, sigma.dim)
-    if sigma.rank == 1:
-        v = sigma.directions[0]
-        cols = _axis_columns(sigma)
-        quad = x @ v if cols is None else x[:, cols[0]] * v[cols[0]]
-        np.square(quad, out=quad)
-        quad *= 1.0 / sigma.lambdas[0] - 1.0
-    else:
-        coords = x @ sigma.directions.T
-        quad = coords * coords @ (1.0 / sigma.lambdas - 1.0)
+    if sigma.rank != 1:
+        return log_ratio_from_rows(GaussianLaw.with_spiked(sigma), x @ sigma.directions.T)
+    v = sigma.directions[0]
+    cols = _axis_columns(sigma)
+    quad = x @ v if cols is None else x[:, cols[0]] * v[cols[0]]
+    np.square(quad, out=quad)
+    quad *= 1.0 / sigma.lambdas[0] - 1.0
     quad += sigma.log_det()
     quad *= 0.5
     return quad

@@ -73,6 +73,25 @@ def test_spiked_dense_and_logdet():
     assert sp.lambda_min() == 0.5
 
 
+def test_rank_zero_spiked_is_the_identity():
+    # The identity is the rank-0 spiked covariance, and a law built without
+    # a covariance gets it.
+    d = 4
+    sp = SpikedCovariance(np.zeros(0), np.zeros((0, d)))
+    assert sp.rank == 0 and sp.dim == d
+    assert np.array_equal(sp.dense(), np.eye(d))
+    assert sp.log_det() == 0.0
+    assert sp.lambda_min() == 1.0
+    law = GaussianLaw(mean=np.arange(float(d)))
+    assert law.spiked.rank == 0 and law.dense_chol is None
+    assert law.log_det == 0.0 and law.lambda_min() == 1.0
+    dense = dense_law(np.zeros(d), np.eye(d))
+    assert dense.spiked is None
+    with pytest.raises(ValueError, match="given twice"):
+        GaussianLaw(mean=np.zeros(d), spiked=sp, dense_chol=dense.dense_chol,
+                    dense_extremes=dense.dense_extremes)
+
+
 def test_spiked_extremes_include_unit_bulk():
     # With r < d the untouched directions keep variance 1.
     assert spike(5, [2.0, 3.0], [0, 1]).lambda_min() == 1.0
@@ -321,10 +340,8 @@ def test_sample_maps_draws_in_place(kind):
 
         want = dtrmm(1.0, law.dense_chol, z.copy().T, lower=1).T
     else:
-        want = z.copy()
-        if law.spiked is not None:
-            sp = law.spiked
-            want += ((z @ sp.directions.T) * (np.sqrt(sp.lambdas) - 1.0)) @ sp.directions
+        sp = law.spiked
+        want = z + ((z @ sp.directions.T) * (np.sqrt(sp.lambdas) - 1.0)) @ sp.directions
     want += law.mean
     x = sample(law, z)
     assert np.shares_memory(x, z)
@@ -371,7 +388,7 @@ class IdentityDraws:
 def covariance(law: GaussianLaw) -> np.ndarray:
     if law.dense_chol is not None:
         return law.dense_chol @ law.dense_chol.T
-    return np.eye(law.dim) if law.spiked is None else law.spiked.dense()
+    return law.spiked.dense()
 
 
 def decisive_laws(d: int):
